@@ -15,11 +15,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import InvalidDimension, InvalidParams
-from .gauss_bounds import build_T_from_zeta, chen_ricci_bound, improved_bound
-from .tensor_core import DEFAULT_TOL, BundleValuedForm, t_ricci, trace_norm_sq
+from .gauss_bounds import (
+    BoundMode,
+    chen_ricci_bound,
+    improved_bound,
+    ricci_form_from_zeta,
+)
+from .tensor_core import BundleValuedForm, as_unit_vector, trace_norm_sq
 
 
 class AmbientKind(Enum):
@@ -102,19 +105,23 @@ def application_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
     return (n - 1) / 4.0 * (model.c + 3.0 + n * h_sq)
 
 
-def base_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
+def base_mode(model: AmbientModel) -> BoundMode:
     """The abstract bound the model's statement rests on: general for the real
     space form, improved for the other three."""
     if model.kind is AmbientKind.REAL_SPACE_FORM:
+        return BoundMode.GENERAL
+    return BoundMode.IMPROVED
+
+
+def base_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
+    """Value of the abstract bound named by :func:`base_mode`."""
+    if base_mode(model) is BoundMode.GENERAL:
         return chen_ricci_bound(zeta)
     return improved_bound(zeta)
 
 
-def intrinsic_ricci(
-    model: AmbientModel, zeta: BundleValuedForm, x, tol: float = DEFAULT_TOL
-) -> float:
-    """Ric(X) recovered from the Gauss-built tensor plus the model offset."""
-    tensor = build_T_from_zeta(zeta)
-    return t_ricci(tensor, np.asarray(x, dtype=float), tol) + ricci_offset(
-        model, zeta.n
-    )
+def intrinsic_ricci(model: AmbientModel, zeta: BundleValuedForm, x) -> float:
+    """Ric(X) recovered from the Ricci form of the Gauss-built tensor plus the
+    model offset, for a unit vector X."""
+    xv = as_unit_vector(x, zeta.n)
+    return float(xv @ ricci_form_from_zeta(zeta) @ xv) + ricci_offset(model, zeta.n)

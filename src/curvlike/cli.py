@@ -27,17 +27,17 @@ from .optim_lemmas import (
     f_value,
 )
 from .reporting import (
-    _tool_block,
     build_bound_report,
     build_check_report,
     build_instance_report,
     build_nullspace_report,
     render_report,
+    report_envelope,
     run_sample,
 )
 from .structures import Family, FamilyParams, construct_family
+from .tensor_core import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-9
 LEMMA_AGREEMENT_TOL = 1e-8
 
 
@@ -123,9 +123,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
             f"(> {LEMMA_AGREEMENT_TOL})"
         )
     doc = {
-        "version": 1,
-        "kind": "lemma-report",
-        "tool": _tool_block(),
+        **report_envelope("lemma-report"),
         "which": args.which,
         "n": args.n,
         "sum": args.sum,

@@ -41,10 +41,6 @@ class LengthMismatch(CurvlikeError):
     """Vector argument of unexpected length."""
 
 
-class NoConvergence(CurvlikeError):
-    """Iterative solver exhausted its sweep budget."""
-
-
 class InvalidParams(CurvlikeError):
     """Family or model parameters are missing or out of range."""
 

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BundleTooSmall, DimensionMismatch
-from .optim_lemmas import jacobi_eigh, max_ricci
+from .optim_lemmas import max_ricci
 from .tensor_core import (
     DEFAULT_TOL,
     BundleValuedForm,
@@ -31,7 +31,6 @@ from .tensor_core import (
     orthonormal_complement,
     rotate_frame,
     rotation_to_first_axis,
-    t_ricci_form,
     trace_norm_sq,
     trace_zeta,
 )
@@ -97,6 +96,21 @@ def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
     return CurvatureLikeTensor(_gauss_components(zeta))
 
 
+def ricci_form_from_zeta(zeta: BundleValuedForm) -> np.ndarray:
+    """Ricci form S_T of the Gauss-built tensor, straight from zeta:
+
+        S_T[i, k] = <trace zeta, zeta[:, i, k]> - sum_r (zeta_r zeta_r)[i, k],
+
+    symmetrized to kill roundoff.  This is the contraction sum_j T[j, i, k, j]
+    of :func:`build_T_from_zeta` at O(m' n^3) cost, without the n^4 tensor.
+    """
+    comps = zeta.components
+    s = np.einsum("r,rik->ik", trace_zeta(zeta), comps) - np.einsum(
+        "rij,rjk->ik", comps, comps
+    )
+    return 0.5 * (s + s.T)
+
+
 def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
     """Max absolute residual of the algebraic Gauss equation; 0 means the pair
     is exact."""
@@ -117,6 +131,10 @@ def improved_bound(zeta: BundleValuedForm) -> float:
     when the total-symmetry hypothesis is certified."""
     n = zeta.n
     return (n - 1) / (4.0 * n) * trace_norm_sq(zeta)
+
+
+def _bound_value(zeta: BundleValuedForm, mode: BoundMode) -> float:
+    return chen_ricci_bound(zeta) if mode is BoundMode.GENERAL else improved_bound(zeta)
 
 
 def is_totally_symmetric(
@@ -146,20 +164,18 @@ def is_totally_symmetric(
 def check_bound(
     zeta: BundleValuedForm, mode: BoundMode, tol: float = DEFAULT_TOL
 ) -> BoundReport:
-    """Evaluate one bound end to end: build T, extremize Ric_T, certify the
+    """Evaluate one bound end to end: form S_T, extremize Ric_T, certify the
     hypothesis, classify the equality case.
 
     The improved bound is still reported when certification fails (the gap may
     then be negative); callers read ``symmetry_certified`` before claiming it.
     """
-    tensor = build_T_from_zeta(zeta)
-    s_form = t_ricci_form(tensor, tol)
+    s_form = ricci_form_from_zeta(zeta)
     ricci_max, direction = max_ricci(s_form)
+    bound = _bound_value(zeta, mode)
     if mode is BoundMode.GENERAL:
-        bound = chen_ricci_bound(zeta)
         certified = True
     else:
-        bound = improved_bound(zeta)
         try:
             certified, _ = is_totally_symmetric(zeta, tol)
         except BundleTooSmall:
@@ -171,7 +187,7 @@ def check_bound(
         argmax_direction=direction,
         gap=bound - ricci_max,
         symmetry_certified=certified,
-        equality_class=classify_all_equality(zeta, mode, tol),
+        equality_class=_classify(zeta, mode, s_form, bound, tol),
     )
 
 
@@ -194,8 +210,7 @@ def equality_directions(
     if zeta.max_abs() <= tol:
         return [np.eye(n)[i] for i in range(n)]
     bound = chen_ricci_bound(zeta)
-    s_form = t_ricci_form(build_T_from_zeta(zeta), tol)
-    values, vectors = jacobi_eigh(s_form)
+    values, vectors = np.linalg.eigh(ricci_form_from_zeta(zeta))
     half_trace = 0.5 * trace_zeta(zeta)
     certified: list[np.ndarray] = []
     for k in range(n):
@@ -224,9 +239,20 @@ def classify_all_equality(
     and diagonalizing the slot-0 quadratic form with descending eigenvalues,
     which also pins mu >= 0.
     """
+    return _classify(
+        zeta, mode, ricci_form_from_zeta(zeta), _bound_value(zeta, mode), tol
+    )
+
+
+def _classify(
+    zeta: BundleValuedForm,
+    mode: BoundMode,
+    s_form: np.ndarray,
+    bound: float,
+    tol: float,
+) -> EqualityClass:
+    """Body of :func:`classify_all_equality` for an S_T and bound already in hand."""
     n = zeta.n
-    bound = chen_ricci_bound(zeta) if mode is BoundMode.GENERAL else improved_bound(zeta)
-    s_form = t_ricci_form(build_T_from_zeta(zeta), tol)
     if float(np.abs(s_form - bound * np.eye(n)).max()) > tol:
         return EqualityClass(EqualityTag.NO_EQUALITY)
     if zeta.max_abs() <= tol:
@@ -241,7 +267,7 @@ def classify_all_equality(
 
     if mode is BoundMode.GENERAL:
         quad = np.einsum("rij,r->ij", zeta.components, u)
-        _, q_vectors = jacobi_eigh(quad)
+        _, q_vectors = np.linalg.eigh(quad)
         q_tangent = q_vectors.T
         comp = rotate_frame(zeta, q_tangent, np.eye(zeta.m_prime)).components
         umbilical = (
@@ -256,9 +282,9 @@ def classify_all_equality(
 
     q_bundle = rotation_to_first_axis(u)
     slot_first = rotate_frame(zeta, np.eye(2), q_bundle)
-    values, q_vectors = jacobi_eigh(slot_first.components[0])
-    order = np.argsort(values)[::-1]
-    q_tangent = q_vectors[:, order].T
+    # eigh sorts ascending; reversing the columns puts them in descending order.
+    _, q_vectors = np.linalg.eigh(slot_first.components[0])
+    q_tangent = q_vectors[:, ::-1].T
     comp = rotate_frame(slot_first, q_tangent, np.eye(zeta.m_prime)).components
     mu = trace_norm / 4.0
     pattern = (

@@ -112,6 +112,22 @@ def dump_json(value) -> str:
     return "".join(out)
 
 
+def ambient_to_dict(model: AmbientModel) -> dict:
+    """Schema form {kind, c[, theta]} of an ambient model."""
+    doc: dict = {"kind": model.kind.value, "c": model.c}
+    if model.theta is not None:
+        doc["theta"] = model.theta
+    return doc
+
+
+def structure_to_dict(structure: StructureInfo) -> dict:
+    """Schema form {kind[, theta]} of a structure marker."""
+    doc: dict = {"kind": structure.kind}
+    if structure.theta is not None:
+        doc["theta"] = structure.theta
+    return doc
+
+
 def instance_to_dict(instance: Instance) -> dict:
     doc: dict = {
         "version": SCHEMA_VERSION,
@@ -120,15 +136,9 @@ def instance_to_dict(instance: Instance) -> dict:
         "zeta": instance.zeta.components.tolist(),
     }
     if instance.ambient is not None:
-        ambient: dict = {"kind": instance.ambient.kind.value, "c": instance.ambient.c}
-        if instance.ambient.theta is not None:
-            ambient["theta"] = instance.ambient.theta
-        doc["ambient"] = ambient
+        doc["ambient"] = ambient_to_dict(instance.ambient)
     if instance.structure is not None:
-        structure: dict = {"kind": instance.structure.kind}
-        if instance.structure.theta is not None:
-            structure["theta"] = instance.structure.theta
-        doc["structure"] = structure
+        doc["structure"] = structure_to_dict(instance.structure)
     return doc
 
 

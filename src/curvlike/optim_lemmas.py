@@ -1,5 +1,5 @@
 """Constrained quadratic maximization in closed form with an independent
-oracle, plus the cyclic-Jacobi eigensolver used to extremize Ricci forms.
+oracle, plus the eigen-extremum used to maximize Ricci forms.
 
 Two quadratic families appear in the sharp Ricci bounds:
 
@@ -18,13 +18,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimension, LengthMismatch, NoConvergence, ValidationError
+from .errors import InvalidDimension, LengthMismatch, ValidationError
 
 ORACLE_SAMPLES = 100_000
 ORACLE_SEED = 1849340219
 
-JACOBI_MAX_SWEEPS = 50
-JACOBI_OFF_FACTOR = 1e-12
+SYMMETRY_TOL = 1e-10
 
 
 class Objective(Enum):
@@ -142,74 +141,24 @@ def brute_force_max(
     return QuadraticMax(best, argmax)
 
 
-def jacobi_eigh(matrix, sym_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Convergence: off-diagonal Frobenius norm <= 1e-12 * ||A||_F, within at
-    most 50 sweeps (NoConvergence otherwise, not expected at n <= 16).
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    residual = float(np.abs(a - a.T).max(initial=0.0))
-    if residual > sym_tol:
-        raise ValidationError(
-            f"matrix asymmetric by {residual:.3e} (> {sym_tol})"
-        )
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    vectors = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), vectors
-    target = JACOBI_OFF_FACTOR * norm
-
-    def off(b: np.ndarray) -> float:
-        # Sum the off-diagonal entries directly; subtracting the diagonal
-        # energy from the total cancels catastrophically near convergence.
-        stripped = b.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.linalg.norm(stripped))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off(a) <= target:
-            return np.diag(a).copy(), vectors
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                root = np.hypot(1.0, tau)  # sqrt(1 + tau^2) without overflow
-                if tau >= 0.0:
-                    t = 1.0 / (tau + root)
-                else:
-                    t = 1.0 / (tau - root)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_ = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s_ * col_q
-                a[:, q] = s_ * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s_ * row_q
-                a[q, :] = s_ * row_p + c * row_q
-                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s_ * vec_q
-                vectors[:, q] = s_ * vec_p + c * vec_q
-    if off(a) <= target:
-        return np.diag(a).copy(), vectors
-    raise NoConvergence(f"Jacobi sweep limit ({JACOBI_MAX_SWEEPS}) reached")
-
-
 def max_ricci(s_form) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric form with a unit eigenvector.
 
-    Realizes the extremization of Ric_T over unit vectors.  The eigenvector
-    sign is fixed so its largest-magnitude coordinate is positive; eigenvalue
-    ties resolve to the first index, so the result is deterministic.
+    Realizes the extremization of Ric_T over unit vectors by LAPACK's
+    symmetric eigensolver.  The input must be square and symmetric within
+    1e-10 (ValidationError otherwise).  The eigenvector sign is fixed so its
+    largest-magnitude coordinate is positive; eigenvalue ties resolve to the
+    first index, so the result is deterministic.
     """
-    values, vectors = jacobi_eigh(s_form)
+    a = np.asarray(s_form, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    residual = float(np.abs(a - a.T).max(initial=0.0))
+    if residual > SYMMETRY_TOL:
+        raise ValidationError(
+            f"matrix asymmetric by {residual:.3e} (> {SYMMETRY_TOL})"
+        )
+    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
     k = int(np.argmax(values))
     direction = vectors[:, k].copy()
     lead = int(np.argmax(np.abs(direction)))

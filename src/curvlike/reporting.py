@@ -12,10 +12,9 @@ import numpy as np
 
 from . import __version__
 from .ambient_models import (
-    AmbientKind,
     AmbientModel,
     application_bound,
-    base_bound,
+    base_mode,
     mean_curvature_sq,
     ricci_offset,
 )
@@ -29,7 +28,14 @@ from .gauss_bounds import (
     is_totally_symmetric,
     verify_gauss,
 )
-from .instance_io import Instance, dump_json, format_float, instance_sha256
+from .instance_io import (
+    Instance,
+    ambient_to_dict,
+    dump_json,
+    format_float,
+    instance_sha256,
+    structure_to_dict,
+)
 from .sampling import PRNG_NAME, sample_general, sample_symmetric
 from .tensor_core import (
     BundleValuedForm,
@@ -44,8 +50,13 @@ from .tensor_core import (
 TOOL_NAME = "curvlike"
 
 
-def _tool_block() -> dict:
-    return {"name": TOOL_NAME, "version": __version__}
+def report_envelope(kind: str) -> dict:
+    """The leading {version, kind, tool} fields every report kind starts with."""
+    return {
+        "version": 1,
+        "kind": kind,
+        "tool": {"name": TOOL_NAME, "version": __version__},
+    }
 
 
 def _instance_block(instance: Instance, source: str) -> dict:
@@ -111,36 +122,27 @@ def _zeta_block(zeta: BundleValuedForm, tol: float) -> dict:
 
 
 def _ambient_block(
-    model: AmbientModel, zeta: BundleValuedForm, improved_certified: bool, tol: float
+    model: AmbientModel,
+    zeta: BundleValuedForm,
+    general: BoundReport,
+    improved: BoundReport,
+    tol: float,
 ) -> tuple[dict, list[str]]:
+    base = general if base_mode(model) is BoundMode.GENERAL else improved
     offset = ricci_offset(model, zeta.n)
     app = application_bound(model, zeta)
-    base = base_bound(model, zeta)
-    tensor_bound = check_bound(
-        zeta,
-        BoundMode.GENERAL
-        if model.kind is AmbientKind.REAL_SPACE_FORM
-        else BoundMode.IMPROVED,
-        tol,
-    )
-    intrinsic_max = tensor_bound.ricci_max + offset
-    certified = (
-        True if model.kind is AmbientKind.REAL_SPACE_FORM else improved_certified
-    )
+    intrinsic_max = base.ricci_max + offset
+    certified = base.symmetry_certified
     holds = intrinsic_max <= app + tol
-    doc: dict = {"kind": model.kind.value, "c": model.c}
-    if model.theta is not None:
-        doc["theta"] = model.theta
-    doc.update(
-        {
-            "ricci_offset": offset,
-            "application_bound": app,
-            "intrinsic_ricci_max": intrinsic_max,
-            "decomposition_residual": abs(app - (base + offset)),
-            "claim_certified": certified,
-            "holds": holds,
-        }
-    )
+    doc = {
+        **ambient_to_dict(model),
+        "ricci_offset": offset,
+        "application_bound": app,
+        "intrinsic_ricci_max": intrinsic_max,
+        "decomposition_residual": abs(app - (base.bound_value + offset)),
+        "claim_certified": certified,
+        "holds": holds,
+    }
     failures: list[str] = []
     if certified and not holds:
         failures.append(
@@ -190,10 +192,8 @@ def build_instance_report(
         failures.append(f"general bound violated: gap {general.gap!r}")
     if improved.symmetry_certified and improved.gap < -tol:
         failures.append(f"improved bound violated: gap {improved.gap!r}")
-    doc: dict = {
-        "version": 1,
-        "kind": "instance-report",
-        "tool": _tool_block(),
+    doc = {
+        **report_envelope("instance-report"),
         "instance": _instance_block(instance, source),
         "tolerance": tol,
         "symmetry": symmetry,
@@ -205,15 +205,12 @@ def build_instance_report(
     }
     if instance.ambient is not None:
         ambient_doc, ambient_failures = _ambient_block(
-            instance.ambient, zeta, improved.symmetry_certified, tol
+            instance.ambient, zeta, general, improved, tol
         )
         doc["ambient"] = ambient_doc
         failures.extend(ambient_failures)
     if instance.structure is not None:
-        structure_doc: dict = {"kind": instance.structure.kind}
-        if instance.structure.theta is not None:
-            structure_doc["theta"] = instance.structure.theta
-        doc["structure"] = structure_doc
+        doc["structure"] = structure_to_dict(instance.structure)
     doc["corollary"] = _corollary_block(zeta, general.argmax_direction, tol)
     if not doc["corollary"]["all_verified"]:
         failures.append("corollary truth table shows exactly two statements true")
@@ -234,9 +231,7 @@ def build_check_report(
             f"Gauss residual {symmetry['gauss_residual']!r} exceeds tol"
         )
     doc = {
-        "version": 1,
-        "kind": "check-report",
-        "tool": _tool_block(),
+        **report_envelope("check-report"),
         "instance": _instance_block(instance, source),
         "tolerance": tol,
         "symmetry": symmetry,
@@ -258,9 +253,7 @@ def build_bound_report(
             "improved bound not certified: form fails the total-symmetry hypothesis"
         )
     doc = {
-        "version": 1,
-        "kind": "bound-report",
-        "tool": _tool_block(),
+        **report_envelope("bound-report"),
         "instance": _instance_block(instance, source),
         "tolerance": tol,
         "bound": bound_report_to_dict(report),
@@ -274,9 +267,7 @@ def build_nullspace_report(
 ) -> tuple[dict, int]:
     kernel = null_space(instance.zeta, rank_tol)
     doc = {
-        "version": 1,
-        "kind": "nullspace-report",
-        "tool": _tool_block(),
+        **report_envelope("nullspace-report"),
         "instance": _instance_block(instance, source),
         "rank_tol": rank_tol,
         "basis_dim": int(kernel.shape[0]),
@@ -303,11 +294,14 @@ def run_sample(
         raise ValidationError(
             f"symmetric sampling needs bundle_dim >= n, got {bundle_dim} < {n}"
         )
-    if ambient is not None and ambient.kind is not AmbientKind.REAL_SPACE_FORM:
-        if family != "symmetric":
-            raise ValidationError(
-                f"ambient kind {ambient.kind.value!r} requires --family symmetric"
-            )
+    if (
+        ambient is not None
+        and base_mode(ambient) is BoundMode.IMPROVED
+        and family != "symmetric"
+    ):
+        raise ValidationError(
+            f"ambient kind {ambient.kind.value!r} requires --family symmetric"
+        )
     rng = np.random.default_rng(seed)
     violations: list[dict] = []
     symmetric_count = 0
@@ -356,9 +350,9 @@ def run_sample(
         if ambient is not None:
             offset = ricci_offset(ambient, n)
             app = application_bound(ambient, zeta)
-            reference = general if ambient.kind is AmbientKind.REAL_SPACE_FORM else improved
-            if reference is None:
-                reference = check_bound(zeta, BoundMode.IMPROVED, tol)
+            # An improved-bound ambient needs the symmetric family (checked
+            # above), so improved is set whenever it is the reference.
+            reference = general if base_mode(ambient) is BoundMode.GENERAL else improved
             margin = app - (reference.ricci_max + offset)
             min_ambient_margin = min(min_ambient_margin, margin)
             if margin < -tol:
@@ -373,10 +367,7 @@ def run_sample(
         "family": family,
     }
     if ambient is not None:
-        ambient_doc: dict = {"kind": ambient.kind.value, "c": ambient.c}
-        if ambient.theta is not None:
-            ambient_doc["theta"] = ambient.theta
-        params["ambient"] = ambient_doc
+        params["ambient"] = ambient_to_dict(ambient)
     results: dict = {
         "instances": count,
         "symmetric_count": symmetric_count,
@@ -393,9 +384,7 @@ def run_sample(
         "all_pass": not violations,
     }
     doc = {
-        "version": 1,
-        "kind": "sample-report",
-        "tool": _tool_block(),
+        **report_envelope("sample-report"),
         "prng": PRNG_NAME,
         "tolerance": tol,
         "params": params,

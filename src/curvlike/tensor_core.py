@@ -202,15 +202,19 @@ def t_sectional(tensor: CurvatureLikeTensor, x, y) -> float:
     return float(np.einsum("ijkl,i,j,k,l->", tensor.components, xv, yv, yv, xv))
 
 
-def t_ricci_form(tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Ricci-type contraction S_T[i, k] = sum_j T[j, i, k, j], symmetrized to
-    kill roundoff.  Raises InvalidTensor if the curvature symmetries fail."""
+def _require_symmetries(tensor: CurvatureLikeTensor, tol: float) -> None:
     report = validate_curvature_symmetries(tensor, tol)
     if not report.passed:
         raise InvalidTensor(
             f"curvature symmetries violated (max residual {report.max_residual:.3e} "
             f"> tol {tol:.3e})"
         )
+
+
+def t_ricci_form(tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Ricci-type contraction S_T[i, k] = sum_j T[j, i, k, j], symmetrized to
+    kill roundoff.  Raises InvalidTensor if the curvature symmetries fail."""
+    _require_symmetries(tensor, tol)
     s = np.einsum("jikj->ik", tensor.components)
     return 0.5 * (s + s.T)
 
@@ -224,12 +228,7 @@ def t_ricci(tensor: CurvatureLikeTensor, x, tol: float = DEFAULT_TOL) -> float:
 
 def t_scalar(tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL) -> float:
     """Scalar value tau_T = sum over i < j of K_T(e_i ^ e_j)."""
-    report = validate_curvature_symmetries(tensor, tol)
-    if not report.passed:
-        raise InvalidTensor(
-            f"curvature symmetries violated (max residual {report.max_residual:.3e} "
-            f"> tol {tol:.3e})"
-        )
+    _require_symmetries(tensor, tol)
     i_up, j_up = np.triu_indices(tensor.n, k=1)
     return float(tensor.components[i_up, j_up, j_up, i_up].sum())
 

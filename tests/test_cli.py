@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import sys
 
 import numpy as np
+import pytest
 
+from curvlike import gauss_bounds
+from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
+from curvlike.gauss_bounds import ricci_form_from_zeta
 from curvlike.instance_io import Instance, save_instance
 from curvlike.sampling import sample_general
 from curvlike.structures import Family, FamilyParams, construct_family
+from curvlike.tensor_core import BundleValuedForm, zeta_norm_sq
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +59,19 @@ class TestConstructAndBound:
         )
         code, out, _ = run_cli(capsys, "bound", target, "--mode", "general")
         assert code == 0
+
+    def test_large_scale_general_form_passes(self, tmp_path, capsys):
+        # The n^4 tensor of this form carries curvature-symmetry roundoff far
+        # above the absolute 1e-9 tolerance; the bound never needs that tensor.
+        base = sample_general(np.random.default_rng([2, 3]), 4, 6)
+        zeta = BundleValuedForm(base.components * 1e4)
+        path = str(tmp_path / "big.json")
+        save_instance(Instance(zeta=zeta), path)
+        code, out, _ = run_cli(capsys, "bound", path, "--mode", "general")
+        assert code == 0
+        ricci_max = float(out.split("ricci_max: ")[1].split()[0])
+        expected = np.linalg.eigvalsh(ricci_form_from_zeta(zeta)).max()
+        assert abs(ricci_max - expected) <= 1e-12 * zeta_norm_sq(zeta)
 
     def test_missing_parameter_is_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -226,3 +245,56 @@ class TestToleranceOverride:
         code, _, err = run_cli(capsys, "lemma", "--which", "f1", "--n", "2", "--sum", "1")
         assert code == 2
         assert "CURVLIKE_TOL" in err
+
+
+@pytest.fixture
+def t_builds(monkeypatch):
+    """Records the tangent dimension of every n^4 Gauss tensor built, wherever
+    a curvlike module calls build_T_from_zeta from."""
+    original = gauss_bounds.build_T_from_zeta
+    built = []
+
+    def counting(zeta):
+        built.append(zeta.n)
+        return original(zeta)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "curvlike" and (
+            getattr(module, "build_T_from_zeta", None) is original
+        ):
+            monkeypatch.setattr(module, "build_T_from_zeta", counting)
+    return built
+
+
+class TestGaussTensorBuilds:
+    """The n^4 tensor is built only where its own residuals are reported."""
+
+    def test_bound_builds_none(self, tmp_path, capsys, t_builds):
+        path = str(tmp_path / "g.json")
+        zeta = sample_general(np.random.default_rng(5), 4, 6)
+        save_instance(Instance(zeta=zeta), path)
+        for mode in ("general", "improved"):
+            run_cli(capsys, "bound", path, "--mode", mode)
+        assert t_builds == []
+
+    def test_report_with_ambient_builds_one(self, tmp_path, capsys, t_builds):
+        zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
+        ambient = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+        path = str(tmp_path / "h.json")
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        code, _, _ = run_cli(capsys, "report", path, "--format", "json")
+        assert code == 0
+        assert t_builds == [2]
+
+    def test_sample_builds_one_per_instance(self, capsys, t_builds):
+        run_cli(
+            capsys,
+            "sample", "--n", "3", "--bundle", "3", "--count", "6", "--seed", "4",
+            "--family", "symmetric", "--ambient", "complex_lagrangian", "--c", "1",
+        )
+        run_cli(
+            capsys,
+            "sample", "--n", "4", "--bundle", "5", "--count", "5", "--seed", "4",
+            "--family", "general", "--ambient", "real_space_form", "--c", "-1",
+        )
+        assert t_builds == [3] * 6 + [4] * 5

@@ -16,6 +16,7 @@ from curvlike.gauss_bounds import (
     equality_directions,
     improved_bound,
     is_totally_symmetric,
+    ricci_form_from_zeta,
     verify_gauss,
 )
 from curvlike.optim_lemmas import max_ricci
@@ -26,6 +27,7 @@ from curvlike.tensor_core import (
     CurvatureLikeTensor,
     rotate_frame,
     t_ricci_form,
+    zeta_norm_sq,
 )
 
 
@@ -67,6 +69,17 @@ class TestBuildAndVerify:
     def test_dimension_mismatch(self, h_umbilical_ref):
         with pytest.raises(DimensionMismatch):
             verify_gauss(CurvatureLikeTensor.zeros(3), h_umbilical_ref)
+
+
+class TestDirectRicciForm:
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (8, 8), (16, 32)])
+    def test_matches_contraction_of_built_tensor(self, n, m):
+        rng = np.random.default_rng([n, m])
+        for zeta in (sample_general(rng, n, m), sample_symmetric(rng, n, m)):
+            expected = t_ricci_form(build_T_from_zeta(zeta))
+            direct = ricci_form_from_zeta(zeta)
+            assert np.array_equal(direct, direct.T)
+            assert np.abs(direct - expected).max() <= 1e-12 * zeta_norm_sq(zeta)
 
 
 class TestBoundValues:

@@ -1,7 +1,8 @@
-"""Unit tests for the quadratic maxima, the oracle, and the eigensolver."""
+"""Unit tests for the quadratic maxima, the oracle, and the eigen-extremum."""
 
 import numpy as np
 import pytest
+from jacobi_oracle import jacobi_eigh
 from numpy.testing import assert_allclose
 
 from curvlike.errors import InvalidDimension, LengthMismatch, ValidationError
@@ -12,7 +13,6 @@ from curvlike.optim_lemmas import (
     f1_max_closed,
     f2_max_closed,
     f_value,
-    jacobi_eigh,
     max_ricci,
 )
 
@@ -159,6 +159,7 @@ class TestJacobi:
                 residual = np.linalg.norm(a @ vectors[:, k] - values[k] * vectors[:, k])
                 assert residual <= 1e-10 * norm
             lam, vec = max_ricci(a)
+            _assert_matches_oracle(lam, vec, values, vectors, norm)
             probes = rng.standard_normal((1000, n))
             probes /= np.linalg.norm(probes, axis=1)[:, None]
             quad = np.einsum("ki,ij,kj->k", probes, a, probes)
@@ -170,8 +171,10 @@ class TestJacobi:
             n = int(rng.integers(2, 10))
             a = rng.standard_normal((n, n))
             a = a + a.T
-            values, _ = jacobi_eigh(a)
+            values, vectors = jacobi_eigh(a)
             assert_allclose(np.sort(values), np.linalg.eigvalsh(a), atol=1e-10)
+            lam, vec = max_ricci(a)
+            _assert_matches_oracle(lam, vec, values, vectors, np.linalg.norm(a))
 
     def test_sign_convention(self):
         lam, vec = max_ricci(np.array([[2.0, 0.0], [0.0, -1.0]]))
@@ -179,4 +182,16 @@ class TestJacobi:
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            max_ricci(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        with pytest.raises(ValidationError):
+            max_ricci(np.zeros((2, 3)))
+
+
+def _assert_matches_oracle(lam, vec, values, vectors, norm):
+    """max_ricci against the Jacobi oracle's top eigenpair, sign rule applied
+    to the oracle vector; the seeded populations have simple top eigenvalues."""
+    k = int(np.argmax(values))
+    top = vectors[:, k]
+    expected = top * np.sign(top[int(np.argmax(np.abs(top)))])
+    assert abs(lam - values[k]) <= 1e-10 * norm
+    assert_allclose(vec, expected, atol=1e-8)
