@@ -41,6 +41,10 @@ class AmbientModel:
     theta: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("c", "theta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value!r}")
         if self.kind is AmbientKind.COMPLEX_SLANT:
             if self.theta is None:
                 raise InvalidParams("complex_slant requires theta")
@@ -90,10 +94,15 @@ def application_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
         complex slant:          1/4 * ((n-1) n ||H||^2 + (n-1) c + 3 c cos^2 theta)
         Sasakian C-totally real:(n-1)/4 * (c + 3 + n ||H||^2)
     """
-    n = zeta.n
+    return float(application_bounds(model, zeta.n, trace_norm_sq(zeta)))
+
+
+def application_bounds(model: AmbientModel, n: int, trace_sq):
+    """:func:`application_bound` of forms of tangent dimension n, from their
+    ||trace zeta||^2 (a number or an array of them)."""
     if n < 2:
         raise InvalidDimension(f"need tangent dimension >= 2, got {n}")
-    h_sq = mean_curvature_sq(zeta)
+    h_sq = trace_sq / float(n) ** 2
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         return n * n * h_sq / 4.0 + (n - 1) * model.c
     if model.kind is AmbientKind.COMPLEX_LAGRANGIAN:

@@ -253,9 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing does not change the parser.  Rebuilding it took about
+# as long as a whole 150-instance n = 3 campaign (1.5 ms), and each discarded
+# parser is cyclic garbage that raises peak memory until a full collection.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         tol = _tolerance()
         return args.func(args, tol)

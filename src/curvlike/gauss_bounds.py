@@ -12,6 +12,11 @@ adapted sense (bundle slot i pairing with tangent index i) the bound sharpens
 to (n - 1)/(4n) * ||trace zeta||^2.  Equality across all unit directions
 happens only for the zero form or, on surfaces, for the umbilical pattern
 (general bound) and the H-umbilical lambda = 3 mu pattern (improved bound).
+
+The array kernels (:func:`gauss_components`, :func:`gauss_residuals`,
+:func:`ricci_forms`, :func:`total_symmetry_residuals`) take leading axes that
+stack independent forms; the functions on single forms are their one-form
+case, so a sampling campaign and a single report compute the same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .tensor_core import (
     rotation_to_first_axis,
     trace_norm_sq,
     trace_zeta,
+    traces,
 )
 
 
@@ -76,16 +82,23 @@ class BoundReport:
     equality_class: EqualityClass
 
 
-def _gauss_components(zeta: BundleValuedForm) -> np.ndarray:
-    n = zeta.n
-    out = np.zeros((n, n, n, n))
-    # Accumulating the per-slot difference keeps both antisymmetries and the
-    # pair-exchange symmetry bitwise exact.
-    for slot in zeta.components:
-        out += np.einsum("il,jk->ijkl", slot, slot) - np.einsum(
-            "ik,jl->ijkl", slot, slot
-        )
-    return out
+def gauss_components(components: np.ndarray) -> np.ndarray:
+    """Gauss tensors T[..., i, j, k, l] of a stack of forms zeta[..., r, i, j].
+
+    With Z the form reshaped to (m', n^2), the Gram matrix G = Z^T Z holds
+    every <zeta_ab, zeta_cd>, so T[i, j, k, l] = G[il, jk] - G[ik, jl] costs
+    one GEMM per form.  Symmetrizing G makes both antisymmetries and the
+    pair-exchange symmetry of T bitwise exact.
+    """
+    comps = np.asarray(components)
+    lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
+    z = comps.reshape(lead + (m, n * n))
+    gram = np.swapaxes(z, -1, -2) @ z
+    gram += np.swapaxes(gram, -1, -2)
+    gram *= 0.5
+    g = gram.reshape(lead + (n, n, n, n))
+    # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
+    return np.moveaxis(g, -3, -1) - np.swapaxes(g, -3, -2)
 
 
 def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
@@ -93,7 +106,17 @@ def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
 
     The output satisfies all curvature symmetries by construction.
     """
-    return CurvatureLikeTensor(_gauss_components(zeta))
+    return CurvatureLikeTensor(gauss_components(zeta.components))
+
+
+def ricci_forms(components: np.ndarray) -> np.ndarray:
+    """Ricci forms S_T of the Gauss tensors of a stack of forms, straight
+    from zeta[..., r, i, j]; see :func:`ricci_form_from_zeta`."""
+    comps = np.asarray(components)
+    s = np.einsum("...r,...rik->...ik", traces(comps), comps) - np.einsum(
+        "...rij,...rjk->...ik", comps, comps
+    )
+    return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
 def ricci_form_from_zeta(zeta: BundleValuedForm) -> np.ndarray:
@@ -104,11 +127,15 @@ def ricci_form_from_zeta(zeta: BundleValuedForm) -> np.ndarray:
     symmetrized to kill roundoff.  This is the contraction sum_j T[j, i, k, j]
     of :func:`build_T_from_zeta` at O(m' n^3) cost, without the n^4 tensor.
     """
-    comps = zeta.components
-    s = np.einsum("r,rik->ik", trace_zeta(zeta), comps) - np.einsum(
-        "rij,rjk->ik", comps, comps
-    )
-    return 0.5 * (s + s.T)
+    return ricci_forms(zeta.components)
+
+
+def gauss_residuals(tensors: np.ndarray, components: np.ndarray) -> np.ndarray:
+    """Max absolute residual of the algebraic Gauss equation for each pair of
+    a tensor stack [..., i, j, k, l] and a form stack [..., r, i, j]."""
+    diff = gauss_components(components)
+    np.subtract(tensors, diff, out=diff)
+    return np.abs(diff, out=diff).max(axis=(-4, -3, -2, -1))
 
 
 def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
@@ -118,23 +145,47 @@ def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
         raise DimensionMismatch(
             f"tensor dimension {tensor.n} != form dimension {zeta.n}"
         )
-    return float(np.abs(tensor.components - _gauss_components(zeta)).max())
+    return float(gauss_residuals(tensor.components, zeta.components))
+
+
+def bound_coefficient(mode: BoundMode, n: int) -> float:
+    """Factor c of a bound c * ||trace zeta||^2 in tangent dimension n."""
+    return 0.25 if mode is BoundMode.GENERAL else (n - 1) / (4.0 * n)
 
 
 def chen_ricci_bound(zeta: BundleValuedForm) -> float:
     """General bound ||trace zeta||^2 / 4, valid for every Gauss pair."""
-    return 0.25 * trace_norm_sq(zeta)
+    return _bound_value(zeta, BoundMode.GENERAL)
 
 
 def improved_bound(zeta: BundleValuedForm) -> float:
     """Sharpened bound (n - 1)/(4n) * ||trace zeta||^2; a valid claim only
     when the total-symmetry hypothesis is certified."""
-    n = zeta.n
-    return (n - 1) / (4.0 * n) * trace_norm_sq(zeta)
+    return _bound_value(zeta, BoundMode.IMPROVED)
 
 
 def _bound_value(zeta: BundleValuedForm, mode: BoundMode) -> float:
-    return chen_ricci_bound(zeta) if mode is BoundMode.GENERAL else improved_bound(zeta)
+    return bound_coefficient(mode, zeta.n) * trace_norm_sq(zeta)
+
+
+def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
+    """Residual of the cubic-symmetry hypothesis for each form in a stack
+    zeta[..., r, i, j]; see :func:`is_totally_symmetric`."""
+    comps = np.asarray(components)
+    lead, n = comps.ndim - 3, comps.shape[-1]
+    if comps.shape[-3] < n:
+        raise BundleTooSmall(
+            f"total symmetry needs bundle dimension >= {n}, got {comps.shape[-3]}"
+        )
+    cubic, tail = comps[..., :n, :, :], comps[..., n:, :, :]
+    within = (-3, -2, -1)
+    residual = np.zeros(comps.shape[:-3])
+    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        permuted = cubic.transpose(tuple(range(lead)) + tuple(lead + a for a in axes))
+        residual = np.maximum(residual, np.abs(cubic - permuted).max(axis=within))
+    if tail.size:
+        residual = np.maximum(residual, np.abs(tail).max(axis=within))
+    return residual
 
 
 def is_totally_symmetric(
@@ -146,18 +197,7 @@ def is_totally_symmetric(
     zeta[i][j][k] must be invariant under all permutations of (i, j, k), and
     every slot past n-1 must vanish.  Returns (verdict, max residual).
     """
-    n = zeta.n
-    if zeta.m_prime < n:
-        raise BundleTooSmall(
-            f"total symmetry needs bundle dimension >= {n}, got {zeta.m_prime}"
-        )
-    cubic = zeta.components[:n]
-    residual = 0.0
-    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        residual = max(residual, float(np.abs(cubic - cubic.transpose(axes)).max()))
-    tail = zeta.components[n:]
-    if tail.size:
-        residual = max(residual, float(np.abs(tail).max()))
+    residual = float(total_symmetry_residuals(zeta.components))
     return residual <= tol, residual
 
 

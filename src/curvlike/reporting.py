@@ -14,6 +14,7 @@ from . import __version__
 from .ambient_models import (
     AmbientModel,
     application_bound,
+    application_bounds,
     base_mode,
     mean_curvature_sq,
     ricci_offset,
@@ -22,10 +23,15 @@ from .errors import BundleTooSmall, ValidationError
 from .gauss_bounds import (
     BoundMode,
     BoundReport,
+    bound_coefficient,
     build_T_from_zeta,
     check_bound,
     corollary_triple,
+    gauss_components,
+    gauss_residuals,
     is_totally_symmetric,
+    ricci_forms,
+    total_symmetry_residuals,
     verify_gauss,
 )
 from .instance_io import (
@@ -36,18 +42,25 @@ from .instance_io import (
     instance_sha256,
     structure_to_dict,
 )
-from .sampling import PRNG_NAME, sample_general, sample_symmetric
+from .sampling import PRNG_NAME, draw_general, draw_symmetric
 from .tensor_core import (
     BundleValuedForm,
+    Dimensions,
+    checked_components,
+    curvature_residuals,
     null_space,
     pair_exchange_residual,
     trace_norm_sq,
+    trace_norms_sq,
     trace_zeta,
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
 
 TOOL_NAME = "curvlike"
+
+# Gauss tensors a sampling campaign holds at once: one n = 16 tensor.
+_CHUNK_T_BYTES = 8 * 16**4
 
 
 def report_envelope(kind: str) -> dict:
@@ -285,11 +298,21 @@ def run_sample(
     ambient: AmbientModel | None,
     tol: float,
 ) -> tuple[dict, int]:
-    """Seeded sampling campaign; aggregation order is fixed by instance index."""
+    """Seeded sampling campaign; aggregation order is fixed by instance index.
+
+    The campaign runs as array passes over chunks of instances: draw, form
+    checks, the n^4 stage (Gauss tensors, their curvature-symmetry residuals
+    and Gauss residuals), total-symmetry certificates, Ricci forms and their
+    stacked eigenvalues, then gaps, ambient margins and violations.  Every
+    kernel is the one the per-form functions use, and a chunk holds at most
+    :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
+    depend on the chunk size and memory stays flat in ``count``.
+    """
     if family not in ("general", "symmetric"):
         raise ValidationError(f"family must be 'general' or 'symmetric', got {family!r}")
     if count < 0:
         raise ValidationError(f"count must be non-negative, got {count}")
+    Dimensions(n=n, m_prime=bundle_dim)
     if family == "symmetric" and bundle_dim < n:
         raise ValidationError(
             f"symmetric sampling needs bundle_dim >= n, got {bundle_dim} < {n}"
@@ -303,6 +326,8 @@ def run_sample(
             f"ambient kind {ambient.kind.value!r} requires --family symmetric"
         )
     rng = np.random.default_rng(seed)
+    draw = draw_general if family == "general" else draw_symmetric
+    chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
     violations: list[dict] = []
     symmetric_count = 0
     max_gauss = 0.0
@@ -310,55 +335,49 @@ def run_sample(
     min_gap_general = float("inf")
     min_gap_improved = float("inf")
     min_ambient_margin = float("inf")
-    for index in range(count):
-        if family == "general":
-            zeta = sample_general(rng, n, bundle_dim)
+    for start in range(0, count, chunk):
+        comps = checked_components(draw(rng, n, bundle_dim, min(chunk, count - start)))
+        tensors = gauss_components(comps)
+        symmetry = np.maximum.reduce(curvature_residuals(tensors))
+        max_symmetry = max(max_symmetry, float(symmetry.max()))
+        max_gauss = max(max_gauss, float(gauss_residuals(tensors, comps).max()))
+        del tensors
+        if bundle_dim >= n:
+            symmetric = total_symmetry_residuals(comps) <= tol
         else:
-            zeta = sample_symmetric(rng, n, bundle_dim)
-        tensor = build_T_from_zeta(zeta)
-        sym = validate_curvature_symmetries(tensor, tol)
-        max_symmetry = max(max_symmetry, sym.max_residual)
-        max_gauss = max(max_gauss, verify_gauss(tensor, zeta))
-        if not sym.passed:
-            violations.append(
-                {"index": index, "kind": "symmetry", "detail": sym.max_residual}
-            )
-        try:
-            symmetric, _ = is_totally_symmetric(zeta, tol)
-        except BundleTooSmall:
-            symmetric = False
-        if symmetric:
-            symmetric_count += 1
-        general = check_bound(zeta, BoundMode.GENERAL, tol)
-        min_gap_general = min(min_gap_general, general.gap)
-        if general.gap < -tol:
-            violations.append(
-                {"index": index, "kind": "general-bound", "detail": general.gap}
-            )
-        improved = None
+            symmetric = np.zeros(len(comps), dtype=bool)
+        symmetric_count += int(symmetric.sum())
+        ricci_max = np.linalg.eigh(ricci_forms(comps))[0].max(axis=-1)
+        trace_sq = trace_norms_sq(comps)
+        gap_general = bound_coefficient(BoundMode.GENERAL, n) * trace_sq - ricci_max
+        min_gap_general = min(min_gap_general, float(gap_general.min()))
+        kinds = [
+            ("symmetry", ~(symmetry <= tol), symmetry),
+            ("general-bound", gap_general < -tol, gap_general),
+        ]
         if family == "symmetric":
-            improved = check_bound(zeta, BoundMode.IMPROVED, tol)
-            min_gap_improved = min(min_gap_improved, improved.gap)
-            if not improved.symmetry_certified:
-                violations.append(
-                    {"index": index, "kind": "certification", "detail": None}
-                )
-            elif improved.gap < -tol:
-                violations.append(
-                    {"index": index, "kind": "improved-bound", "detail": improved.gap}
-                )
+            coefficient = bound_coefficient(BoundMode.IMPROVED, n)
+            gap_improved = coefficient * trace_sq - ricci_max
+            min_gap_improved = min(min_gap_improved, float(gap_improved.min()))
+            kinds.append(("certification", ~symmetric, None))
+            kinds.append(
+                ("improved-bound", symmetric & (gap_improved < -tol), gap_improved)
+            )
         if ambient is not None:
             offset = ricci_offset(ambient, n)
-            app = application_bound(ambient, zeta)
-            # An improved-bound ambient needs the symmetric family (checked
-            # above), so improved is set whenever it is the reference.
-            reference = general if base_mode(ambient) is BoundMode.GENERAL else improved
-            margin = app - (reference.ricci_max + offset)
-            min_ambient_margin = min(min_ambient_margin, margin)
-            if margin < -tol:
-                violations.append(
-                    {"index": index, "kind": "ambient-bound", "detail": margin}
-                )
+            margin = application_bounds(ambient, n, trace_sq) - (ricci_max + offset)
+            min_ambient_margin = min(min_ambient_margin, float(margin.min()))
+            kinds.append(("ambient-bound", margin < -tol, margin))
+        for k in np.flatnonzero(np.logical_or.reduce([hit for _, hit, _ in kinds])):
+            violations.extend(
+                {
+                    "index": start + int(k),
+                    "kind": kind,
+                    "detail": None if detail is None else float(detail[k]),
+                }
+                for kind, hit, detail in kinds
+                if hit[k]
+            )
     params: dict = {
         "n": n,
         "bundle_dim": bundle_dim,

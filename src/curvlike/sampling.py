@@ -2,7 +2,9 @@
 
 All draws go through numpy's PCG64 generator (``np.random.default_rng``), a
 documented portable 64-bit PRNG: a fixed seed reproduces the same instances
-byte for byte.
+byte for byte.  Drawing ``count`` forms in one call consumes the stream
+exactly as ``count`` one-form draws do, so a campaign may draw in chunks of
+any size.
 """
 
 from __future__ import annotations
@@ -15,33 +17,49 @@ from .tensor_core import BundleValuedForm
 PRNG_NAME = "numpy-pcg64"
 
 
+def draw_general(
+    rng: np.random.Generator, n: int, m_prime: int, count: int
+) -> np.ndarray:
+    """Components (count, m', n, n) of ``count`` unrestricted forms: i.i.d.
+    standard normals symmetrized in the tangent pair."""
+    raw = rng.standard_normal((count, m_prime, n, n))
+    return 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+
+
+def draw_symmetric(
+    rng: np.random.Generator, n: int, m_prime: int, count: int
+) -> np.ndarray:
+    """Components (count, m', n, n) of ``count`` totally symmetric forms: a
+    random 3-index array averaged over all six index permutations fills bundle
+    slots 0..n-1; the tail stays zero."""
+    if m_prime < n:
+        raise BundleTooSmall(
+            f"totally symmetric forms need bundle dimension >= {n}, got {m_prime}"
+        )
+    raw = rng.standard_normal((count, n, n, n))
+    cubic = (
+        raw
+        + raw.transpose(0, 1, 3, 2)
+        + raw.transpose(0, 2, 1, 3)
+        + raw.transpose(0, 2, 3, 1)
+        + raw.transpose(0, 3, 1, 2)
+        + raw.transpose(0, 3, 2, 1)
+    ) / 6.0
+    components = np.zeros((count, m_prime, n, n))
+    components[:, :n] = cubic
+    return components
+
+
 def sample_general(rng: np.random.Generator, n: int, m_prime: int) -> BundleValuedForm:
-    """Unrestricted form: i.i.d. standard normals symmetrized in the tangent pair."""
-    raw = rng.standard_normal((m_prime, n, n))
-    return BundleValuedForm(0.5 * (raw + raw.transpose(0, 2, 1)))
+    """One unrestricted form; see :func:`draw_general`."""
+    return BundleValuedForm(draw_general(rng, n, m_prime, 1)[0])
 
 
 def sample_symmetric(
     rng: np.random.Generator, n: int, m_prime: int
 ) -> BundleValuedForm:
-    """Totally symmetric form: a random 3-index array averaged over all six
-    index permutations fills bundle slots 0..n-1; the tail stays zero."""
-    if m_prime < n:
-        raise BundleTooSmall(
-            f"totally symmetric forms need bundle dimension >= {n}, got {m_prime}"
-        )
-    raw = rng.standard_normal((n, n, n))
-    cubic = (
-        raw
-        + raw.transpose(0, 2, 1)
-        + raw.transpose(1, 0, 2)
-        + raw.transpose(1, 2, 0)
-        + raw.transpose(2, 0, 1)
-        + raw.transpose(2, 1, 0)
-    ) / 6.0
-    components = np.zeros((m_prime, n, n))
-    components[:n] = cubic
-    return BundleValuedForm(components)
+    """One totally symmetric form; see :func:`draw_symmetric`."""
+    return BundleValuedForm(draw_symmetric(rng, n, m_prime, 1)[0])
 
 
 def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:

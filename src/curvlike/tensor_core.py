@@ -4,7 +4,10 @@ bundle-valued symmetric bilinear forms.
 Everything here is pointwise linear algebra over dense numpy arrays at desk
 scale (tangent dimension <= 16, bundle dimension <= 32).  All values are
 immutable after construction and every operation is pure, so instances can be
-shared across threads freely.
+shared across threads freely.  The array kernels (:func:`checked_components`,
+:func:`curvature_residuals`, :func:`traces`, :func:`trace_norms_sq`) take
+leading axes that stack independent forms or tensors; the functions on single
+objects are their one-form case.
 """
 
 from __future__ import annotations
@@ -62,6 +65,35 @@ def mirror_symmetric(components: np.ndarray) -> np.ndarray:
     return out
 
 
+def checked_components(components) -> np.ndarray:
+    """Validated copy of form components ``[..., r, i, j]``, read-only and
+    bitwise symmetric in (i, j); leading axes stack independent forms.
+
+    Checks the desk-scale dimensions, finiteness and the 1e-12 pair symmetry
+    of every form (the message names the worst entry), then mirrors the upper
+    triangle.  :class:`BundleValuedForm` is the one-form case.
+    """
+    arr = np.asarray(components, dtype=float)
+    if arr.ndim < 3 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionMismatch(
+            f"expected components of shape (m', n, n), got {arr.shape}"
+        )
+    Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("zeta components must be finite")
+    asym = np.abs(arr - np.swapaxes(arr, -1, -2))
+    if asym.max(initial=0.0) > INPUT_SYMMETRY_TOL:
+        *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
+        worst = arr[tuple(form)]
+        raise ValidationError(
+            f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
+            f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
+        )
+    sym = mirror_symmetric(arr)
+    sym.setflags(write=False)
+    return sym
+
+
 class BundleValuedForm:
     """Symmetric bilinear form on an n-dimensional tangent space with values in
     an m'-dimensional Riemannian bundle.
@@ -76,24 +108,12 @@ class BundleValuedForm:
 
     def __init__(self, components) -> None:
         arr = np.asarray(components, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        if arr.ndim != 3:
             raise DimensionMismatch(
                 f"expected components of shape (m', n, n), got {arr.shape}"
             )
-        dims = Dimensions(n=arr.shape[1], m_prime=arr.shape[0])
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("zeta components must be finite")
-        asym = np.abs(arr - arr.transpose(0, 2, 1))
-        if asym.max(initial=0.0) > INPUT_SYMMETRY_TOL:
-            r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-            raise ValidationError(
-                f"zeta[{r}][{i}][{j}] = {float(arr[r, i, j])!r} differs from "
-                f"zeta[{r}][{j}][{i}] = {float(arr[r, j, i])!r}"
-            )
-        sym = mirror_symmetric(arr)
-        sym.setflags(write=False)
-        self.dims = dims
-        self.components = sym
+        self.components = checked_components(arr)
+        self.dims = Dimensions(n=arr.shape[1], m_prime=arr.shape[0])
 
     @classmethod
     def zeros(cls, n: int, m_prime: int) -> "BundleValuedForm":
@@ -158,17 +178,34 @@ class SymmetryReport:
         return max(self.skew_first_pair, self.skew_second_pair, self.first_bianchi)
 
 
+def curvature_residuals(
+    components: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max absolute violation of T(X,Y,Z,W) = -T(Y,X,Z,W), of
+    T(X,Y,Z,W) = -T(X,Y,W,Z) and of the first Bianchi sum
+    T(X,Y,Z,W) + T(X,Z,W,Y) + T(X,W,Y,Z) = 0, over all index quadruples of
+    each tensor in a stack ``[..., i, j, k, l]``."""
+    a = np.asarray(components)
+
+    def worst(residual: np.ndarray) -> np.ndarray:
+        return np.abs(residual, out=residual).max(axis=(-4, -3, -2, -1))
+
+    skew_xy = worst(a + np.swapaxes(a, -4, -3))
+    skew_zw = worst(a + np.swapaxes(a, -2, -1))
+    # At (i, j, k, l) these read a[..., i, k, l, j] and a[..., i, l, j, k].
+    cyclic = a + np.moveaxis(a, -1, -3)
+    cyclic += np.moveaxis(a, -3, -1)
+    bianchi = worst(cyclic)
+    return skew_xy, skew_zw, bianchi
+
+
 def validate_curvature_symmetries(
     tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL
 ) -> SymmetryReport:
-    """Measure T(X,Y,Z,W) = -T(Y,X,Z,W), T(X,Y,Z,W) = -T(X,Y,W,Z) and the
-    first Bianchi sum T(X,Y,Z,W) + T(X,Z,W,Y) + T(X,W,Y,Z) = 0 over all index
-    quadruples; passes iff every residual is <= tol."""
-    a = tensor.components
-    skew_xy = float(np.abs(a + np.einsum("jikl->ijkl", a)).max())
-    skew_zw = float(np.abs(a + np.einsum("ijlk->ijkl", a)).max())
-    bianchi = float(
-        np.abs(a + np.einsum("iklj->ijkl", a) + np.einsum("iljk->ijkl", a)).max()
+    """The three :func:`curvature_residuals` of one tensor; passes iff every
+    residual is <= tol."""
+    skew_xy, skew_zw, bianchi = (
+        float(r) for r in curvature_residuals(tensor.components)
     )
     passed = skew_xy <= tol and skew_zw <= tol and bianchi <= tol
     return SymmetryReport(skew_xy, skew_zw, bianchi, tol, passed)
@@ -238,15 +275,26 @@ def zeta_norm_sq(zeta: BundleValuedForm) -> float:
     return float((zeta.components**2).sum())
 
 
+def traces(components: np.ndarray) -> np.ndarray:
+    """Trace bundle vector sum_i zeta[..., :, i, i] of each form in a stack."""
+    return np.einsum("...rii->...r", components)
+
+
 def trace_zeta(zeta: BundleValuedForm) -> np.ndarray:
     """Bundle vector trace(zeta) = sum_i zeta(e_i, e_i)."""
-    return np.einsum("rii->r", zeta.components)
+    return traces(zeta.components)
+
+
+def trace_norms_sq(components: np.ndarray) -> np.ndarray:
+    """Squared norm of the trace bundle vector of each form in a stack
+    ``[..., r, i, j]``, as a stacked (1 x m') (m' x 1) product."""
+    t = traces(components)
+    return (t[..., None, :] @ t[..., :, None])[..., 0, 0]
 
 
 def trace_norm_sq(zeta: BundleValuedForm) -> float:
     """Squared norm of the trace bundle vector."""
-    t = trace_zeta(zeta)
-    return float(t @ t)
+    return float(trace_norms_sq(zeta.components))
 
 
 def _require_orthogonal(q, size: int, name: str) -> np.ndarray:

@@ -47,6 +47,15 @@ class TestModelValidation:
         with pytest.raises(InvalidParams):
             AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0, theta=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_name_the_field(self, bad):
+        for kind in AmbientKind:
+            theta = 0.7 if kind is AmbientKind.COMPLEX_SLANT else None
+            with pytest.raises(InvalidParams, match="c must be finite"):
+                AmbientModel(kind, bad, theta)
+        with pytest.raises(InvalidParams, match="theta must be finite"):
+            AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=bad)
+
 
 class TestRicciOffset:
     def test_sasakian_flat_case(self):

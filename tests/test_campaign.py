@@ -1,0 +1,190 @@
+"""The chunked sampling campaign against a per-instance reference loop built
+from the public one-form functions."""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvlike import reporting
+from curvlike.ambient_models import (
+    AmbientKind,
+    AmbientModel,
+    application_bound,
+    base_mode,
+    ricci_offset,
+)
+from curvlike.errors import BundleTooSmall
+from curvlike.gauss_bounds import (
+    BoundMode,
+    build_T_from_zeta,
+    check_bound,
+    is_totally_symmetric,
+    verify_gauss,
+)
+from curvlike.instance_io import dump_json
+from curvlike.reporting import run_sample
+from curvlike.sampling import sample_general, sample_symmetric
+from curvlike.tensor_core import DEFAULT_TOL, validate_curvature_symmetries
+
+
+def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
+    """The campaign's results block, one instance at a time."""
+    rng = np.random.default_rng(seed)
+    sample = sample_general if family == "general" else sample_symmetric
+    violations = []
+    symmetric_count = 0
+    max_gauss = max_symmetry = 0.0
+    min_general = min_improved = min_margin = float("inf")
+    for index in range(count):
+        zeta = sample(rng, n, bundle_dim)
+        tensor = build_T_from_zeta(zeta)
+        sym = validate_curvature_symmetries(tensor, tol)
+        max_symmetry = max(max_symmetry, sym.max_residual)
+        max_gauss = max(max_gauss, verify_gauss(tensor, zeta))
+        if not sym.passed:
+            violations.append(
+                {"index": index, "kind": "symmetry", "detail": sym.max_residual}
+            )
+        try:
+            symmetric_count += is_totally_symmetric(zeta, tol)[0]
+        except BundleTooSmall:
+            pass
+        general = check_bound(zeta, BoundMode.GENERAL, tol)
+        min_general = min(min_general, general.gap)
+        if general.gap < -tol:
+            violations.append(
+                {"index": index, "kind": "general-bound", "detail": general.gap}
+            )
+        improved = None
+        if family == "symmetric":
+            improved = check_bound(zeta, BoundMode.IMPROVED, tol)
+            min_improved = min(min_improved, improved.gap)
+            if not improved.symmetry_certified:
+                violations.append(
+                    {"index": index, "kind": "certification", "detail": None}
+                )
+            elif improved.gap < -tol:
+                violations.append(
+                    {"index": index, "kind": "improved-bound", "detail": improved.gap}
+                )
+        if ambient is not None:
+            base = general if base_mode(ambient) is BoundMode.GENERAL else improved
+            margin = application_bound(ambient, zeta) - (
+                base.ricci_max + ricci_offset(ambient, n)
+            )
+            min_margin = min(min_margin, margin)
+            if margin < -tol:
+                violations.append(
+                    {"index": index, "kind": "ambient-bound", "detail": margin}
+                )
+    return {
+        "instances": count,
+        "symmetric_count": int(symmetric_count),
+        "max_gauss_residual": max_gauss,
+        "max_symmetry_residual": max_symmetry,
+        "min_gap_general": None if count == 0 else min_general,
+        "min_gap_improved": (
+            None if family != "symmetric" or count == 0 else min_improved
+        ),
+        "min_ambient_margin": None if ambient is None or count == 0 else min_margin,
+        "violations": violations,
+        "all_pass": not violations,
+    }
+
+
+LAGRANGIAN = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+SLANT = AmbientModel(AmbientKind.COMPLEX_SLANT, 4.0, theta=0.7)
+SASAKIAN = AmbientModel(AmbientKind.SASAKIAN_C_TOTALLY_REAL, -2.0)
+REAL = AmbientModel(AmbientKind.REAL_SPACE_FORM, -1.0)
+
+CASES = [
+    (3, 3, 40, "symmetric", LAGRANGIAN),
+    (2, 2, 40, "symmetric", SLANT),
+    (4, 5, 30, "symmetric", SASAKIAN),
+    (4, 6, 30, "general", REAL),
+    (5, 3, 30, "general", None),
+    (16, 32, 3, "general", None),
+    (3, 3, 0, "symmetric", LAGRANGIAN),
+    (4, 6, 1, "general", REAL),
+]
+
+
+def _cases():
+    for n, bundle_dim, count, family, ambient in CASES:
+        kind = "none" if ambient is None else ambient.kind.value
+        yield pytest.param(
+            n, bundle_dim, count, family, ambient,
+            id=f"{n}x{bundle_dim}-{family}-{kind}-count{count}",
+        )
+
+
+class TestMatchesReferenceLoop:
+    @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", _cases())
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_results_bitwise(self, n, bundle_dim, count, family, ambient, seed):
+        doc, code = run_sample(n, bundle_dim, count, seed, family, ambient, DEFAULT_TOL)
+        expected = reference_results(
+            n, bundle_dim, count, seed, family, ambient, DEFAULT_TOL
+        )
+        assert dump_json(doc["results"]) == dump_json(expected)
+        assert code == (0 if expected["all_pass"] else 1)
+
+    # A tolerance below roundoff flags symmetry and certification residuals,
+    # and a negative one flags gaps and margins, interleaved by index.  No
+    # tolerance shows an improved-bound violation: it needs a certified form
+    # beyond the bound, which the theorem rules out for exact draws.
+    @pytest.mark.parametrize("tol", [1e-300, -2.0])
+    @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", _cases())
+    def test_violations_in_index_order(
+        self, n, bundle_dim, count, family, ambient, tol
+    ):
+        doc, code = run_sample(n, bundle_dim, count, 11, family, ambient, tol)
+        expected = reference_results(n, bundle_dim, count, 11, family, ambient, tol)
+        assert dump_json(doc["results"]) == dump_json(expected)
+        assert code == (0 if expected["all_pass"] else 1)
+
+    def test_every_violation_kind_is_exercised(self):
+        kinds = set()
+        for n, bundle_dim, count, family, ambient in CASES:
+            for tol in (1e-300, -2.0):
+                doc, _ = run_sample(n, bundle_dim, count, 11, family, ambient, tol)
+                kinds |= {v["kind"] for v in doc["results"]["violations"]}
+        assert kinds == {"symmetry", "general-bound", "certification", "ambient-bound"}
+
+
+CHUNK_CASES = st.one_of(
+    st.tuples(
+        st.integers(1, 5), st.integers(1, 6), st.just("general"),
+        st.sampled_from([None, REAL]),
+    ),
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(n, 6), st.just("symmetric"),
+            st.sampled_from([None, LAGRANGIAN, SLANT, SASAKIAN, REAL]),
+        )
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=CHUNK_CASES,
+    count=st.integers(0, 9),
+    seed=st.integers(0, 2**64 - 1),
+    tol=st.sampled_from([DEFAULT_TOL, 1e-300, -2.0]),
+)
+def test_report_bytes_do_not_depend_on_chunk_size(case, count, seed, tol):
+    n, bundle_dim, family, ambient = case
+    if ambient is not None and n < 2:
+        ambient = None
+    args = (n, bundle_dim, count, seed, family, ambient, tol)
+    reports = set()
+    # One instance per chunk, the whole call in one chunk, and the default.
+    for chunk_bytes in (8 * n**4, 8 * n**4 * max(count, 1), reporting._CHUNK_T_BYTES):
+        with mock.patch.object(reporting, "_CHUNK_T_BYTES", chunk_bytes):
+            doc, code = run_sample(*args)
+        reports.add((reporting.render_report(doc, "json"), code))
+    assert len(reports) == 1

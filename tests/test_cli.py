@@ -161,6 +161,39 @@ class TestSample:
         _, second, _ = run_cli(capsys, *argv)
         assert first.encode() == second.encode()
 
+    @pytest.mark.parametrize(
+        "shape, family", [(("3", "3"), "symmetric"), (("16", "32"), "general")]
+    )
+    def test_same_argv_same_bytes(self, capsys, shape, family):
+        argv = [
+            "sample", "--n", shape[0], "--bundle", shape[1], "--count", "12",
+            "--seed", "31337", "--family", family,
+        ]
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first and first.encode() == second.encode()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--c", "nan"),
+            ("--c", "inf"),
+            ("--ambient", "complex_slant", "--c", "1", "--theta", "nan"),
+        ],
+    )
+    def test_non_finite_ambient_is_exit_2(self, capsys, flags):
+        if flags[0] == "--c":
+            flags = ("--ambient", "complex_lagrangian") + flags
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--n", "3", "--bundle", "3", "--count", "300",
+            "--seed", "1", "--family", "symmetric", *flags,
+        )
+        assert code == 2
+        assert out == ""
+        field = "theta" if "--theta" in flags else "c"
+        assert f"{field} must be finite" in err
+
     def test_different_seeds_differ(self, capsys):
         base = [
             "sample", "--n", "4", "--bundle", "5", "--count", "10", "--family", "general",
@@ -192,6 +225,17 @@ class TestSample:
 
 
 class TestReport:
+    def test_non_finite_ambient_in_file_is_exit_2(self, tmp_path, capsys):
+        zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
+        path = tmp_path / "nan.json"
+        ambient = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+        save_instance(Instance(zeta=zeta, ambient=ambient), str(path))
+        path.write_text(path.read_text().replace('"c": 1.0', '"c": NaN'))
+        code, out, err = run_cli(capsys, "report", str(path), "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "ambient" in err and "c must be finite" in err
+
     def test_json_report_round_trips_and_passes(self, tmp_path, capsys):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
         path = str(tmp_path / "x.json")
@@ -249,20 +293,37 @@ class TestToleranceOverride:
 
 @pytest.fixture
 def t_builds(monkeypatch):
-    """Records the tangent dimension of every n^4 Gauss tensor built, wherever
-    a curvlike module calls build_T_from_zeta from."""
-    original = gauss_bounds.build_T_from_zeta
+    """Records the tangent dimension of every n^4 Gauss tensor built, once per
+    tensor of a stack, wherever a curvlike module builds one.  The rebuild a
+    Gauss residual compares against is not counted."""
+    build = gauss_bounds.gauss_components
+    residuals = gauss_bounds.gauss_residuals
     built = []
+    in_reference = []
 
-    def counting(zeta):
-        built.append(zeta.n)
-        return original(zeta)
+    def counting(components):
+        tensors = build(components)
+        if not in_reference:
+            n = tensors.shape[-1]
+            built.extend([n] * (tensors.size // n**4))
+        return tensors
+
+    def reference(tensors, components):
+        in_reference.append(True)
+        try:
+            return residuals(tensors, components)
+        finally:
+            in_reference.pop()
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "curvlike" and (
-            getattr(module, "build_T_from_zeta", None) is original
+        if name.split(".")[0] != "curvlike":
+            continue
+        for attr, original, wrapper in (
+            ("gauss_components", build, counting),
+            ("gauss_residuals", residuals, reference),
         ):
-            monkeypatch.setattr(module, "build_T_from_zeta", counting)
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
     return built
 
 

@@ -14,19 +14,31 @@ from curvlike.gauss_bounds import (
     classify_all_equality,
     corollary_triple,
     equality_directions,
+    gauss_components,
     improved_bound,
     is_totally_symmetric,
     ricci_form_from_zeta,
+    ricci_forms,
+    total_symmetry_residuals,
     verify_gauss,
 )
 from curvlike.optim_lemmas import max_ricci
-from curvlike.sampling import random_orthogonal, sample_general, sample_symmetric
+from curvlike.sampling import (
+    draw_general,
+    draw_symmetric,
+    random_orthogonal,
+    sample_general,
+    sample_symmetric,
+)
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import (
     BundleValuedForm,
     CurvatureLikeTensor,
+    curvature_residuals,
+    pair_exchange_residual,
     rotate_frame,
     t_ricci_form,
+    trace_norms_sq,
     zeta_norm_sq,
 )
 
@@ -69,6 +81,47 @@ class TestBuildAndVerify:
     def test_dimension_mismatch(self, h_umbilical_ref):
         with pytest.raises(DimensionMismatch):
             verify_gauss(CurvatureLikeTensor.zeros(3), h_umbilical_ref)
+
+
+class TestGramKernel:
+    """T as one Gram-matrix GEMM per form, over stacks of forms."""
+
+    @staticmethod
+    def slot_sum(zeta):
+        """The defining sum over bundle slots, one outer product at a time."""
+        return sum(
+            np.einsum("il,jk->ijkl", slot, slot) - np.einsum("ik,jl->ijkl", slot, slot)
+            for slot in zeta.components
+        )
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (8, 8), (16, 32), (5, 3)])
+    def test_matches_slot_sum_with_exact_symmetries(self, n, m):
+        rng = np.random.default_rng([n, m, 1])
+        forms = [sample_general(rng, n, m)]
+        if m >= n:
+            forms.append(sample_symmetric(rng, n, m))
+        for zeta in forms:
+            tensor = build_T_from_zeta(zeta)
+            error = np.abs(tensor.components - self.slot_sum(zeta)).max()
+            assert error <= 1e-15 * zeta_norm_sq(zeta)
+            skew_xy, skew_zw, _ = curvature_residuals(tensor.components)
+            assert skew_xy == skew_zw == pair_exchange_residual(tensor) == 0.0
+
+    @pytest.mark.parametrize("draw", [draw_general, draw_symmetric])
+    @pytest.mark.parametrize("n, m", [(3, 3), (4, 6), (16, 32)])
+    def test_stack_equals_one_form_bitwise(self, draw, n, m):
+        stack = draw(np.random.default_rng([n, m, 2]), n, m, 4)
+        kernels = (
+            gauss_components,
+            ricci_forms,
+            trace_norms_sq,
+            total_symmetry_residuals,
+            lambda c: curvature_residuals(gauss_components(c))[2],
+        )
+        for kernel in kernels:
+            batched = kernel(stack)
+            for k, comps in enumerate(stack):
+                assert np.array_equal(batched[k], kernel(comps))
 
 
 class TestDirectRicciForm:
