@@ -103,7 +103,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
     problem = ConstrainedQuadratic(which=which, n=args.n, constraint_sum=args.sum)
     if which is Objective.F1:
         closed = f1_max_closed(args.n, args.sum)
-        closed_doc = {"max": closed.max_value, "argmax": closed.argmax.tolist()}
+        closed_doc = {"max": closed.max_value, "argmax": closed.argmax}
         closed_max = closed.max_value
     else:
         family = f2_max_closed(args.n, args.sum)
@@ -111,7 +111,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
             "max": family.max_value,
             "a1": family.a1,
             "tail_sum": family.tail_sum,
-            "representative": family.representative.tolist(),
+            "representative": family.representative,
         }
         closed_max = family.max_value
     oracle = brute_force_max(problem)
@@ -128,7 +128,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
         "n": args.n,
         "sum": args.sum,
         "closed_form": closed_doc,
-        "oracle": {"max": oracle.max_value, "argmax": oracle.argmax.tolist()},
+        "oracle": {"max": oracle.max_value, "argmax": oracle.argmax},
         "agreement": agreement,
     }
     if args.values is not None:
@@ -138,7 +138,7 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
         feasible = feasibility <= tol
         within = value <= closed_max + tol
         doc["values"] = {
-            "point": point.tolist(),
+            "point": point,
             "value": value,
             "feasibility_residual": feasibility,
             "feasible": feasible,

@@ -373,18 +373,14 @@ def corollary_triple(
     bound, (b) trace(zeta) = 0, (c) X lies in the null space of zeta; and
     check that no two of them hold without the third."""
     xv = as_unit_vector(x, zeta.n)
-    complement = orthonormal_complement(xv)
-    perp_ok = all(
-        float(np.linalg.norm(zeta.value(xv, y))) <= tol for y in complement
-    )
+    # zeta(X, .) as an (m', n) matrix: column j is zeta(X, e_j).
+    zeta_x = np.einsum("rij,i->rj", zeta.components, xv)
+    perp = zeta_x @ orthonormal_complement(xv).T
+    perp_ok = bool((np.linalg.norm(perp, axis=0) <= tol).all())
     half_trace = 0.5 * trace_zeta(zeta)
-    half_ok = float(np.linalg.norm(zeta.value(xv, xv) - half_trace)) <= tol
+    half_ok = float(np.linalg.norm(zeta_x @ xv - half_trace)) <= tol
     equality = perp_ok and half_ok
     trace_zero = float(np.sqrt(trace_norm_sq(zeta))) <= tol
-    basis = np.eye(zeta.n)
-    in_null = all(
-        float(np.linalg.norm(zeta.value(xv, basis[j]))) <= tol
-        for j in range(zeta.n)
-    )
+    in_null = bool((np.linalg.norm(zeta_x, axis=0) <= tol).all())
     count = int(equality) + int(trace_zero) + int(in_null)
     return CorollaryTriple(equality, trace_zero, in_null, count != 2)

@@ -4,6 +4,21 @@ The standard json encoder cannot pin float formatting, so serialization is
 done by a small recursive writer: dictionary keys keep insertion order and
 every float is written with 17 significant digits, which round-trips binary64
 exactly.  Identical data therefore always produces identical bytes.
+
+Float arrays (ζ's components, report vectors and frames) are passed to the
+writer as ndarrays and go through one array emitter, :func:`format_floats`:
+it checks finiteness once, builds the whole nested layout as one ``%``
+template with a format code per element, and fills it from
+``arr.ravel().tolist()`` in a single ``%`` call.  The text is the same as
+formatting each float on its own with ``%.17g`` and appending ``.0`` when the
+result reads as an integer.  A non-integral float never needs the ``.0``,
+because 17 digits round-trip, so its ``%.17g`` text cannot read as an integer.
+An integral float below 1e17 is written by ``%.17g`` as its exact digits, which
+is what ``%.1f`` gives minus the ``.0`` (``-0.0`` included).  From 1e17 up,
+``%.17g`` uses an exponent and needs no suffix.  So the emitter picks ``%.1f``
+for the integral values below 1e17 and ``%.17g`` for all others, and every
+``sha256``, saved instance and report stays byte-identical to the
+one-float-at-a-time writer that the tests keep as their oracle.
 """
 
 from __future__ import annotations
@@ -46,14 +61,81 @@ class Instance:
     structure: StructureInfo | None = None
 
 
+# Integral floats below this magnitude are written by "%.17g" as their exact
+# integer digits, with no exponent; "%.1f" writes the same digits plus ".0".
+_FIXED_LIMIT = 1e17
+
+
+def _non_finite(x: float) -> ValidationError:
+    return ValidationError(f"non-finite number {x!r} cannot be serialized")
+
+
 def format_float(x: float) -> str:
-    """Full 17-significant-digit decimal form; always a JSON float."""
+    """Full 17-significant-digit decimal form; always a JSON float.
+
+    The one-value case of :func:`format_floats`, by the same rule.
+    """
     if not math.isfinite(x):
-        raise ValidationError(f"non-finite number {x!r} cannot be serialized")
-    s = f"{x:.17g}"
-    if "." not in s and "e" not in s and "E" not in s:
-        s += ".0"
-    return s
+        raise _non_finite(x)
+    return ("%.1f" if abs(x) < _FIXED_LIMIT and x == int(x) else "%.17g") % x
+
+
+def format_floats(values: np.ndarray, indent: int = 0) -> str:
+    """JSON text of a float array of one or more axes, in the writer's nested
+    layout, formatted in a single pass.
+
+    The layout (bracket and newline, two-space pads, ``", "`` between the
+    numbers of a row) is built as one ``%`` template, with one format code
+    per element, and filled from ``values.ravel().tolist()``.  Finiteness is
+    checked once for the array; the error names the first non-finite value
+    in row-major order.
+    """
+    flat = values.ravel().astype(float, copy=False)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise _non_finite(float(flat[finite.argmin()]))
+    fixed = (np.abs(flat) < _FIXED_LIMIT) & (np.trunc(flat) == flat)
+    width = values.shape[-1]
+    count = math.prod(values.shape[:-1])
+    if fixed.all() or not fixed.any():  # one code for every element
+        rows = [", ".join(["%.1f" if fixed.any() else "%.17g"] * width)] * count
+    else:
+        codes = np.where(fixed, "%.1f", "%.17g").reshape(count, width)
+        rows = [", ".join(row) for row in codes.tolist()]
+    template = _layout(values.shape[:-1], indent) % tuple(rows)
+    return template % tuple(flat.tolist())
+
+
+def _layout(shape: tuple[int, ...], indent: int) -> str:
+    """Layout of an array with leading axes ``shape``: one ``%s`` per
+    last-axis row, in row-major order."""
+    if not shape:
+        return "[%s]"
+    if shape[0] == 0:
+        return "[]"
+    pad = "  " * indent
+    item = pad + "  " + _layout(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def format_scalar(value) -> str:
+    """JSON text of a bool, integer, float, string or None."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def is_float_array(value) -> bool:
+    """Whether the writers emit ``value`` through :func:`format_floats`."""
+    return isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim > 0
 
 
 def _write(value, out: list[str], indent: int) -> None:
@@ -68,6 +150,8 @@ def _write(value, out: list[str], indent: int) -> None:
             _write(item, out, indent + 1)
             out.append(",\n" if idx < len(value) - 1 else "\n")
         out.append(pad + "}")
+    elif is_float_array(value):
+        out.append(format_floats(value, indent))
     elif isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if not items:
@@ -77,12 +161,7 @@ def _write(value, out: list[str], indent: int) -> None:
             not isinstance(item, (dict, list, tuple, np.ndarray)) for item in items
         )
         if scalars:
-            out.append("[")
-            for idx, item in enumerate(items):
-                _write(item, out, indent)
-                if idx < len(items) - 1:
-                    out.append(", ")
-            out.append("]")
+            out.append("[" + ", ".join(format_scalar(item) for item in items) + "]")
         else:
             out.append("[\n")
             for idx, item in enumerate(items):
@@ -90,18 +169,8 @@ def _write(value, out: list[str], indent: int) -> None:
                 _write(item, out, indent + 1)
                 out.append(",\n" if idx < len(items) - 1 else "\n")
             out.append(pad + "]")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format_float(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
     else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        out.append(format_scalar(value))
 
 
 def dump_json(value) -> str:
@@ -133,7 +202,7 @@ def instance_to_dict(instance: Instance) -> dict:
         "version": SCHEMA_VERSION,
         "n": instance.zeta.n,
         "bundle_dim": instance.zeta.m_prime,
-        "zeta": instance.zeta.components.tolist(),
+        "zeta": instance.zeta.components,
     }
     if instance.ambient is not None:
         doc["ambient"] = ambient_to_dict(instance.ambient)

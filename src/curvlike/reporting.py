@@ -38,8 +38,10 @@ from .instance_io import (
     Instance,
     ambient_to_dict,
     dump_json,
-    format_float,
+    format_floats,
+    format_scalar,
     instance_sha256,
+    is_float_array,
     structure_to_dict,
 )
 from .sampling import PRNG_NAME, draw_general, draw_symmetric
@@ -84,9 +86,9 @@ def _instance_block(instance: Instance, source: str) -> dict:
 def equality_class_to_dict(eq) -> dict:
     doc: dict = {"tag": eq.tag.value, "mu": eq.mu}
     if eq.tangent_frame is not None:
-        doc["tangent_frame"] = eq.tangent_frame.tolist()
+        doc["tangent_frame"] = eq.tangent_frame
     if eq.bundle_frame is not None:
-        doc["bundle_frame"] = eq.bundle_frame.tolist()
+        doc["bundle_frame"] = eq.bundle_frame
     return doc
 
 
@@ -95,7 +97,7 @@ def bound_report_to_dict(report: BoundReport) -> dict:
         "mode": report.mode.value,
         "bound_value": report.bound_value,
         "ricci_max": report.ricci_max,
-        "argmax_direction": report.argmax_direction.tolist(),
+        "argmax_direction": report.argmax_direction,
         "gap": report.gap,
         "symmetry_certified": report.symmetry_certified,
         "equality_class": equality_class_to_dict(report.equality_class),
@@ -124,13 +126,13 @@ def _zeta_block(zeta: BundleValuedForm, tol: float) -> dict:
     kernel = null_space(zeta)
     return {
         "norm_sq": zeta_norm_sq(zeta),
-        "trace": trace_zeta(zeta).tolist(),
+        "trace": trace_zeta(zeta),
         "trace_norm_sq": trace_norm_sq(zeta),
         "mean_curvature_sq": mean_curvature_sq(zeta),
         "totally_symmetric": symmetric,
         "total_symmetry_residual": residual_field,
         "null_space_dim": int(kernel.shape[0]),
-        "null_space": kernel.tolist(),
+        "null_space": kernel,
     }
 
 
@@ -284,7 +286,7 @@ def build_nullspace_report(
         "instance": _instance_block(instance, source),
         "rank_tol": rank_tol,
         "basis_dim": int(kernel.shape[0]),
-        "basis": kernel.tolist(),
+        "basis": kernel,
     }
     return doc, 0
 
@@ -413,51 +415,38 @@ def run_sample(
 
 
 def _scalar_text(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot render {type(value)!r}")
+    return value if isinstance(value, str) else format_scalar(value)
 
 
 def _is_scalar(value) -> bool:
     return not isinstance(value, (dict, list, tuple, np.ndarray))
 
 
-def _inline_list(values) -> str:
-    return "[" + ", ".join(_scalar_text(v) for v in values) + "]"
+def _inline(value) -> str | None:
+    """One-line text of a scalar, a flat list or a float row; None for a
+    value that nests.  Float rows go through the JSON writer's array emitter."""
+    if is_float_array(value):
+        return format_floats(value) if value.ndim == 1 or not len(value) else None
+    if _is_scalar(value):
+        return _scalar_text(value)
+    if isinstance(value, dict) or not all(_is_scalar(x) for x in value):
+        return None
+    return "[" + ", ".join(_scalar_text(x) for x in value) + "]"
 
 
 def _render(value, depth: int, lines: list[str]) -> None:
     pad = "  " * depth
     if isinstance(value, dict):
-        for key, item in value.items():
-            if _is_scalar(item):
-                lines.append(f"{pad}{key}: {_scalar_text(item)}")
-            elif isinstance(item, (list, tuple, np.ndarray)) and all(
-                _is_scalar(x) for x in item
-            ):
-                lines.append(f"{pad}{key}: {_inline_list(item)}")
-            else:
-                lines.append(f"{pad}{key}:")
-                _render(item, depth + 1, lines)
+        entries = [(f"{pad}{key}:", item) for key, item in value.items()]
     else:
-        for item in value:
-            if _is_scalar(item):
-                lines.append(f"{pad}- {_scalar_text(item)}")
-            elif isinstance(item, (list, tuple, np.ndarray)) and all(
-                _is_scalar(x) for x in item
-            ):
-                lines.append(f"{pad}- {_inline_list(item)}")
-            else:
-                lines.append(f"{pad}-")
-                _render(item, depth + 1, lines)
+        entries = [(f"{pad}-", item) for item in value]
+    for head, item in entries:
+        text = _inline(item)
+        if text is None:
+            lines.append(head)
+            _render(item, depth + 1, lines)
+        else:
+            lines.append(f"{head} {text}")
 
 
 def render_text(doc: dict) -> str:

@@ -357,6 +357,6 @@ def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndar
     if scale == 0.0:
         return np.eye(zeta.n)
     stacked = zeta.components.reshape(zeta.m_prime * zeta.n, zeta.n)
-    _, singular, vt = np.linalg.svd(stacked)
+    _, singular, vt = np.linalg.svd(stacked, full_matrices=False)
     rank = int((singular > rank_tol * scale).sum())
     return vt[rank:].copy()

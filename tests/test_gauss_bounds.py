@@ -36,9 +36,12 @@ from curvlike.tensor_core import (
     CurvatureLikeTensor,
     curvature_residuals,
     pair_exchange_residual,
+    orthonormal_complement,
     rotate_frame,
     t_ricci_form,
+    trace_norm_sq,
     trace_norms_sq,
+    trace_zeta,
     zeta_norm_sq,
 )
 
@@ -289,7 +292,57 @@ class TestClassification:
             assert classify_all_equality(rotated, BoundMode.GENERAL).tag is tag
 
 
+def per_vector_triple(zeta, x, tol=1e-9):
+    """(equality at X, trace zero, X in the null space) from one ``zeta.value``
+    call and one norm per test vector."""
+    xv = np.asarray(x, dtype=float)
+    perp_ok = all(
+        float(np.linalg.norm(zeta.value(xv, y))) <= tol
+        for y in orthonormal_complement(xv)
+    )
+    half_trace = 0.5 * trace_zeta(zeta)
+    half_ok = float(np.linalg.norm(zeta.value(xv, xv) - half_trace)) <= tol
+    trace_zero = float(np.sqrt(trace_norm_sq(zeta))) <= tol
+    in_null = all(
+        float(np.linalg.norm(zeta.value(xv, e))) <= tol for e in np.eye(zeta.n)
+    )
+    return perp_ok and half_ok, trace_zero, in_null
+
+
 class TestCorollary:
+    def test_matches_per_vector_evaluation(self):
+        rng = np.random.default_rng(67)
+        forms = [
+            BundleValuedForm.zeros(3, 2),
+            BundleValuedForm.zeros(16, 32),
+            construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=2, h0=np.array([1.0, 0.0]))
+            ),
+            construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=4, h0=np.array([0.3, -2.0]))
+            ),
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0)),
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=5, lam=1.5, mu=0.5)),
+        ]
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            forms.append(sample_general(rng, n, int(rng.integers(1, 9))))
+        seen = set()
+        for zeta in forms:
+            n = zeta.n
+            argmax = check_bound(zeta, BoundMode.GENERAL).argmax_direction
+            directions = [argmax, *np.eye(n)]
+            for _ in range(3):
+                x = rng.standard_normal(n)
+                directions.append(x / np.linalg.norm(x))
+            for x in directions:
+                triple = corollary_triple(zeta, x)
+                got = (triple.equality_at_x, triple.trace_zero, triple.in_null_space)
+                assert got == per_vector_triple(zeta, x)
+                assert triple.verified == (sum(got) != 2)
+                seen.add(got)
+        assert {(True, True, True), (True, False, False), (False, False, False)} <= seen
+
     def test_zero_form_all_true(self):
         triple = corollary_triple(BundleValuedForm.zeros(2, 2), [1.0, 0.0])
         assert triple.equality_at_x and triple.trace_zero and triple.in_null_space

@@ -1,0 +1,243 @@
+"""The deterministic writers against the one-float-at-a-time reference.
+
+Golden bytes and hashes were recorded with the per-float writer (now
+``tests/json_oracle.py``) before the array emitter replaced it; the property
+tests compare the two writers on random documents and on real reports.
+"""
+
+import hashlib
+import math
+from pathlib import Path
+
+import hypothesis.extra.numpy as hnp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvlike.ambient_models import AmbientKind, AmbientModel
+from curvlike.errors import ValidationError
+from curvlike.gauss_bounds import BoundMode
+from curvlike.instance_io import (
+    Instance,
+    StructureInfo,
+    dump_json,
+    format_float,
+    format_floats,
+    instance_sha256,
+    instance_to_dict,
+    loads_instance,
+    save_instance,
+)
+from curvlike.reporting import (
+    build_bound_report,
+    build_check_report,
+    build_instance_report,
+    build_nullspace_report,
+    render_text,
+)
+from curvlike.sampling import sample_general, sample_symmetric
+from curvlike.structures import Family, FamilyParams, construct_family
+from curvlike.tensor_core import BundleValuedForm
+from json_oracle import reference_dump_json, reference_format_float
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SLANT = math.pi / 3
+
+# Entries that sit on the edges of the two format codes: signed zeros,
+# integers up to and past 1e17, the smallest subnormal and huge values.
+SPECIAL_VALUES = [
+    0.0, -0.0, 3.0, 1e16, 99999999999999984.0, 1e17,
+    5e-324, 1e300, -99999999999999984.0, -1e17, 0.1, -2.5,
+    1.0 / 3.0, 123456789012345678.0, 2.0**53 + 2.0, -7.0, 1e-300, -5e-324,
+]
+
+
+def general_instance() -> Instance:
+    """Seeded (4, 6) general form with a slant ambient and structure."""
+    zeta = sample_general(np.random.default_rng(4604), 4, 6)
+    return Instance(
+        zeta=zeta,
+        ambient=AmbientModel(AmbientKind.COMPLEX_SLANT, -1.5, SLANT),
+        structure=StructureInfo(kind="slant", theta=SLANT),
+    )
+
+
+def special_values_instance() -> Instance:
+    """(3, 3) form whose upper triangles hold :data:`SPECIAL_VALUES`."""
+    comps = np.zeros((3, 3, 3))
+    upper = np.triu_indices(3)
+    for r in range(3):
+        comps[r][upper] = SPECIAL_VALUES[6 * r : 6 * r + 6]
+        comps[r][upper[::-1]] = SPECIAL_VALUES[6 * r : 6 * r + 6]
+    return Instance(zeta=BundleValuedForm(comps))
+
+
+def as_lists(value):
+    """``value`` with every ndarray replaced by its ``tolist()``."""
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "build, golden, sha256",
+        [
+            (
+                general_instance,
+                "general_4x6.json",
+                "b7f807cab0ccf7973aeb4820fae111a714e7d67ba3824cdb6ffa92353442b953",
+            ),
+            (
+                special_values_instance,
+                "special_values.json",
+                "5a8c095257e47a61072956184af169d7b31bf24ff293f05fa33e373737cd6953",
+            ),
+        ],
+    )
+    def test_bytes_and_hash(self, build, golden, sha256, tmp_path):
+        instance = build()
+        text = dump_json(instance_to_dict(instance))
+        assert text == (GOLDEN / golden).read_text()
+        assert instance_sha256(instance) == sha256
+        save_instance(instance, tmp_path / golden)
+        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_zero_form_hash(self):
+        instance = Instance(zeta=BundleValuedForm.zeros(16, 32))
+        text = dump_json(instance_to_dict(instance))
+        assert len(text) == 45506
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "31b168aa880cf1d48fd6ce8a296e272f1e6559821687acb0283d3f7de698a69d"
+        )
+        assert instance_sha256(instance) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_special_values_round_trip(self):
+        instance = special_values_instance()
+        loaded = loads_instance((GOLDEN / "special_values.json").read_text())
+        assert np.array_equal(
+            np.signbit(loaded.zeta.components), np.signbit(instance.zeta.components)
+        )
+        assert np.array_equal(loaded.zeta.components, instance.zeta.components)
+
+    def test_special_values_match_scalar_formatter(self):
+        values = np.array(SPECIAL_VALUES)
+        assert format_floats(values) == (
+            "[" + ", ".join(reference_format_float(x) for x in SPECIAL_VALUES) + "]"
+        )
+        for x in SPECIAL_VALUES:
+            assert format_float(x) == reference_format_float(x)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, float("inf"), float("nan")],
+            [[0.5, -2.0], [float("-inf"), float("nan")]],
+            [[[0.0, float("nan")]], [[float("inf"), 1.0]]],
+        ],
+    )
+    def test_array_names_first_non_finite_value(self, values):
+        doc = {"ok": [1.0, 2.0], "data": np.array(values)}
+        with pytest.raises(ValidationError) as expected:
+            reference_dump_json(as_lists(doc))
+        with pytest.raises(ValidationError) as got:
+            dump_json(doc)
+        assert str(got.value) == str(expected.value)
+        assert "cannot be serialized" in str(got.value)
+
+    def test_scalar_message_unchanged(self):
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError) as expected:
+                reference_format_float(x)
+            with pytest.raises(ValidationError) as got:
+                format_float(x)
+            assert str(got.value) == str(expected.value)
+
+
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPECIAL_VALUES),
+    st.integers(-(10**18), 10**18).map(float),
+)
+float_arrays = st.one_of(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+        elements=finite_floats,
+    ),
+    hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+        elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+    ),
+)
+int_arrays = hnp.arrays(
+    np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)
+)
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), finite_floats, st.text(max_size=6)
+)
+documents = st.recursive(
+    st.one_of(scalars, float_arrays, int_arrays),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(finite_floats)
+    def test_scalar_formatter_matches_reference(self, x):
+        assert format_float(x) == reference_format_float(x)
+        assert format_floats(np.array([x])) == "[" + reference_format_float(x) + "]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_writer_matches_reference(self, doc):
+        expected = reference_dump_json(doc)
+        assert dump_json(doc) == expected
+        assert reference_dump_json(as_lists(doc)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(min_size=1, max_size=5), documents, max_size=4))
+    def test_text_arrays_match_lists(self, doc):
+        assert render_text(doc) == render_text(as_lists(doc))
+
+    @pytest.mark.parametrize(
+        "zeta",
+        [
+            general_instance().zeta,
+            BundleValuedForm.zeros(3, 2),
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0)),
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=4, lam=3.0, mu=1.0)),
+            construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=3, h0=np.array([1.0, 0.0, 0.5]))
+            ),
+            sample_symmetric(np.random.default_rng(5), 3, 4),
+            sample_general(np.random.default_rng(6), 16, 32),
+        ],
+    )
+    def test_reports_match_reference(self, zeta):
+        instance = Instance(
+            zeta=zeta, ambient=AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 2.0)
+        )
+        docs = [
+            build_instance_report(instance, 1e-9)[0],
+            build_check_report(instance, 1e-9)[0],
+            build_bound_report(instance, BoundMode.GENERAL, 1e-9)[0],
+            build_nullspace_report(instance, 1e-9)[0],
+        ]
+        for doc in docs:
+            assert dump_json(doc) == reference_dump_json(as_lists(doc))
+            assert render_text(doc) == render_text(as_lists(doc))

@@ -308,6 +308,35 @@ class TestNullSpace:
                     )
 
 
+    def test_thin_svd_is_bitwise_the_full_svd(self):
+        rng = np.random.default_rng(211)
+        deficient = 0
+        for k in range(60):
+            n = int(rng.integers(1, 17))
+            m = int(rng.integers(1, 33))
+            comps = np.array(sample_general(rng, n, m).components)
+            if k % 3 == 0:
+                # Annihilate a random number of tangent directions, then turn
+                # the kernel out of the coordinate axes.
+                drop = int(rng.integers(1, n + 1))
+                comps[:, :drop, :] = 0.0
+                comps[:, :, :drop] = 0.0
+                q = random_orthogonal(rng, n)
+                comps = np.einsum("rab,ai,bj->rij", comps, q, q)
+            zeta = BundleValuedForm(comps)
+            stacked = zeta.components.reshape(m * n, n)
+            _, s_full, vt_full = np.linalg.svd(stacked)
+            _, s_thin, vt_thin = np.linalg.svd(stacked, full_matrices=False)
+            assert np.array_equal(s_thin, s_full)
+            assert np.array_equal(vt_thin, vt_full)
+            basis = null_space(zeta)
+            if zeta.max_abs() > 0.0:
+                rank = int((s_full > 1e-9 * zeta.max_abs()).sum())
+                assert np.array_equal(basis, vt_full[rank:])
+            deficient += basis.shape[0] > 0
+        assert deficient >= 15
+
+
 class TestGaussBuiltInvariants:
     def test_pair_exchange_and_symmetries_on_random_instances(self):
         rng = np.random.default_rng(29)
