@@ -82,40 +82,57 @@ class BoundReport:
     equality_class: EqualityClass
 
 
-def gauss_components(components: np.ndarray) -> np.ndarray:
+def gauss_components(
+    components: np.ndarray,
+    out: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+) -> np.ndarray:
     """Gauss tensors T[..., i, j, k, l] of a stack of forms zeta[..., r, i, j].
 
     With Z the form reshaped to (m', n^2), the Gram matrix G = Z^T Z holds
     every <zeta_ab, zeta_cd>, so T[i, j, k, l] = G[il, jk] - G[ik, jl] costs
-    one GEMM per form.  Symmetrizing G makes both antisymmetries and the
-    pair-exchange symmetry of T bitwise exact.
+    one product and one subtraction per form.  numpy evaluates the stacked
+    Z^T Z through BLAS syrk, which fills one triangle and mirrors it, so G is
+    bitwise symmetric and both antisymmetries and the pair-exchange symmetry
+    of T are exact.
+
+    ``out`` (shape lead + (n, n, n, n)) receives T and is returned; ``gram``
+    (shape lead + (n^2, n^2)) holds G.  Either is allocated when not given.
     """
     comps = np.asarray(components)
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
     z = comps.reshape(lead + (m, n * n))
-    gram = np.swapaxes(z, -1, -2) @ z
-    gram += np.swapaxes(gram, -1, -2)
-    gram *= 0.5
+    gram = np.matmul(np.swapaxes(z, -1, -2), z, out=gram)
     g = gram.reshape(lead + (n, n, n, n))
     # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
-    return np.moveaxis(g, -3, -1) - np.swapaxes(g, -3, -2)
+    return np.subtract(np.moveaxis(g, -3, -1), np.swapaxes(g, -3, -2), out=out)
 
 
-def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
+def build_T_from_zeta(
+    zeta: BundleValuedForm, gram: np.ndarray | None = None
+) -> CurvatureLikeTensor:
     """Assemble T[i,j,k,l] = sum_r (zeta[r,i,l] zeta[r,j,k] - zeta[r,i,k] zeta[r,j,l]).
 
-    The output satisfies all curvature symmetries by construction.
+    The output satisfies all curvature symmetries by construction.  ``gram``
+    is the work buffer of :func:`gauss_components`.
     """
-    return CurvatureLikeTensor(gauss_components(zeta.components))
+    return CurvatureLikeTensor._adopt(gauss_components(zeta.components, gram=gram))
 
 
 def ricci_forms(components: np.ndarray) -> np.ndarray:
     """Ricci forms S_T of the Gauss tensors of a stack of forms, straight
-    from zeta[..., r, i, j]; see :func:`ricci_form_from_zeta`."""
+    from zeta[..., r, i, j]; see :func:`ricci_form_from_zeta`.
+
+    Two products per form: trace zeta times Z, the form reshaped to
+    (m', n^2), gives <trace zeta, zeta_ik>; A^T A, with A the form reshaped
+    to (m' n, n), gives sum_r zeta_r zeta_r because each zeta_r is symmetric.
+    """
     comps = np.asarray(components)
-    s = np.einsum("...r,...rik->...ik", traces(comps), comps) - np.einsum(
-        "...rij,...rjk->...ik", comps, comps
-    )
+    lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
+    z = comps.reshape(lead + (m, n * n))
+    a = comps.reshape(lead + (m * n, n))
+    s = (traces(comps)[..., None, :] @ z).reshape(lead + (n, n))
+    s -= np.swapaxes(a, -1, -2) @ a
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
@@ -130,22 +147,36 @@ def ricci_form_from_zeta(zeta: BundleValuedForm) -> np.ndarray:
     return ricci_forms(zeta.components)
 
 
-def gauss_residuals(tensors: np.ndarray, components: np.ndarray) -> np.ndarray:
+def gauss_residuals(
+    tensors: np.ndarray,
+    components: np.ndarray,
+    scratch: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+) -> np.ndarray:
     """Max absolute residual of the algebraic Gauss equation for each pair of
-    a tensor stack [..., i, j, k, l] and a form stack [..., r, i, j]."""
-    diff = gauss_components(components)
+    a tensor stack [..., i, j, k, l] and a form stack [..., r, i, j].
+
+    ``scratch``, shaped like ``tensors``, and ``gram`` are work buffers that
+    the rebuild of T overwrites; they are allocated when not given.
+    """
+    diff = gauss_components(components, out=scratch, gram=gram)
     np.subtract(tensors, diff, out=diff)
     return np.abs(diff, out=diff).max(axis=(-4, -3, -2, -1))
 
 
-def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
+def verify_gauss(
+    tensor: CurvatureLikeTensor,
+    zeta: BundleValuedForm,
+    scratch: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+) -> float:
     """Max absolute residual of the algebraic Gauss equation; 0 means the pair
-    is exact."""
+    is exact.  ``scratch`` and ``gram`` are as in :func:`gauss_residuals`."""
     if tensor.n != zeta.n:
         raise DimensionMismatch(
             f"tensor dimension {tensor.n} != form dimension {zeta.n}"
         )
-    return float(gauss_residuals(tensor.components, zeta.components))
+    return float(gauss_residuals(tensor.components, zeta.components, scratch, gram))
 
 
 def bound_coefficient(mode: BoundMode, n: int) -> float:
@@ -354,16 +385,17 @@ def _classify(
 
 @dataclass(frozen=True)
 class CorollaryTriple:
-    """Truth values of the three linked statements at one direction.
+    """Truth values of the three linked statements at one direction, or bool
+    arrays over a stack of directions.
 
     ``verified`` says the two-imply-the-third pattern holds, i.e. the truth
     table does not show exactly two of the three statements true.
     """
 
-    equality_at_x: bool
-    trace_zero: bool
-    in_null_space: bool
-    verified: bool
+    equality_at_x: bool | np.ndarray
+    trace_zero: bool | np.ndarray
+    in_null_space: bool | np.ndarray
+    verified: bool | np.ndarray
 
 
 def corollary_triple(
@@ -371,16 +403,23 @@ def corollary_triple(
 ) -> CorollaryTriple:
     """Evaluate, at a unit direction X: (a) X attains equality in the general
     bound, (b) trace(zeta) = 0, (c) X lies in the null space of zeta; and
-    check that no two of them hold without the third."""
-    xv = as_unit_vector(x, zeta.n)
-    # zeta(X, .) as an (m', n) matrix: column j is zeta(X, e_j).
-    zeta_x = np.einsum("rij,i->rj", zeta.components, xv)
-    perp = zeta_x @ orthonormal_complement(xv).T
-    perp_ok = bool((np.linalg.norm(perp, axis=0) <= tol).all())
-    half_trace = 0.5 * trace_zeta(zeta)
-    half_ok = float(np.linalg.norm(zeta_x @ xv - half_trace)) <= tol
-    equality = perp_ok and half_ok
-    trace_zero = float(np.sqrt(trace_norm_sq(zeta))) <= tol
-    in_null = bool((np.linalg.norm(zeta_x, axis=0) <= tol).all())
-    count = int(equality) + int(trace_zero) + int(in_null)
-    return CorollaryTriple(equality, trace_zero, in_null, count != 2)
+    check that no two of them hold without the third.
+
+    ``x`` may also be a stack ``[..., n]`` of unit directions, evaluated in
+    one array pass; the fields are then bool arrays over the stack.
+    """
+    xv = as_unit_vector(x, zeta.n, stacked=True)
+    # zeta(X, .) as an (m', n) matrix per direction: column j is zeta(X, e_j).
+    zeta_x = np.einsum("rij,...i->...rj", zeta.components, xv)
+    perp = zeta_x @ np.swapaxes(orthonormal_complement(xv), -1, -2)
+    perp_ok = (np.linalg.norm(perp, axis=-2) <= tol).all(axis=-1)
+    half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * trace_zeta(zeta)
+    equality = perp_ok & (np.linalg.norm(half, axis=-1) <= tol)
+    trace_zero = np.full(equality.shape, float(np.sqrt(trace_norm_sq(zeta))) <= tol)
+    in_null = (np.linalg.norm(zeta_x, axis=-2) <= tol).all(axis=-1)
+    verified = equality.astype(int) + trace_zero + in_null != 2
+    if xv.ndim == 1:
+        return CorollaryTriple(
+            bool(equality), bool(trace_zero), bool(in_null), bool(verified)
+        )
+    return CorollaryTriple(equality, trace_zero, in_null, verified)

@@ -8,6 +8,8 @@ campaigns) the emitted bytes are identical across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import __version__
@@ -65,6 +67,27 @@ TOOL_NAME = "curvlike"
 _CHUNK_T_BYTES = 8 * 16**4
 
 
+def _require_headroom(zeta: BundleValuedForm) -> None:
+    """Reject a form too large for the reports' arithmetic in binary64.
+
+    |T| <= 2 ||zeta||^2, so a curvature residual (a sum of at most three
+    entries of T) stays below 6 ||zeta||^2; ||trace zeta||^2 <= n ||zeta||^2,
+    and an entry of S_T + S_T^T stays below 2 (sqrt(n) + 1) ||zeta||^2.  So
+    8 n ||zeta||^2 bounds every quantity the reports derive, and the form is
+    accepted when that is finite.  ||zeta||^2 is computed on the form scaled
+    by its largest component, so the check itself cannot overflow.
+    """
+    scale = zeta.max_abs()
+    if scale == 0.0:
+        return
+    unit_norm_sq = float(np.square(zeta.components / scale).sum())
+    if scale > math.sqrt(np.finfo(float).max / (8 * zeta.n * unit_norm_sq)):
+        raise ValidationError(
+            f"zeta is too large: 8 n ||zeta||^2 overflows binary64 "
+            f"(largest |component| {scale!r})"
+        )
+
+
 def report_envelope(kind: str) -> dict:
     """The leading {version, kind, tool} fields every report kind starts with."""
     return {
@@ -105,14 +128,19 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 
 def _symmetry_block(zeta: BundleValuedForm, tol: float) -> dict:
-    tensor = build_T_from_zeta(zeta)
-    report = validate_curvature_symmetries(tensor, tol)
+    """Residuals of the built T.  Its Gram matrix and one scratch tensor are
+    allocated once and shared by the build, the residuals and the rebuild."""
+    n = zeta.n
+    gram = np.empty((n * n, n * n))
+    scratch = np.empty((n, n, n, n))
+    tensor = build_T_from_zeta(zeta, gram)
+    report = validate_curvature_symmetries(tensor, tol, scratch)
     return {
         "skew_first_pair": report.skew_first_pair,
         "skew_second_pair": report.skew_second_pair,
         "first_bianchi": report.first_bianchi,
-        "pair_exchange": pair_exchange_residual(tensor),
-        "gauss_residual": verify_gauss(tensor, zeta),
+        "pair_exchange": pair_exchange_residual(tensor, scratch),
+        "gauss_residual": verify_gauss(tensor, zeta, scratch, gram),
         "passed": report.passed,
     }
 
@@ -172,24 +200,25 @@ def _ambient_block(
 
 
 def _corollary_block(zeta: BundleValuedForm, argmax: np.ndarray, tol: float) -> dict:
-    rows = []
-    directions = [("argmax", argmax)]
-    basis = np.eye(zeta.n)
-    directions.extend((f"e{j + 1}", basis[j]) for j in range(zeta.n))
-    all_verified = True
-    for label, vector in directions:
-        triple = corollary_triple(zeta, vector, tol)
-        all_verified = all_verified and triple.verified
-        rows.append(
-            {
-                "direction": label,
-                "equality_at_x": triple.equality_at_x,
-                "trace_zero": triple.trace_zero,
-                "in_null_space": triple.in_null_space,
-                "verified": triple.verified,
-            }
-        )
-    return {"rows": rows, "all_verified": all_verified}
+    labels = ["argmax", *(f"e{j + 1}" for j in range(zeta.n))]
+    triples = corollary_triple(zeta, np.vstack([argmax, np.eye(zeta.n)]), tol)
+    columns = (
+        triples.equality_at_x.tolist(),
+        triples.trace_zero.tolist(),
+        triples.in_null_space.tolist(),
+        triples.verified.tolist(),
+    )
+    rows = [
+        {
+            "direction": label,
+            "equality_at_x": equality,
+            "trace_zero": trace_zero,
+            "in_null_space": in_null,
+            "verified": verified,
+        }
+        for label, equality, trace_zero, in_null, verified in zip(labels, *columns)
+    ]
+    return {"rows": rows, "all_verified": bool(triples.verified.all())}
 
 
 def build_instance_report(
@@ -197,6 +226,7 @@ def build_instance_report(
 ) -> tuple[dict, int]:
     """Full diagnostic report for one instance; returns (report, exit code)."""
     zeta = instance.zeta
+    _require_headroom(zeta)
     failures: list[str] = []
     symmetry = _symmetry_block(zeta, tol)
     if not symmetry["passed"]:
@@ -237,6 +267,7 @@ def build_check_report(
     instance: Instance, tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
     """Symmetry and Gauss-residual gate for one instance."""
+    _require_headroom(instance.zeta)
     symmetry = _symmetry_block(instance.zeta, tol)
     failures = []
     if not symmetry["passed"]:
@@ -259,6 +290,7 @@ def build_bound_report(
     instance: Instance, mode: BoundMode, tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
     """Single-mode bound evaluation; exit 1 on violation or failed certification."""
+    _require_headroom(instance.zeta)
     report = check_bound(instance.zeta, mode, tol)
     failures = []
     if report.gap < -tol:
@@ -308,7 +340,10 @@ def run_sample(
     stacked eigenvalues, then gaps, ambient margins and violations.  Every
     kernel is the one the per-form functions use, and a chunk holds at most
     :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
-    depend on the chunk size and memory stays flat in ``count``.
+    depend on the chunk size and memory stays flat in ``count``.  The n^4
+    stage writes into one workspace allocated per call (Gram matrices,
+    tensors and a scratch stack, each sized to one chunk), so chunks after
+    the first allocate no n^4 memory.
     """
     if family not in ("general", "symmetric"):
         raise ValidationError(f"family must be 'general' or 'symmetric', got {family!r}")
@@ -330,6 +365,10 @@ def run_sample(
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
+    workspace = min(chunk, count)
+    gram_work = np.empty((workspace, n * n, n * n))
+    tensor_work = np.empty((workspace, n, n, n, n))
+    scratch_work = np.empty_like(tensor_work)
     violations: list[dict] = []
     symmetric_count = 0
     max_gauss = 0.0
@@ -338,12 +377,14 @@ def run_sample(
     min_gap_improved = float("inf")
     min_ambient_margin = float("inf")
     for start in range(0, count, chunk):
-        comps = checked_components(draw(rng, n, bundle_dim, min(chunk, count - start)))
-        tensors = gauss_components(comps)
-        symmetry = np.maximum.reduce(curvature_residuals(tensors))
+        batch = min(chunk, count - start)
+        comps = checked_components(draw(rng, n, bundle_dim, batch))
+        gram, scratch = gram_work[:batch], scratch_work[:batch]
+        tensors = gauss_components(comps, tensor_work[:batch], gram)
+        symmetry = np.maximum.reduce(curvature_residuals(tensors, scratch))
         max_symmetry = max(max_symmetry, float(symmetry.max()))
-        max_gauss = max(max_gauss, float(gauss_residuals(tensors, comps).max()))
-        del tensors
+        gauss = gauss_residuals(tensors, comps, scratch, gram)
+        max_gauss = max(max_gauss, float(gauss.max()))
         if bundle_dim >= n:
             symmetric = total_symmetry_residuals(comps) <= tol
         else:

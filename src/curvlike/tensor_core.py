@@ -159,6 +159,16 @@ class CurvatureLikeTensor:
         self.components = arr
 
     @classmethod
+    def _adopt(cls, components: np.ndarray) -> "CurvatureLikeTensor":
+        """Wrap a freshly built (n, n, n, n) float array without copying it;
+        the array becomes read-only and must have no other owner."""
+        components.setflags(write=False)
+        tensor = cls.__new__(cls)
+        tensor.n = components.shape[0]
+        tensor.components = components
+        return tensor
+
+    @classmethod
     def zeros(cls, n: int) -> "CurvatureLikeTensor":
         return cls(np.zeros((n, n, n, n)))
 
@@ -179,52 +189,69 @@ class SymmetryReport:
 
 
 def curvature_residuals(
-    components: np.ndarray,
+    components: np.ndarray, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max absolute violation of T(X,Y,Z,W) = -T(Y,X,Z,W), of
     T(X,Y,Z,W) = -T(X,Y,W,Z) and of the first Bianchi sum
     T(X,Y,Z,W) + T(X,Z,W,Y) + T(X,W,Y,Z) = 0, over all index quadruples of
-    each tensor in a stack ``[..., i, j, k, l]``."""
+    each tensor in a stack ``[..., i, j, k, l]``.
+
+    Each residual is formed in ``scratch``, a buffer shaped like the stack
+    that is overwritten (allocated when not given).
+    """
     a = np.asarray(components)
+    if scratch is None:
+        scratch = np.empty_like(a)
 
     def worst(residual: np.ndarray) -> np.ndarray:
         return np.abs(residual, out=residual).max(axis=(-4, -3, -2, -1))
 
-    skew_xy = worst(a + np.swapaxes(a, -4, -3))
-    skew_zw = worst(a + np.swapaxes(a, -2, -1))
+    skew_xy = worst(np.add(a, np.swapaxes(a, -4, -3), out=scratch))
+    skew_zw = worst(np.add(a, np.swapaxes(a, -2, -1), out=scratch))
     # At (i, j, k, l) these read a[..., i, k, l, j] and a[..., i, l, j, k].
-    cyclic = a + np.moveaxis(a, -1, -3)
+    cyclic = np.add(a, np.moveaxis(a, -1, -3), out=scratch)
     cyclic += np.moveaxis(a, -3, -1)
     bianchi = worst(cyclic)
     return skew_xy, skew_zw, bianchi
 
 
 def validate_curvature_symmetries(
-    tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL
+    tensor: CurvatureLikeTensor,
+    tol: float = DEFAULT_TOL,
+    scratch: np.ndarray | None = None,
 ) -> SymmetryReport:
-    """The three :func:`curvature_residuals` of one tensor; passes iff every
-    residual is <= tol."""
+    """The three :func:`curvature_residuals` of one tensor, formed in
+    ``scratch`` when given; passes iff every residual is <= tol."""
     skew_xy, skew_zw, bianchi = (
-        float(r) for r in curvature_residuals(tensor.components)
+        float(r) for r in curvature_residuals(tensor.components, scratch)
     )
     passed = skew_xy <= tol and skew_zw <= tol and bianchi <= tol
     return SymmetryReport(skew_xy, skew_zw, bianchi, tol, passed)
 
 
-def pair_exchange_residual(tensor: CurvatureLikeTensor) -> float:
+def pair_exchange_residual(
+    tensor: CurvatureLikeTensor, scratch: np.ndarray | None = None
+) -> float:
     """Max violation of T(X,Y,Z,W) = T(Z,W,X,Y), a consequence of the three
-    curvature identities."""
+    curvature identities; formed in ``scratch`` when given."""
     a = tensor.components
-    return float(np.abs(a - np.einsum("klij->ijkl", a)).max())
+    diff = np.subtract(a, np.einsum("klij->ijkl", a), out=scratch)
+    return float(np.abs(diff, out=diff).max())
 
 
-def as_unit_vector(x, n: int) -> np.ndarray:
-    """Validate a unit tangent vector: length n, Euclidean norm 1 within 1e-12."""
+def as_unit_vector(x, n: int, stacked: bool = False) -> np.ndarray:
+    """Validate a unit tangent vector: length n, Euclidean norm 1 within 1e-12.
+
+    With ``stacked``, validate a stack ``[..., n]`` of them; the message names
+    the norm farthest from 1.
+    """
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
+    if arr.shape[-1:] != (n,) or (arr.ndim != 1 and not stacked):
         raise DimensionMismatch(f"expected a vector of length {n}, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    norms = np.linalg.norm(arr, axis=-1)
+    off = np.abs(norms - 1.0)
+    if off.max(initial=0.0) > UNIT_NORM_TOL:
+        norm = float(norms.flat[int(off.argmax())])
         raise NotUnitVector(f"norm {norm!r} differs from 1 beyond {UNIT_NORM_TOL}")
     return arr
 
@@ -321,27 +348,26 @@ def rotate_frame(zeta: BundleValuedForm, q_tangent, q_bundle) -> BundleValuedFor
 
 
 def rotation_to_first_axis(u: np.ndarray) -> np.ndarray:
-    """Deterministic orthogonal Q with Q @ u = e_0, for a unit vector u.
+    """Deterministic orthogonal Q with Q @ u = e_0, for a unit vector u, or
+    one such Q per vector of a stack ``[..., m]``.
 
     Householder-based; the reflection direction is chosen by the sign of u[0]
     so the construction never cancels.
     """
-    m = u.shape[0]
-    e0 = np.zeros(m)
-    e0[0] = 1.0
-    if u[0] >= 0.0:
-        v = u + e0
-        q = np.eye(m) - 2.0 * np.outer(v, v) / float(v @ v)
-        q[0, :] = -q[0, :]
-    else:
-        v = u - e0
-        q = np.eye(m) - 2.0 * np.outer(v, v) / float(v @ v)
+    u = np.asarray(u, dtype=float)
+    flip = u[..., 0] >= 0.0
+    v = u.copy()
+    v[..., 0] += np.where(flip, 1.0, -1.0)
+    outer = v[..., :, None] * v[..., None, :]
+    q = np.eye(u.shape[-1]) - 2.0 * outer / (v[..., None, :] @ v[..., :, None])
+    q[..., 0, :] = np.where(flip[..., None], -q[..., 0, :], q[..., 0, :])
     return q
 
 
 def orthonormal_complement(x: np.ndarray) -> np.ndarray:
-    """Rows form an orthonormal basis of the hyperplane orthogonal to unit x."""
-    return rotation_to_first_axis(x)[1:]
+    """Rows form an orthonormal basis of the hyperplane orthogonal to unit x;
+    for a stack ``[..., n]`` of unit vectors, one (n - 1, n) basis each."""
+    return rotation_to_first_axis(x)[..., 1:, :]
 
 
 def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,34 @@ class TestReport:
         assert out == ""
         assert "ambient" in err and "c must be finite" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--format", "json"],
+            ["report", "--format", "text"],
+            ["bound", "--mode", "general"],
+            ["bound", "--mode", "improved"],
+            ["check"],
+        ],
+    )
+    def test_overflowing_form_is_exit_2_without_warnings(self, tmp_path, capsys, argv):
+        """A component of 1e300 loads, but its squared norm overflows: the
+        report is refused up front, naming zeta, before any kernel warns."""
+        path = str(tmp_path / "big.json")
+        code, _, _ = run_cli(
+            capsys,
+            "construct", "--family", "totally-umbilical", "--n", "3",
+            "--h0", "0.1,-0.6666666666666666,1e300", "-o", path,
+        )
+        assert code == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: zeta ")
+
     def test_json_report_round_trips_and_passes(self, tmp_path, capsys):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
         path = str(tmp_path / "x.json")
@@ -301,17 +330,17 @@ def t_builds(monkeypatch):
     built = []
     in_reference = []
 
-    def counting(components):
-        tensors = build(components)
+    def counting(components, *args, **kwargs):
+        tensors = build(components, *args, **kwargs)
         if not in_reference:
             n = tensors.shape[-1]
             built.extend([n] * (tensors.size // n**4))
         return tensors
 
-    def reference(tensors, components):
+    def reference(tensors, components, *args, **kwargs):
         in_reference.append(True)
         try:
-            return residuals(tensors, components)
+            return residuals(tensors, components, *args, **kwargs)
         finally:
             in_reference.pop()
 

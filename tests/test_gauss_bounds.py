@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlike.errors import BundleTooSmall, DimensionMismatch
+from curvlike import gauss_bounds
+from curvlike.errors import BundleTooSmall, DimensionMismatch, NotUnitVector
 from curvlike.gauss_bounds import (
     BoundMode,
     EqualityTag,
@@ -15,6 +16,7 @@ from curvlike.gauss_bounds import (
     corollary_triple,
     equality_directions,
     gauss_components,
+    gauss_residuals,
     improved_bound,
     is_totally_symmetric,
     ricci_form_from_zeta,
@@ -42,8 +44,10 @@ from curvlike.tensor_core import (
     trace_norm_sq,
     trace_norms_sq,
     trace_zeta,
+    validate_curvature_symmetries,
     zeta_norm_sq,
 )
+from ricci_oracle import einsum_ricci_forms
 
 
 class TestBuildAndVerify:
@@ -126,6 +130,75 @@ class TestGramKernel:
             for k, comps in enumerate(stack):
                 assert np.array_equal(batched[k], kernel(comps))
 
+    def test_gram_is_bitwise_symmetric(self):
+        """The stacked Z^T Z runs through BLAS syrk, which mirrors one
+        triangle; gauss_components relies on it for the exact antisymmetries
+        of T.  Should this fail on another numpy or BLAS, the kernel needs its
+        symmetrizing pass back: the test is not to be loosened."""
+        rng = np.random.default_rng(71)
+        for n in range(1, 17):
+            for m in range(1, 33):
+                for lead in ((), (1,), (3,)):
+                    comps = draw_general(rng, n, m, 3)[: lead[0] if lead else 1]
+                    comps = comps.reshape(lead + (m, n, n))
+                    z = comps.reshape(lead + (m, n * n))
+                    plain = np.swapaxes(z, -1, -2) @ z
+                    gram = np.full(lead + (n * n, n * n), np.nan)
+                    tensors = gauss_components(comps, gram=gram)
+                    for g in (plain, gram):
+                        assert np.array_equal(g, np.swapaxes(g, -1, -2))
+                    assert np.array_equal(gram, plain)
+                    skew_xy, skew_zw, _ = curvature_residuals(tensors)
+                    assert not skew_xy.any() and not skew_zw.any()
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (4, 6), (16, 32)])
+    def test_buffers_equal_allocating_calls_bitwise(self, lead, n, m):
+        """Each n^4 kernel writes into caller buffers (filled with NaN here, so
+        anything left unwritten shows) and gives the bits of its allocating
+        call; gauss_components returns the buffer it was given."""
+        comps = draw_general(np.random.default_rng([n, m, 3]), n, m, 3)
+        comps = comps[: lead[0] if lead else 1].reshape(lead + (m, n, n))
+        shape = lead + (n, n, n, n)
+        out = np.full(shape, np.nan)
+        gram = np.full(lead + (n * n, n * n), np.nan)
+        scratch = np.full(shape, np.nan)
+        tensors = gauss_components(comps)
+        assert gauss_components(comps, out=out, gram=gram) is out
+        assert np.array_equal(out, tensors)
+        noisy = tensors + 1e-3 * np.arange(tensors.size).reshape(shape)
+        assert np.array_equal(
+            gauss_residuals(noisy, comps, scratch, gram), gauss_residuals(noisy, comps)
+        )
+        for got, expected in zip(
+            curvature_residuals(noisy, scratch), curvature_residuals(noisy)
+        ):
+            assert np.array_equal(got, expected)
+        if not lead:
+            tensor = CurvatureLikeTensor(noisy)
+            zeta = BundleValuedForm(comps)
+            assert pair_exchange_residual(tensor, scratch) == (
+                pair_exchange_residual(tensor)
+            )
+            assert verify_gauss(tensor, zeta, scratch, gram) == verify_gauss(tensor, zeta)
+            assert validate_curvature_symmetries(tensor, 1e-9, scratch) == (
+                validate_curvature_symmetries(tensor, 1e-9)
+            )
+
+    def test_built_tensor_adopts_the_fresh_array(self, monkeypatch):
+        built = []
+
+        def build(components, *args, **kwargs):
+            built.append(gauss_components(components, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(gauss_bounds, "gauss_components", build)
+        tensor = build_T_from_zeta(sample_general(np.random.default_rng(72), 4, 6))
+        assert tensor.components is built[0]
+        assert not tensor.components.flags.writeable
+        # The public constructor still copies.
+        assert CurvatureLikeTensor(built[0]).components is not built[0]
+
 
 class TestDirectRicciForm:
     @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (8, 8), (16, 32)])
@@ -136,6 +209,22 @@ class TestDirectRicciForm:
             direct = ricci_form_from_zeta(zeta)
             assert np.array_equal(direct, direct.T)
             assert np.abs(direct - expected).max() <= 1e-12 * zeta_norm_sq(zeta)
+
+    def test_matches_einsum_oracle(self):
+        """The two-product kernel against the einsum contraction it replaced,
+        within 1e-14 ||zeta||^2, on general and symmetric stacks at every n
+        and at three scales."""
+        rng = np.random.default_rng(73)
+        for n in range(1, 17):
+            for m in sorted({1, 3, n, 2 * n, 32}):
+                draws = [draw_general(rng, n, m, 4)]
+                if m >= n:
+                    draws.append(draw_symmetric(rng, n, m, 4))
+                for comps in draws:
+                    comps = comps * rng.choice([1e-3, 1.0, 1e4])
+                    norm_sq = (comps**2).sum(axis=(-3, -2, -1))
+                    error = np.abs(ricci_forms(comps) - einsum_ricci_forms(comps))
+                    assert (error.max(axis=(-2, -1)) <= 1e-14 * norm_sq).all()
 
 
 class TestBoundValues:
@@ -342,6 +431,48 @@ class TestCorollary:
                 assert triple.verified == (sum(got) != 2)
                 seen.add(got)
         assert {(True, True, True), (True, False, False), (False, False, False)} <= seen
+
+    def test_stack_matches_per_direction_calls(self):
+        """One call over a stack of directions gives, row for row, the
+        verdicts of one call per direction and of the per-vector evaluation,
+        on the zero, umbilical and H-umbilical lambda = 3 mu families and 20
+        seeded general forms."""
+        rng = np.random.default_rng(74)
+        forms = [
+            BundleValuedForm.zeros(3, 2),
+            BundleValuedForm.zeros(16, 32),
+            construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=2, h0=np.array([1.0, 0.0]))
+            ),
+            construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=4, h0=np.array([0.3, -2.0]))
+            ),
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0)),
+        ]
+        for _ in range(20):
+            n = int(rng.integers(1, 17))
+            forms.append(sample_general(rng, n, int(rng.integers(1, 33))))
+        fields = ("equality_at_x", "trace_zero", "in_null_space", "verified")
+        for zeta in forms:
+            n = zeta.n
+            argmax = check_bound(zeta, BoundMode.GENERAL).argmax_direction
+            x = rng.standard_normal((3, n))
+            stack = np.vstack([argmax, np.eye(n), x / np.linalg.norm(x, axis=1)[:, None]])
+            triples = corollary_triple(zeta, stack)
+            for field in fields:
+                assert getattr(triples, field).shape == (len(stack),)
+            for k, direction in enumerate(stack):
+                one = corollary_triple(zeta, direction)
+                row = tuple(bool(getattr(triples, field)[k]) for field in fields)
+                assert row == tuple(getattr(one, field) for field in fields)
+                assert all(type(getattr(one, field)) is bool for field in fields)
+                assert row[:3] == per_vector_triple(zeta, direction)
+
+    def test_stack_rejects_a_bad_direction(self, h_umbilical_ref):
+        with pytest.raises(NotUnitVector):
+            corollary_triple(h_umbilical_ref, [[1.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            corollary_triple(h_umbilical_ref, np.eye(3))
 
     def test_zero_form_all_true(self):
         triple = corollary_triple(BundleValuedForm.zeros(2, 2), [1.0, 0.0])
