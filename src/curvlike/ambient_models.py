@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidDimension, InvalidParams
-from .gauss_bounds import (
-    BoundMode,
-    chen_ricci_bound,
-    improved_bound,
-    ricci_form_from_zeta,
-)
+from .gauss_bounds import BoundMode, ricci_forms
 from .tensor_core import BundleValuedForm, as_unit_vector, trace_norm_sq
 
 
@@ -66,16 +61,20 @@ def _cos_sq(theta: float) -> float:
 
 
 def ricci_offset(model: AmbientModel, n: int) -> float:
-    """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X."""
+    """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X; InvalidParams if inf."""
     if n < 2:
         raise InvalidDimension(f"need tangent dimension >= 2, got {n}")
     if model.kind is AmbientKind.REAL_SPACE_FORM:
-        return (n - 1) * model.c
-    if model.kind is AmbientKind.COMPLEX_LAGRANGIAN:
-        return 0.25 * (n - 1) * model.c
-    if model.kind is AmbientKind.COMPLEX_SLANT:
-        return 0.25 * (n - 1) * model.c + 0.75 * model.c * _cos_sq(model.theta)
-    return 0.25 * (n - 1) * (model.c + 3.0)
+        offset = (n - 1) * model.c
+    elif model.kind is AmbientKind.COMPLEX_LAGRANGIAN:
+        offset = 0.25 * (n - 1) * model.c
+    elif model.kind is AmbientKind.COMPLEX_SLANT:
+        offset = 0.25 * (n - 1) * model.c + 0.75 * model.c * _cos_sq(model.theta)
+    else:
+        offset = 0.25 * (n - 1) * (model.c + 3.0)
+    if not math.isfinite(offset):
+        raise InvalidParams(f"c = {model.c!r} overflows the Ricci offset at n = {n}")
+    return offset
 
 
 def mean_curvature_sq(zeta: BundleValuedForm) -> float:
@@ -122,15 +121,8 @@ def base_mode(model: AmbientModel) -> BoundMode:
     return BoundMode.IMPROVED
 
 
-def base_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
-    """Value of the abstract bound named by :func:`base_mode`."""
-    if base_mode(model) is BoundMode.GENERAL:
-        return chen_ricci_bound(zeta)
-    return improved_bound(zeta)
-
-
 def intrinsic_ricci(model: AmbientModel, zeta: BundleValuedForm, x) -> float:
     """Ric(X) recovered from the Ricci form of the Gauss-built tensor plus the
     model offset, for a unit vector X."""
     xv = as_unit_vector(x, zeta.n)
-    return float(xv @ ricci_form_from_zeta(zeta) @ xv) + ricci_offset(model, zeta.n)
+    return float(xv @ ricci_forms(zeta.components) @ xv) + ricci_offset(model, zeta.n)

@@ -14,9 +14,9 @@ happens only for the zero form or, on surfaces, for the umbilical pattern
 (general bound) and the H-umbilical lambda = 3 mu pattern (improved bound).
 
 The array kernels (:func:`gauss_components`, :func:`gauss_residuals`,
-:func:`ricci_forms`, :func:`total_symmetry_residuals`) take leading axes that
-stack independent forms; the functions on single forms are their one-form
-case, so a sampling campaign and a single report compute the same bits.
+:func:`ricci_forms`, :func:`total_symmetry_residuals`, :func:`evaluate`) take
+leading axes that stack independent forms; the functions on single forms are
+their one-form case, so a sampling campaign and a single report agree bitwise.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BundleTooSmall, DimensionMismatch
-from .optim_lemmas import max_ricci
+from .optim_lemmas import max_eigenpair, positive_lead
 from .tensor_core import (
     DEFAULT_TOL,
     BundleValuedForm,
@@ -37,6 +37,7 @@ from .tensor_core import (
     rotate_frame,
     rotation_to_first_axis,
     trace_norm_sq,
+    trace_norms_sq,
     trace_zeta,
     traces,
 )
@@ -121,7 +122,12 @@ def build_T_from_zeta(
 
 def ricci_forms(components: np.ndarray) -> np.ndarray:
     """Ricci forms S_T of the Gauss tensors of a stack of forms, straight
-    from zeta[..., r, i, j]; see :func:`ricci_form_from_zeta`.
+    from zeta[..., r, i, j]:
+
+        S_T[i, k] = <trace zeta, zeta[:, i, k]> - sum_r (zeta_r zeta_r)[i, k],
+
+    symmetrized to kill roundoff.  This is the contraction sum_j T[j, i, k, j]
+    of :func:`build_T_from_zeta` at O(m' n^3) cost, without the n^4 tensor.
 
     Two products per form: trace zeta times Z, the form reshaped to
     (m', n^2), gives <trace zeta, zeta_ik>; A^T A, with A the form reshaped
@@ -134,17 +140,6 @@ def ricci_forms(components: np.ndarray) -> np.ndarray:
     s = (traces(comps)[..., None, :] @ z).reshape(lead + (n, n))
     s -= np.swapaxes(a, -1, -2) @ a
     return 0.5 * (s + np.swapaxes(s, -1, -2))
-
-
-def ricci_form_from_zeta(zeta: BundleValuedForm) -> np.ndarray:
-    """Ricci form S_T of the Gauss-built tensor, straight from zeta:
-
-        S_T[i, k] = <trace zeta, zeta[:, i, k]> - sum_r (zeta_r zeta_r)[i, k],
-
-    symmetrized to kill roundoff.  This is the contraction sum_j T[j, i, k, j]
-    of :func:`build_T_from_zeta` at O(m' n^3) cost, without the n^4 tensor.
-    """
-    return ricci_forms(zeta.components)
 
 
 def gauss_residuals(
@@ -186,17 +181,13 @@ def bound_coefficient(mode: BoundMode, n: int) -> float:
 
 def chen_ricci_bound(zeta: BundleValuedForm) -> float:
     """General bound ||trace zeta||^2 / 4, valid for every Gauss pair."""
-    return _bound_value(zeta, BoundMode.GENERAL)
+    return bound_coefficient(BoundMode.GENERAL, zeta.n) * trace_norm_sq(zeta)
 
 
 def improved_bound(zeta: BundleValuedForm) -> float:
     """Sharpened bound (n - 1)/(4n) * ||trace zeta||^2; a valid claim only
     when the total-symmetry hypothesis is certified."""
-    return _bound_value(zeta, BoundMode.IMPROVED)
-
-
-def _bound_value(zeta: BundleValuedForm, mode: BoundMode) -> float:
-    return bound_coefficient(mode, zeta.n) * trace_norm_sq(zeta)
+    return bound_coefficient(BoundMode.IMPROVED, zeta.n) * trace_norm_sq(zeta)
 
 
 def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
@@ -232,6 +223,35 @@ def is_totally_symmetric(
     return residual <= tol, residual
 
 
+@dataclass(frozen=True)
+class FormEvaluation:
+    """Per-form quantities that every verdict reads, from :func:`evaluate`;
+    each field keeps the stack's leading axes.  The eigenpairs are one
+    ``eigh`` of ``ricci_form``; ``symmetry_residual`` is +inf where m' < n,
+    so ``symmetry_residual <= tol`` is the certificate either way."""
+
+    trace: np.ndarray
+    trace_norm_sq: np.ndarray
+    ricci_form: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+    symmetry_residual: np.ndarray
+
+
+def evaluate(components: np.ndarray) -> FormEvaluation:
+    """trace zeta, ||trace zeta||^2, S_T with its eigenpairs and the total-symmetry
+    residual of a form zeta[r, i, j] or a stack of them zeta[..., r, i, j]."""
+    comps = np.asarray(components)
+    s_form = ricci_forms(comps)
+    if comps.shape[-3] < comps.shape[-1]:
+        residual = np.full(comps.shape[:-3], np.inf)
+    else:
+        residual = total_symmetry_residuals(comps)
+    return FormEvaluation(
+        traces(comps), trace_norms_sq(comps), s_form, *np.linalg.eigh(s_form), residual
+    )
+
+
 def check_bound(
     zeta: BundleValuedForm, mode: BoundMode, tol: float = DEFAULT_TOL
 ) -> BoundReport:
@@ -241,16 +261,16 @@ def check_bound(
     The improved bound is still reported when certification fails (the gap may
     then be negative); callers read ``symmetry_certified`` before claiming it.
     """
-    s_form = ricci_form_from_zeta(zeta)
-    ricci_max, direction = max_ricci(s_form)
-    bound = _bound_value(zeta, mode)
-    if mode is BoundMode.GENERAL:
-        certified = True
-    else:
-        try:
-            certified, _ = is_totally_symmetric(zeta, tol)
-        except BundleTooSmall:
-            certified = False
+    return check_evaluated(zeta, evaluate(zeta.components), mode, tol)
+
+
+def check_evaluated(
+    zeta: BundleValuedForm, evaluation: FormEvaluation, mode: BoundMode, tol: float
+) -> BoundReport:
+    """:func:`check_bound` on a form whose :func:`evaluate` is in hand."""
+    ricci_max, direction = max_eigenpair(evaluation.eigenvalues, evaluation.eigenvectors)
+    bound = bound_coefficient(mode, zeta.n) * float(evaluation.trace_norm_sq)
+    certified = mode is BoundMode.GENERAL or bool(evaluation.symmetry_residual <= tol)
     return BoundReport(
         mode=mode,
         bound_value=bound,
@@ -258,13 +278,8 @@ def check_bound(
         argmax_direction=direction,
         gap=bound - ricci_max,
         symmetry_certified=certified,
-        equality_class=_classify(zeta, mode, s_form, bound, tol),
+        equality_class=_classify(zeta, evaluation, mode, bound, tol),
     )
-
-
-def _fix_sign(vector: np.ndarray) -> np.ndarray:
-    lead = int(np.argmax(np.abs(vector)))
-    return -vector if vector[lead] < 0.0 else vector.copy()
 
 
 def equality_directions(
@@ -280,9 +295,10 @@ def equality_directions(
     n = zeta.n
     if zeta.max_abs() <= tol:
         return [np.eye(n)[i] for i in range(n)]
-    bound = chen_ricci_bound(zeta)
-    values, vectors = np.linalg.eigh(ricci_form_from_zeta(zeta))
-    half_trace = 0.5 * trace_zeta(zeta)
+    evaluation = evaluate(zeta.components)
+    bound = bound_coefficient(BoundMode.GENERAL, n) * float(evaluation.trace_norm_sq)
+    values, vectors = evaluation.eigenvalues, evaluation.eigenvectors
+    half_trace = 0.5 * evaluation.trace
     certified: list[np.ndarray] = []
     for k in range(n):
         if abs(values[k] - bound) > tol:
@@ -293,7 +309,7 @@ def equality_directions(
             continue
         if float(np.linalg.norm(zeta.value(x, x) - half_trace)) > tol:
             continue
-        certified.append(_fix_sign(x))
+        certified.append(positive_lead(x))
     return certified
 
 
@@ -310,27 +326,25 @@ def classify_all_equality(
     and diagonalizing the slot-0 quadratic form with descending eigenvalues,
     which also pins mu >= 0.
     """
-    return _classify(
-        zeta, mode, ricci_form_from_zeta(zeta), _bound_value(zeta, mode), tol
-    )
+    return check_bound(zeta, mode, tol).equality_class
 
 
 def _classify(
     zeta: BundleValuedForm,
+    evaluation: FormEvaluation,
     mode: BoundMode,
-    s_form: np.ndarray,
     bound: float,
     tol: float,
 ) -> EqualityClass:
-    """Body of :func:`classify_all_equality` for an S_T and bound already in hand."""
+    """Body of :func:`classify_all_equality` for an evaluation and bound in hand."""
     n = zeta.n
-    if float(np.abs(s_form - bound * np.eye(n)).max()) > tol:
+    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol:
         return EqualityClass(EqualityTag.NO_EQUALITY)
     if zeta.max_abs() <= tol:
         return EqualityClass(EqualityTag.ZERO_FORM)
     if n != 2:
         return EqualityClass(EqualityTag.NO_EQUALITY)
-    trace = trace_zeta(zeta)
+    trace = evaluation.trace
     trace_norm = float(np.linalg.norm(trace))
     if trace_norm <= tol:
         return EqualityClass(EqualityTag.NO_EQUALITY)

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambient_models import AmbientKind, AmbientModel
+from .ambient_models import AmbientKind, AmbientModel, ricci_offset
 from .errors import CurvlikeError, InvalidParams, ParseError, ValidationError
 from .tensor_core import (
     MAX_BUNDLE_DIM,
@@ -224,7 +224,7 @@ def _require_int(doc: dict, field: str, low: int, high: int) -> int:
     return value
 
 
-def _parse_ambient(raw) -> AmbientModel:
+def _parse_ambient(raw, n: int) -> AmbientModel:
     if not isinstance(raw, dict):
         raise ValidationError("field 'ambient' must be an object")
     allowed = {"kind", "c", "theta"}
@@ -244,13 +244,17 @@ def _parse_ambient(raw) -> AmbientModel:
     if theta is not None and (not isinstance(theta, (int, float)) or isinstance(theta, bool)):
         raise ValidationError(f"field 'ambient.theta' must be a number, got {theta!r}")
     try:
-        return AmbientModel(
+        model = AmbientModel(
             kind=kinds[kind_raw],
             c=float(c),
             theta=None if theta is None else float(theta),
         )
+        if n < 2:
+            raise InvalidParams(f"ambient models need n >= 2, got n = {n}")
+        ricci_offset(model, n)
     except InvalidParams as exc:
         raise ValidationError(f"field 'ambient': {exc}") from exc
+    return model
 
 
 def _parse_structure(raw, n: int) -> StructureInfo:
@@ -318,11 +322,7 @@ def instance_from_dict(doc) -> Instance:
 
     ambient = None
     if doc.get("ambient") is not None:
-        ambient = _parse_ambient(doc["ambient"])
-        if n < 2:
-            raise ValidationError(
-                f"field 'ambient': ambient models need n >= 2, got n = {n}"
-            )
+        ambient = _parse_ambient(doc["ambient"], n)
     structure = None
     if doc.get("structure") is not None:
         structure = _parse_structure(doc["structure"], n)

@@ -158,10 +158,16 @@ def max_ricci(s_form) -> tuple[float, np.ndarray]:
         raise ValidationError(
             f"matrix asymmetric by {residual:.3e} (> {SYMMETRY_TOL})"
         )
-    values, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    return max_eigenpair(*np.linalg.eigh(0.5 * (a + a.T)))
+
+
+def max_eigenpair(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`max_ricci`'s result from ``eigh``'s eigenpairs of the form."""
     k = int(np.argmax(values))
-    direction = vectors[:, k].copy()
-    lead = int(np.argmax(np.abs(direction)))
-    if direction[lead] < 0.0:
-        direction = -direction
-    return float(values[k]), direction
+    return float(values[k]), positive_lead(vectors[:, k])
+
+
+def positive_lead(vector: np.ndarray) -> np.ndarray:
+    """Copy of ``vector`` signed so its largest-magnitude coordinate is positive."""
+    lead = int(np.argmax(np.abs(vector)))
+    return -vector if vector[lead] < 0.0 else vector.copy()

@@ -13,27 +13,20 @@ import math
 import numpy as np
 
 from . import __version__
-from .ambient_models import (
-    AmbientModel,
-    application_bound,
-    application_bounds,
-    base_mode,
-    mean_curvature_sq,
-    ricci_offset,
-)
-from .errors import BundleTooSmall, ValidationError
+from .ambient_models import AmbientModel, application_bounds, base_mode, ricci_offset
+from .errors import ValidationError
 from .gauss_bounds import (
     BoundMode,
     BoundReport,
+    FormEvaluation,
     bound_coefficient,
     build_T_from_zeta,
     check_bound,
+    check_evaluated,
     corollary_triple,
+    evaluate,
     gauss_components,
     gauss_residuals,
-    is_totally_symmetric,
-    ricci_forms,
-    total_symmetry_residuals,
     verify_gauss,
 )
 from .instance_io import (
@@ -54,9 +47,6 @@ from .tensor_core import (
     curvature_residuals,
     null_space,
     pair_exchange_residual,
-    trace_norm_sq,
-    trace_norms_sq,
-    trace_zeta,
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
@@ -145,20 +135,19 @@ def _symmetry_block(zeta: BundleValuedForm, tol: float) -> dict:
     }
 
 
-def _zeta_block(zeta: BundleValuedForm, tol: float) -> dict:
-    try:
-        symmetric, residual = is_totally_symmetric(zeta, tol)
-        residual_field: float | None = residual
-    except BundleTooSmall:
-        symmetric, residual_field = False, None
+def _zeta_block(zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float) -> dict:
+    trace_sq = float(evaluation.trace_norm_sq)
+    residual = float(evaluation.symmetry_residual)
     kernel = null_space(zeta)
     return {
         "norm_sq": zeta_norm_sq(zeta),
-        "trace": trace_zeta(zeta),
-        "trace_norm_sq": trace_norm_sq(zeta),
-        "mean_curvature_sq": mean_curvature_sq(zeta),
-        "totally_symmetric": symmetric,
-        "total_symmetry_residual": residual_field,
+        "trace": evaluation.trace,
+        "trace_norm_sq": trace_sq,
+        # ||H||^2 with H = trace zeta / n, as ambient_models.mean_curvature_sq.
+        "mean_curvature_sq": trace_sq / float(zeta.n) ** 2,
+        "totally_symmetric": residual <= tol,
+        # +inf marks m' < n, where the residual is undefined.
+        "total_symmetry_residual": residual if math.isfinite(residual) else None,
         "null_space_dim": int(kernel.shape[0]),
         "null_space": kernel,
     }
@@ -167,13 +156,14 @@ def _zeta_block(zeta: BundleValuedForm, tol: float) -> dict:
 def _ambient_block(
     model: AmbientModel,
     zeta: BundleValuedForm,
+    evaluation: FormEvaluation,
     general: BoundReport,
     improved: BoundReport,
     tol: float,
 ) -> tuple[dict, list[str]]:
     base = general if base_mode(model) is BoundMode.GENERAL else improved
     offset = ricci_offset(model, zeta.n)
-    app = application_bound(model, zeta)
+    app = float(application_bounds(model, zeta.n, evaluation.trace_norm_sq))
     intrinsic_max = base.ricci_max + offset
     certified = base.symmetry_certified
     holds = intrinsic_max <= app + tol
@@ -227,12 +217,13 @@ def build_instance_report(
     """Full diagnostic report for one instance; returns (report, exit code)."""
     zeta = instance.zeta
     _require_headroom(zeta)
+    evaluation = evaluate(zeta.components)
     failures: list[str] = []
     symmetry = _symmetry_block(zeta, tol)
     if not symmetry["passed"]:
         failures.append("curvature symmetries failed on the built tensor")
-    general = check_bound(zeta, BoundMode.GENERAL, tol)
-    improved = check_bound(zeta, BoundMode.IMPROVED, tol)
+    general = check_evaluated(zeta, evaluation, BoundMode.GENERAL, tol)
+    improved = check_evaluated(zeta, evaluation, BoundMode.IMPROVED, tol)
     if general.gap < -tol:
         failures.append(f"general bound violated: gap {general.gap!r}")
     if improved.symmetry_certified and improved.gap < -tol:
@@ -242,7 +233,7 @@ def build_instance_report(
         "instance": _instance_block(instance, source),
         "tolerance": tol,
         "symmetry": symmetry,
-        "zeta": _zeta_block(zeta, tol),
+        "zeta": _zeta_block(zeta, evaluation, tol),
         "bounds": {
             "general": bound_report_to_dict(general),
             "improved": bound_report_to_dict(improved),
@@ -250,7 +241,7 @@ def build_instance_report(
     }
     if instance.ambient is not None:
         ambient_doc, ambient_failures = _ambient_block(
-            instance.ambient, zeta, general, improved, tol
+            instance.ambient, zeta, evaluation, general, improved, tol
         )
         doc["ambient"] = ambient_doc
         failures.extend(ambient_failures)
@@ -336,8 +327,8 @@ def run_sample(
 
     The campaign runs as array passes over chunks of instances: draw, form
     checks, the n^4 stage (Gauss tensors, their curvature-symmetry residuals
-    and Gauss residuals), total-symmetry certificates, Ricci forms and their
-    stacked eigenvalues, then gaps, ambient margins and violations.  Every
+    and Gauss residuals), one stacked :func:`evaluate`, then gaps, ambient
+    margins (the offset checked before the first draw) and violations.  Every
     kernel is the one the per-form functions use, and a chunk holds at most
     :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
     depend on the chunk size and memory stays flat in ``count``.  The n^4
@@ -362,6 +353,7 @@ def run_sample(
         raise ValidationError(
             f"ambient kind {ambient.kind.value!r} requires --family symmetric"
         )
+    offset = None if ambient is None else ricci_offset(ambient, n)
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
@@ -385,13 +377,11 @@ def run_sample(
         max_symmetry = max(max_symmetry, float(symmetry.max()))
         gauss = gauss_residuals(tensors, comps, scratch, gram)
         max_gauss = max(max_gauss, float(gauss.max()))
-        if bundle_dim >= n:
-            symmetric = total_symmetry_residuals(comps) <= tol
-        else:
-            symmetric = np.zeros(len(comps), dtype=bool)
+        evaluation = evaluate(comps)
+        symmetric = evaluation.symmetry_residual <= tol
         symmetric_count += int(symmetric.sum())
-        ricci_max = np.linalg.eigh(ricci_forms(comps))[0].max(axis=-1)
-        trace_sq = trace_norms_sq(comps)
+        ricci_max = evaluation.eigenvalues.max(axis=-1)
+        trace_sq = evaluation.trace_norm_sq
         gap_general = bound_coefficient(BoundMode.GENERAL, n) * trace_sq - ricci_max
         min_gap_general = min(min_gap_general, float(gap_general.min()))
         kinds = [
@@ -407,7 +397,6 @@ def run_sample(
                 ("improved-bound", symmetric & (gap_improved < -tol), gap_improved)
             )
         if ambient is not None:
-            offset = ricci_offset(ambient, n)
             margin = application_bounds(ambient, n, trace_sq) - (ricci_max + offset)
             min_ambient_margin = min(min_ambient_margin, float(margin.min()))
             kinds.append(("ambient-bound", margin < -tol, margin))

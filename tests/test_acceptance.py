@@ -14,7 +14,6 @@ from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
     application_bound,
-    improved_bound,
     mean_curvature_sq,
     ricci_offset,
 )
@@ -27,6 +26,7 @@ from curvlike.gauss_bounds import (
     chen_ricci_bound,
     classify_all_equality,
     corollary_triple,
+    improved_bound,
     is_totally_symmetric,
     verify_gauss,
 )

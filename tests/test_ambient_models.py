@@ -9,13 +9,18 @@ from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
     application_bound,
-    base_bound,
+    base_mode,
     intrinsic_ricci,
     mean_curvature_sq,
     ricci_offset,
 )
 from curvlike.errors import InvalidDimension, InvalidParams
-from curvlike.gauss_bounds import build_T_from_zeta, chen_ricci_bound, improved_bound
+from curvlike.gauss_bounds import (
+    BoundMode,
+    build_T_from_zeta,
+    chen_ricci_bound,
+    improved_bound,
+)
 from curvlike.optim_lemmas import max_ricci
 from curvlike.sampling import random_unit, sample_general, sample_symmetric
 from curvlike.structures import build_slant_structure
@@ -82,6 +87,14 @@ class TestRicciOffset:
     def test_real_space_form(self):
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 2.0)
         assert ricci_offset(model, 4) == 6.0
+
+    @pytest.mark.parametrize("kind", list(AmbientKind))
+    def test_overflow_names_c(self, kind):
+        theta = 0.5 if kind is AmbientKind.COMPLEX_SLANT else None
+        model = AmbientModel(kind, 1e308, theta)
+        with pytest.raises(InvalidParams, match=r"^c = 1e\+308 overflows"):
+            ricci_offset(model, 16)
+        assert math.isfinite(ricci_offset(AmbientModel(kind, 1e300, theta), 16))
 
     def test_dimension_guard(self):
         with pytest.raises(InvalidDimension):
@@ -198,9 +211,15 @@ class TestSlantCurvatureTermFoldsIntoOffset:
             )
 
 
-class TestBaseBound:
-    def test_kind_selects_bound(self, h_umbilical_ref):
-        real = AmbientModel(AmbientKind.REAL_SPACE_FORM, 0.0)
-        lag = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 0.0)
-        assert base_bound(real, h_umbilical_ref) == chen_ricci_bound(h_umbilical_ref)
-        assert base_bound(lag, h_umbilical_ref) == improved_bound(h_umbilical_ref)
+class TestBaseMode:
+    @pytest.mark.parametrize(
+        "kind, theta, mode",
+        [
+            (AmbientKind.REAL_SPACE_FORM, None, BoundMode.GENERAL),
+            (AmbientKind.COMPLEX_LAGRANGIAN, None, BoundMode.IMPROVED),
+            (AmbientKind.COMPLEX_SLANT, 0.7, BoundMode.IMPROVED),
+            (AmbientKind.SASAKIAN_C_TOTALLY_REAL, None, BoundMode.IMPROVED),
+        ],
+    )
+    def test_kind_selects_mode(self, kind, theta, mode):
+        assert base_mode(AmbientModel(kind, 0.0, theta)) is mode

@@ -7,12 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from curvlike import gauss_bounds
+from curvlike import gauss_bounds, reporting
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
-from curvlike.gauss_bounds import ricci_form_from_zeta
+from curvlike.gauss_bounds import ricci_forms, total_symmetry_residuals
 from curvlike.instance_io import Instance, save_instance
-from curvlike.sampling import sample_general
+from curvlike.sampling import sample_general, sample_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm, zeta_norm_sq
 
@@ -71,7 +71,7 @@ class TestConstructAndBound:
         code, out, _ = run_cli(capsys, "bound", path, "--mode", "general")
         assert code == 0
         ricci_max = float(out.split("ricci_max: ")[1].split()[0])
-        expected = np.linalg.eigvalsh(ricci_form_from_zeta(zeta)).max()
+        expected = np.linalg.eigvalsh(ricci_forms(zeta.components)).max()
         assert abs(ricci_max - expected) <= 1e-12 * zeta_norm_sq(zeta)
 
     def test_missing_parameter_is_exit_2(self, tmp_path, capsys):
@@ -195,6 +195,29 @@ class TestSample:
         field = "theta" if "--theta" in flags else "c"
         assert f"{field} must be finite" in err
 
+    def test_overflowing_ambient_offset_is_exit_2_before_any_draw(
+        self, capsys, monkeypatch
+    ):
+        """(n - 1) c overflows at n = 16: the campaign refuses c up front,
+        naming it, instead of drawing every instance and failing in the
+        writer."""
+
+        def no_draw(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(reporting, "draw_general", no_draw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys,
+                "sample", "--n", "16", "--bundle", "3", "--count", "2", "--seed", "1",
+                "--family", "general", "--ambient", "real_space_form", "--c", "1e308",
+            )
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: c = 1e+308 ")
+
     def test_different_seeds_differ(self, capsys):
         base = [
             "sample", "--n", "4", "--bundle", "5", "--count", "10", "--family", "general",
@@ -264,6 +287,60 @@ class TestReport:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: zeta ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--format", "json"],
+            ["report", "--format", "text"],
+            ["bound", "--mode", "general"],
+            ["check"],
+        ],
+    )
+    def test_overflowing_ambient_offset_in_file_is_exit_2(self, tmp_path, capsys, argv):
+        """(n - 1) c overflows at n = 3 with c = 1e308: the file is refused at
+        load, naming the ambient field, before any kernel warns."""
+        zeta = sample_general(np.random.default_rng(3), 3, 3)
+        ambient = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1e308)
+        path = str(tmp_path / "big_c.json")
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert caught == []
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "field 'ambient': c = 1e+308 " in err
+
+    @pytest.mark.parametrize("family", ["symmetric", "general"])
+    def test_total_symmetry_fields_match_the_kernel(self, tmp_path, capsys, family):
+        sample = sample_symmetric if family == "symmetric" else sample_general
+        zeta = sample(np.random.default_rng(21), 4, 6)
+        path = str(tmp_path / "z.json")
+        save_instance(Instance(zeta=zeta), path)
+        _, out, _ = run_cli(capsys, "report", path, "--format", "json")
+        doc = json.loads(out)
+        residual = float(total_symmetry_residuals(zeta.components))
+        assert doc["zeta"]["total_symmetry_residual"] == residual
+        assert doc["zeta"]["totally_symmetric"] is (residual <= doc["tolerance"])
+        assert doc["zeta"]["totally_symmetric"] is (family == "symmetric")
+        assert doc["bounds"]["improved"]["symmetry_certified"] is (family == "symmetric")
+
+    def test_total_symmetry_fields_when_bundle_too_small(self, tmp_path, capsys):
+        """m' < n: no adapted frame fits, so there is no residual and the
+        improved bound is never certified."""
+        zeta = sample_general(np.random.default_rng(22), 4, 3)
+        path = str(tmp_path / "small.json")
+        save_instance(Instance(zeta=zeta), path)
+        _, out, _ = run_cli(capsys, "report", path, "--format", "json")
+        doc = json.loads(out)
+        assert doc["zeta"]["total_symmetry_residual"] is None
+        assert doc["zeta"]["totally_symmetric"] is False
+        assert doc["bounds"]["improved"]["symmetry_certified"] is False
+        code, out, _ = run_cli(capsys, "bound", path, "--mode", "improved")
+        assert code == 1
+        assert "symmetry_certified: false" in out
 
     def test_json_report_round_trips_and_passes(self, tmp_path, capsys):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
@@ -388,3 +465,79 @@ class TestGaussTensorBuilds:
             "--family", "general", "--ambient", "real_space_form", "--c", "-1",
         )
         assert t_builds == [3] * 6 + [4] * 5
+
+
+@pytest.fixture
+def form_kernels(monkeypatch):
+    """Counts the per-form kernels wherever a curvlike module calls them:
+    the Ricci form S_T, an eigendecomposition of an S_T it returned (by
+    value, so a symmetrized copy counts too) and the total-symmetry
+    residual.  Counts are per call, whether of one form or a stack."""
+    ricci, symmetry, eigh = (
+        gauss_bounds.ricci_forms, gauss_bounds.total_symmetry_residuals, np.linalg.eigh
+    )
+    counts = {"ricci_forms": 0, "eigh": 0, "total_symmetry_residuals": 0}
+    forms = []
+
+    def counting_ricci(components):
+        counts["ricci_forms"] += 1
+        forms.append(ricci(components))
+        return forms[-1]
+
+    def counting_symmetry(components):
+        counts["total_symmetry_residuals"] += 1
+        return symmetry(components)
+
+    def counting_eigh(a, *args, **kwargs):
+        if any(np.shape(a) == f.shape and np.array_equal(a, f) for f in forms):
+            counts["eigh"] += 1
+        return eigh(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "curvlike":
+            continue
+        for attr, original, wrapper in (
+            ("ricci_forms", ricci, counting_ricci),
+            ("total_symmetry_residuals", symmetry, counting_symmetry),
+        ):
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return counts
+
+
+class TestOneEvaluationPerForm:
+    """S_T, its eigh and the total-symmetry residual are computed once per
+    report or bound call, and once per campaign chunk."""
+
+    @staticmethod
+    def once(times=1):
+        return {"ricci_forms": times, "eigh": times, "total_symmetry_residuals": times}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--format", "json"],
+            ["report", "--format", "text"],
+            ["bound", "--mode", "general"],
+            ["bound", "--mode", "improved"],
+        ],
+    )
+    def test_file_ops(self, tmp_path, capsys, form_kernels, argv):
+        zeta = sample_symmetric(np.random.default_rng(23), 4, 6)
+        ambient = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+        path = str(tmp_path / "s.json")
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        assert form_kernels == self.once()
+
+    def test_sample_once_per_chunk(self, capsys, form_kernels):
+        # n = 8 chunks hold (16 / 8)^4 = 16 instances: 20 instances, 2 chunks.
+        code, _, _ = run_cli(
+            capsys,
+            "sample", "--n", "8", "--bundle", "8", "--count", "20", "--seed", "4",
+            "--family", "general", "--ambient", "real_space_form", "--c", "-1",
+        )
+        assert code == 0
+        assert form_kernels == self.once(2)

@@ -1,5 +1,7 @@
 """Unit tests for the Gauss construction, the two bounds, and the classifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,11 +17,11 @@ from curvlike.gauss_bounds import (
     classify_all_equality,
     corollary_triple,
     equality_directions,
+    evaluate,
     gauss_components,
     gauss_residuals,
     improved_bound,
     is_totally_symmetric,
-    ricci_form_from_zeta,
     ricci_forms,
     total_symmetry_residuals,
     verify_gauss,
@@ -124,6 +126,10 @@ class TestGramKernel:
             trace_norms_sq,
             total_symmetry_residuals,
             lambda c: curvature_residuals(gauss_components(c))[2],
+            *(
+                lambda c, name=field.name: getattr(evaluate(c), name)
+                for field in dataclasses.fields(gauss_bounds.FormEvaluation)
+            ),
         )
         for kernel in kernels:
             batched = kernel(stack)
@@ -206,7 +212,7 @@ class TestDirectRicciForm:
         rng = np.random.default_rng([n, m])
         for zeta in (sample_general(rng, n, m), sample_symmetric(rng, n, m)):
             expected = t_ricci_form(build_T_from_zeta(zeta))
-            direct = ricci_form_from_zeta(zeta)
+            direct = ricci_forms(zeta.components)
             assert np.array_equal(direct, direct.T)
             assert np.abs(direct - expected).max() <= 1e-12 * zeta_norm_sq(zeta)
 
@@ -266,6 +272,43 @@ class TestTotalSymmetry:
     def test_bundle_too_small(self):
         with pytest.raises(BundleTooSmall):
             is_totally_symmetric(BundleValuedForm.zeros(3, 2))
+
+
+class TestEvaluate:
+    def test_fields_are_the_kernels(self):
+        comps = draw_general(np.random.default_rng(81), 5, 7, 3)
+        evaluation = evaluate(comps)
+        s_form = ricci_forms(comps)
+        assert np.array_equal(evaluation.ricci_form, s_form)
+        values, vectors = np.linalg.eigh(s_form)
+        assert np.array_equal(evaluation.eigenvalues, values)
+        assert np.array_equal(evaluation.eigenvectors, vectors)
+        assert np.array_equal(evaluation.trace, np.einsum("...rii->...r", comps))
+        assert np.array_equal(evaluation.trace_norm_sq, trace_norms_sq(comps))
+        assert np.array_equal(
+            evaluation.symmetry_residual, total_symmetry_residuals(comps)
+        )
+
+    def test_bundle_too_small_is_never_certified(self):
+        """m' < n has no residual: +inf, for one form and for a stack, so
+        every ``residual <= tol`` test fails without raising."""
+        comps = draw_general(np.random.default_rng(82), 4, 3, 5)
+        assert np.array_equal(evaluate(comps).symmetry_residual, np.full(5, np.inf))
+        assert evaluate(comps[0]).symmetry_residual == np.inf
+        report = check_bound(BundleValuedForm(comps[0]), BoundMode.IMPROVED)
+        assert not report.symmetry_certified
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (5, 3), (16, 32)])
+    def test_extremum_is_max_ricci_bitwise(self, n, m):
+        """check_bound reads the evaluation's eigh; max_ricci symmetrizes and
+        decomposes again, and both must give the same bits."""
+        rng = np.random.default_rng([n, m, 83])
+        for _ in range(5):
+            zeta = sample_general(rng, n, m)
+            report = check_bound(zeta, BoundMode.GENERAL)
+            ricci_max, direction = max_ricci(ricci_forms(zeta.components))
+            assert report.ricci_max == ricci_max
+            assert np.array_equal(report.argmax_direction, direction)
 
 
 class TestCheckBound:

@@ -114,6 +114,28 @@ class TestLoad:
         with pytest.raises(ValidationError, match="ambient"):
             loads_instance(text)
 
+    @pytest.mark.parametrize(
+        "n, c, message",
+        [
+            (1, 1.0, "field 'ambient': ambient models need n >= 2, got n = 1"),
+            (3, 1e308, "field 'ambient': c = 1e+308 overflows the Ricci offset at n = 3"),
+        ],
+    )
+    def test_ambient_needs_a_finite_offset_at_n(self, n, c, message):
+        doc = {
+            "version": 1,
+            "n": n,
+            "bundle_dim": 1,
+            "zeta": [np.zeros((n, n)).tolist()],
+            "ambient": {"kind": "real_space_form", "c": c},
+        }
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(json.dumps(doc))
+        assert str(caught.value) == f"<string>: {message}"
+        # (n - 1) c = 1e308 is finite at n = 2.
+        doc.update(n=2, zeta=[np.zeros((2, 2)).tolist()])
+        assert loads_instance(json.dumps(doc)).ambient.c == c
+
     def test_structure_theta_conflicts_with_ambient(self):
         text = json.dumps(
             {
