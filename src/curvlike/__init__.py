@@ -16,22 +16,7 @@ from .ambient_models import (
     mean_curvature_sq,
     ricci_offset,
 )
-from .errors import (
-    BundleDimensionMismatch,
-    BundleTooSmall,
-    CurvlikeError,
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidParams,
-    InvalidTensor,
-    LengthMismatch,
-    NonOrthonormalPair,
-    NotOrthogonal,
-    NotUnitVector,
-    OddDimension,
-    ParseError,
-    ValidationError,
-)
+from .errors import CurvlikeError, ValidationError
 from .gauss_bounds import (
     BoundMode,
     BoundReport,
@@ -163,17 +148,5 @@ __all__ = [
     "instance_sha256",
     # errors
     "CurvlikeError",
-    "InvalidDimension",
-    "DimensionMismatch",
-    "NotUnitVector",
-    "NonOrthonormalPair",
-    "InvalidTensor",
-    "NotOrthogonal",
-    "BundleTooSmall",
-    "BundleDimensionMismatch",
-    "LengthMismatch",
-    "InvalidParams",
-    "OddDimension",
-    "ParseError",
     "ValidationError",
 ]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidDimension, InvalidParams
+from .errors import ValidationError
 from .gauss_bounds import BoundMode, ricci_forms
 from .tensor_core import BundleValuedForm, as_unit_vector, trace_norm_sq
 
@@ -39,16 +39,16 @@ class AmbientModel:
         for name in ("c", "theta"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
-                raise InvalidParams(f"{name} must be finite, got {value!r}")
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.kind is AmbientKind.COMPLEX_SLANT:
             if self.theta is None:
-                raise InvalidParams("complex_slant requires theta")
+                raise ValidationError("complex_slant requires theta")
             if not 0.0 < self.theta <= math.pi / 2:
-                raise InvalidParams(
+                raise ValidationError(
                     f"theta must lie in (0, pi/2], got {self.theta!r}"
                 )
         elif self.theta is not None:
-            raise InvalidParams("theta is only valid for complex_slant models")
+            raise ValidationError("theta is only valid for complex_slant models")
 
 
 def _cos_sq(theta: float) -> float:
@@ -61,9 +61,11 @@ def _cos_sq(theta: float) -> float:
 
 
 def ricci_offset(model: AmbientModel, n: int) -> float:
-    """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X; InvalidParams if inf."""
+    """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X.  The one check
+    of a model at dimension n: ValidationError, naming c, if the offset or the
+    c-part of the application bound (the slant kind's (n - 1) c) overflows."""
     if n < 2:
-        raise InvalidDimension(f"need tangent dimension >= 2, got {n}")
+        raise ValidationError(f"ambient models need n >= 2, got n = {n}")
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         offset = (n - 1) * model.c
     elif model.kind is AmbientKind.COMPLEX_LAGRANGIAN:
@@ -73,7 +75,11 @@ def ricci_offset(model: AmbientModel, n: int) -> float:
     else:
         offset = 0.25 * (n - 1) * (model.c + 3.0)
     if not math.isfinite(offset):
-        raise InvalidParams(f"c = {model.c!r} overflows the Ricci offset at n = {n}")
+        raise ValidationError(f"c = {model.c!r} overflows the Ricci offset at n = {n}")
+    if not math.isfinite(application_bounds(model, n, 0.0)):
+        raise ValidationError(
+            f"c = {model.c!r} overflows the application bound at n = {n}"
+        )
     return offset
 
 
@@ -100,7 +106,7 @@ def application_bounds(model: AmbientModel, n: int, trace_sq):
     """:func:`application_bound` of forms of tangent dimension n, from their
     ||trace zeta||^2 (a number or an array of them)."""
     if n < 2:
-        raise InvalidDimension(f"need tangent dimension >= 2, got {n}")
+        raise ValidationError(f"ambient models need n >= 2, got n = {n}")
     h_sq = trace_sq / float(n) ** 2
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         return n * n * h_sq / 4.0 + (n - 1) * model.c

@@ -9,6 +9,7 @@ was found (the report says which), 2 invalid input.  The default tolerance
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -49,6 +50,8 @@ def _tolerance() -> float:
         tol = float(raw)
     except ValueError as exc:
         raise CurvlikeError(f"CURVLIKE_TOL must be a number, got {raw!r}") from exc
+    if not math.isfinite(tol):
+        raise CurvlikeError(f"CURVLIKE_TOL must be finite, got {raw!r}")
     if tol <= 0:
         raise CurvlikeError(f"CURVLIKE_TOL must be positive, got {tol!r}")
     return tol
@@ -99,6 +102,8 @@ def _cmd_bound(args: argparse.Namespace, tol: float) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
+    if not math.isfinite(args.sum):
+        raise CurvlikeError(f"--sum must be finite, got {args.sum!r}")
     which = Objective.F1 if args.which == "f1" else Objective.F2
     problem = ConstrainedQuadratic(which=which, n=args.n, constraint_sum=args.sum)
     if which is Objective.F1:
@@ -133,6 +138,8 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
     }
     if args.values is not None:
         point = _parse_floats(args.values)
+        if not np.isfinite(point).all():
+            raise CurvlikeError(f"--values must be finite, got {args.values!r}")
         value = f_value(problem, point)
         feasibility = abs(float(point.sum()) - args.sum)
         feasible = feasibility <= tol

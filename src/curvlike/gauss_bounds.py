@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BundleTooSmall, DimensionMismatch
+from .errors import ValidationError
 from .optim_lemmas import max_eigenpair, positive_lead
 from .tensor_core import (
     DEFAULT_TOL,
@@ -168,7 +168,7 @@ def verify_gauss(
     """Max absolute residual of the algebraic Gauss equation; 0 means the pair
     is exact.  ``scratch`` and ``gram`` are as in :func:`gauss_residuals`."""
     if tensor.n != zeta.n:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"tensor dimension {tensor.n} != form dimension {zeta.n}"
         )
     return float(gauss_residuals(tensor.components, zeta.components, scratch, gram))
@@ -196,7 +196,7 @@ def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
     comps = np.asarray(components)
     lead, n = comps.ndim - 3, comps.shape[-1]
     if comps.shape[-3] < n:
-        raise BundleTooSmall(
+        raise ValidationError(
             f"total symmetry needs bundle dimension >= {n}, got {comps.shape[-3]}"
         )
     cubic, tail = comps[..., :n, :, :], comps[..., n:, :, :]
@@ -297,20 +297,10 @@ def equality_directions(
         return [np.eye(n)[i] for i in range(n)]
     evaluation = evaluate(zeta.components)
     bound = bound_coefficient(BoundMode.GENERAL, n) * float(evaluation.trace_norm_sq)
-    values, vectors = evaluation.eigenvalues, evaluation.eigenvectors
-    half_trace = 0.5 * evaluation.trace
-    certified: list[np.ndarray] = []
-    for k in range(n):
-        if abs(values[k] - bound) > tol:
-            continue
-        x = vectors[:, k]
-        others = (vectors[:, j] for j in range(n) if j != k)
-        if any(float(np.linalg.norm(zeta.value(x, y))) > tol for y in others):
-            continue
-        if float(np.linalg.norm(zeta.value(x, x) - half_trace)) > tol:
-            continue
-        certified.append(positive_lead(x))
-    return certified
+    near = np.abs(evaluation.eigenvalues - bound) <= tol
+    candidates = evaluation.eigenvectors[:, near].T
+    equal = corollary_triple(zeta, candidates, tol).equality_at_x
+    return [positive_lead(x) for x in candidates[equal]]
 
 
 def classify_all_equality(

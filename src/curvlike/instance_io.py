@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambient_models import AmbientKind, AmbientModel, ricci_offset
-from .errors import CurvlikeError, InvalidParams, ParseError, ValidationError
+from .errors import CurvlikeError, ValidationError
 from .tensor_core import (
     MAX_BUNDLE_DIM,
     MAX_TANGENT_DIM,
@@ -249,10 +249,8 @@ def _parse_ambient(raw, n: int) -> AmbientModel:
             c=float(c),
             theta=None if theta is None else float(theta),
         )
-        if n < 2:
-            raise InvalidParams(f"ambient models need n >= 2, got n = {n}")
         ricci_offset(model, n)
-    except InvalidParams as exc:
+    except ValidationError as exc:
         raise ValidationError(f"field 'ambient': {exc}") from exc
     return model
 
@@ -344,7 +342,7 @@ def loads_instance(text: str, source: str = "<string>") -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ValidationError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     try:
         return instance_from_dict(doc)
     except ValidationError as exc:
@@ -356,7 +354,7 @@ def load_instance(path) -> Instance:
     try:
         text = p.read_text()
     except OSError as exc:
-        raise ParseError(f"{p}: {exc}") from exc
+        raise ValidationError(f"{p}: {exc}") from exc
     return loads_instance(text, source=str(p))
 
 

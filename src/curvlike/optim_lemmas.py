@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimension, LengthMismatch, ValidationError
+from .errors import ValidationError
 
 ORACLE_SAMPLES = 100_000
 ORACLE_SEED = 1849340219
@@ -41,14 +41,14 @@ class ConstrainedQuadratic:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise InvalidDimension(f"quadratic families need n >= 2, got {self.n}")
+            raise ValidationError(f"quadratic families need n >= 2, got {self.n}")
 
 
 def f_value(problem: ConstrainedQuadratic, a) -> float:
     """Evaluate the objective literally; the constraint is not enforced here."""
     arr = np.asarray(a, dtype=float)
     if arr.shape != (problem.n,):
-        raise LengthMismatch(
+        raise ValidationError(
             f"expected {problem.n} coordinates, got shape {arr.shape}"
         )
     tail = arr[1:]
@@ -67,7 +67,7 @@ def f1_max_closed(n: int, s: float) -> QuadraticMax:
     """Sharp maximum of f1 on the hyperplane: (n-1)/(4n) * S^2, attained at
     a[0] = (n+1)S/(2n) and a[j] = S/(2n) for j >= 1 (the unique maximizer)."""
     if n < 2:
-        raise InvalidDimension(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     argmax = np.full(n, s / (2.0 * n))
     argmax[0] = (n + 1) * s / (2.0 * n)
     return QuadraticMax((n - 1) / (4.0 * n) * s * s, argmax)
@@ -91,7 +91,7 @@ def f2_max_closed(n: int, s: float) -> F2Family:
     """Sharp maximum of f2 on the hyperplane: S^2 / 8, attained exactly on the
     family a[0] = S/4, a[1] + ... + a[n-1] = 3S/4."""
     if n < 2:
-        raise InvalidDimension(f"need n >= 2, got {n}")
+        raise ValidationError(f"need n >= 2, got {n}")
     a1 = s / 4.0
     tail_sum = 3.0 * s / 4.0
     representative = np.full(n, tail_sum / (n - 1))
@@ -145,14 +145,16 @@ def max_ricci(s_form) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric form with a unit eigenvector.
 
     Realizes the extremization of Ric_T over unit vectors by LAPACK's
-    symmetric eigensolver.  The input must be square and symmetric within
-    1e-10 (ValidationError otherwise).  The eigenvector sign is fixed so its
-    largest-magnitude coordinate is positive; eigenvalue ties resolve to the
-    first index, so the result is deterministic.
+    symmetric eigensolver.  The input must be square, finite and symmetric
+    within 1e-10 (ValidationError otherwise).  The eigenvector sign is fixed
+    so its largest-magnitude coordinate is positive; eigenvalue ties resolve
+    to the first index, so the result is deterministic.
     """
     a = np.asarray(s_form, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError("matrix entries must be finite")
     residual = float(np.abs(a - a.T).max(initial=0.0))
     if residual > SYMMETRY_TOL:
         raise ValidationError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BundleTooSmall
+from .errors import ValidationError
 from .tensor_core import BundleValuedForm
 
 PRNG_NAME = "numpy-pcg64"
@@ -33,7 +33,7 @@ def draw_symmetric(
     random 3-index array averaged over all six index permutations fills bundle
     slots 0..n-1; the tail stays zero."""
     if m_prime < n:
-        raise BundleTooSmall(
+        raise ValidationError(
             f"totally symmetric forms need bundle dimension >= {n}, got {m_prime}"
         )
     raw = rng.standard_normal((count, n, n, n))

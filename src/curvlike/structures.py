@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BundleDimensionMismatch, InvalidParams, OddDimension
+from .errors import ValidationError
 from .gauss_bounds import is_totally_symmetric
 from .tensor_core import DEFAULT_TOL, BundleValuedForm
 
@@ -48,14 +48,14 @@ def build_slant_structure(n: int, theta: float) -> SlantStructure:
     complex structure.
     """
     if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
     if not 0.0 < theta <= math.pi / 2:
-        raise InvalidParams(f"theta must lie in (0, pi/2], got {theta!r}")
+        raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
     cos_t = math.cos(theta)
     if abs(cos_t) < LAGRANGIAN_COS_TOL:
         cos_t = 0.0
     if cos_t != 0.0 and n % 2 != 0:
-        raise OddDimension(
+        raise ValidationError(
             f"proper slant angle {theta!r} requires even tangent dimension, got {n}"
         )
     p = np.zeros((n, n))
@@ -111,32 +111,32 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
     """
     n = params.n
     if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
 
     if params.family is Family.TOTALLY_GEODESIC:
         return BundleValuedForm.zeros(n, n)
 
     if params.family is Family.TOTALLY_UMBILICAL:
         if params.h0 is None:
-            raise InvalidParams("totally-umbilical requires h0")
+            raise ValidationError("totally-umbilical requires h0")
         h0 = np.asarray(params.h0, dtype=float)
         if h0.ndim != 1 or h0.size < 1:
-            raise InvalidParams(f"h0 must be a nonempty vector, got shape {h0.shape}")
+            raise ValidationError(f"h0 must be a nonempty vector, got shape {h0.shape}")
         components = np.zeros((h0.size, n, n))
         components[:, np.arange(n), np.arange(n)] = h0[:, None]
         return BundleValuedForm(components)
 
     if params.lam is None:
-        raise InvalidParams(f"{params.family.value} requires lambda")
+        raise ValidationError(f"{params.family.value} requires lambda")
     if params.family is Family.SLUMBILICAL:
         mu = params.lam
     else:
         if params.mu is None:
-            raise InvalidParams(f"{params.family.value} requires mu")
+            raise ValidationError(f"{params.family.value} requires mu")
         mu = params.mu
     if params.family in _SLANT_FAMILIES and params.theta is not None:
         if not 0.0 < params.theta < math.pi / 2:
-            raise InvalidParams(
+            raise ValidationError(
                 f"slant families need theta in (0, pi/2), got {params.theta!r}"
             )
 
@@ -160,7 +160,7 @@ def lagrangian_symmetry_check(
     dimension.
     """
     if zeta.m_prime != zeta.n:
-        raise BundleDimensionMismatch(
+        raise ValidationError(
             f"Lagrangian-type check needs bundle dimension n = {zeta.n}, "
             f"got {zeta.m_prime}"
         )
@@ -182,7 +182,7 @@ def umbilical_rigidity_witness(n: int, h0, tol: float = 1e-12) -> RigidityVerdic
     SYMMETRIC_NONZERO is the failure verdict that must never occur.
     """
     if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+        raise ValidationError(f"need n >= 1, got {n}")
     if n == 1:
         return RigidityVerdict.DIMENSION_1
     h = np.atleast_1d(np.asarray(h0, dtype=float))

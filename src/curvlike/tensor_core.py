@@ -16,15 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidTensor,
-    NonOrthonormalPair,
-    NotOrthogonal,
-    NotUnitVector,
-    ValidationError,
-)
+from .errors import ValidationError
 
 MAX_TANGENT_DIM = 16
 MAX_BUNDLE_DIM = 32
@@ -47,11 +39,11 @@ class Dimensions:
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_TANGENT_DIM:
-            raise InvalidDimension(
+            raise ValidationError(
                 f"tangent dimension must be in 1..{MAX_TANGENT_DIM}, got {self.n}"
             )
         if not 1 <= self.m_prime <= MAX_BUNDLE_DIM:
-            raise InvalidDimension(
+            raise ValidationError(
                 f"bundle dimension must be in 1..{MAX_BUNDLE_DIM}, got {self.m_prime}"
             )
 
@@ -75,7 +67,7 @@ def checked_components(components) -> np.ndarray:
     """
     arr = np.asarray(components, dtype=float)
     if arr.ndim < 3 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(
+        raise ValidationError(
             f"expected components of shape (m', n, n), got {arr.shape}"
         )
     Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
@@ -109,7 +101,7 @@ class BundleValuedForm:
     def __init__(self, components) -> None:
         arr = np.asarray(components, dtype=float)
         if arr.ndim != 3:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected components of shape (m', n, n), got {arr.shape}"
             )
         self.components = checked_components(arr)
@@ -147,11 +139,11 @@ class CurvatureLikeTensor:
     def __init__(self, components) -> None:
         arr = np.array(np.asarray(components, dtype=float))
         if arr.ndim != 4 or len(set(arr.shape)) != 1:
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"expected components of shape (n, n, n, n), got {arr.shape}"
             )
         if not 1 <= arr.shape[0] <= MAX_TANGENT_DIM:
-            raise InvalidDimension(
+            raise ValidationError(
                 f"tangent dimension must be in 1..{MAX_TANGENT_DIM}, got {arr.shape[0]}"
             )
         arr.setflags(write=False)
@@ -247,12 +239,12 @@ def as_unit_vector(x, n: int, stacked: bool = False) -> np.ndarray:
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (n,) or (arr.ndim != 1 and not stacked):
-        raise DimensionMismatch(f"expected a vector of length {n}, got shape {arr.shape}")
+        raise ValidationError(f"expected a vector of length {n}, got shape {arr.shape}")
     norms = np.linalg.norm(arr, axis=-1)
     off = np.abs(norms - 1.0)
-    if off.max(initial=0.0) > UNIT_NORM_TOL:
+    if not off.max(initial=0.0) <= UNIT_NORM_TOL:  # a NaN norm fails too
         norm = float(norms.flat[int(off.argmax())])
-        raise NotUnitVector(f"norm {norm!r} differs from 1 beyond {UNIT_NORM_TOL}")
+        raise ValidationError(f"norm {norm!r} differs from 1 beyond {UNIT_NORM_TOL}")
     return arr
 
 
@@ -261,15 +253,15 @@ def t_sectional(tensor: CurvatureLikeTensor, x, y) -> float:
     xv = as_unit_vector(x, tensor.n)
     yv = as_unit_vector(y, tensor.n)
     inner = float(xv @ yv)
-    if abs(inner) > PAIR_ORTHO_TOL:
-        raise NonOrthonormalPair(f"<X, Y> = {inner!r} exceeds {PAIR_ORTHO_TOL}")
+    if not abs(inner) <= PAIR_ORTHO_TOL:
+        raise ValidationError(f"<X, Y> = {inner!r} exceeds {PAIR_ORTHO_TOL}")
     return float(np.einsum("ijkl,i,j,k,l->", tensor.components, xv, yv, yv, xv))
 
 
 def _require_symmetries(tensor: CurvatureLikeTensor, tol: float) -> None:
     report = validate_curvature_symmetries(tensor, tol)
     if not report.passed:
-        raise InvalidTensor(
+        raise ValidationError(
             f"curvature symmetries violated (max residual {report.max_residual:.3e} "
             f"> tol {tol:.3e})"
         )
@@ -277,7 +269,7 @@ def _require_symmetries(tensor: CurvatureLikeTensor, tol: float) -> None:
 
 def t_ricci_form(tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Ricci-type contraction S_T[i, k] = sum_j T[j, i, k, j], symmetrized to
-    kill roundoff.  Raises InvalidTensor if the curvature symmetries fail."""
+    kill roundoff.  Raises ValidationError if the curvature symmetries fail."""
     _require_symmetries(tensor, tol)
     s = np.einsum("jikj->ik", tensor.components)
     return 0.5 * (s + s.T)
@@ -327,12 +319,12 @@ def trace_norm_sq(zeta: BundleValuedForm) -> float:
 def _require_orthogonal(q, size: int, name: str) -> np.ndarray:
     arr = np.asarray(q, dtype=float)
     if arr.shape != (size, size):
-        raise DimensionMismatch(
+        raise ValidationError(
             f"{name} rotation must have shape ({size}, {size}), got {arr.shape}"
         )
     residual = float(np.abs(arr.T @ arr - np.eye(size)).max())
-    if residual > FRAME_ORTHO_TOL:
-        raise NotOrthogonal(
+    if not residual <= FRAME_ORTHO_TOL:
+        raise ValidationError(
             f"{name} rotation fails Q^T Q = I by {residual:.3e} (> {FRAME_ORTHO_TOL})"
         )
     return arr
@@ -377,7 +369,7 @@ def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndar
     N_zeta; singular values below rank_tol times the largest absolute
     component are treated as zero.  Returns a (k, n) array, possibly empty.
     """
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise ValidationError(f"rank_tol must be positive, got {rank_tol!r}")
     scale = zeta.max_abs()
     if scale == 0.0:

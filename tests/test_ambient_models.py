@@ -9,12 +9,13 @@ from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
     application_bound,
+    application_bounds,
     base_mode,
     intrinsic_ricci,
     mean_curvature_sq,
     ricci_offset,
 )
-from curvlike.errors import InvalidDimension, InvalidParams
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
     BoundMode,
     build_T_from_zeta,
@@ -39,26 +40,26 @@ def _models(rng):
 
 class TestModelValidation:
     def test_slant_requires_theta(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^complex_slant requires theta$"):
             AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0)
 
     def test_theta_range(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^theta must lie in \(0, pi/2\], got 0\.0$"):
             AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=0.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^theta must lie in \(0, pi/2\]"):
             AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=math.pi / 2 + 0.1)
 
     def test_theta_rejected_elsewhere(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^theta is only valid for complex_slant models$"):
             AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0, theta=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_name_the_field(self, bad):
         for kind in AmbientKind:
             theta = 0.7 if kind is AmbientKind.COMPLEX_SLANT else None
-            with pytest.raises(InvalidParams, match="c must be finite"):
+            with pytest.raises(ValidationError, match="c must be finite"):
                 AmbientModel(kind, bad, theta)
-        with pytest.raises(InvalidParams, match="theta must be finite"):
+        with pytest.raises(ValidationError, match="theta must be finite"):
             AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=bad)
 
 
@@ -92,13 +93,32 @@ class TestRicciOffset:
     def test_overflow_names_c(self, kind):
         theta = 0.5 if kind is AmbientKind.COMPLEX_SLANT else None
         model = AmbientModel(kind, 1e308, theta)
-        with pytest.raises(InvalidParams, match=r"^c = 1e\+308 overflows"):
+        with pytest.raises(ValidationError, match=r"^c = 1e\+308 overflows"):
             ricci_offset(model, 16)
         assert math.isfinite(ricci_offset(AmbientModel(kind, 1e300, theta), 16))
 
+    def test_slant_application_bound_overflow_names_c(self):
+        """At n = 3 the slant offset scales (n - 1) c by 1/4 and stays
+        finite at c = 1e308, but the application bound forms (n - 1) c
+        unscaled; the one model check refuses c for it."""
+        model = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e308, 0.5)
+        assert math.isfinite(0.25 * 2 * model.c + 0.75 * model.c * math.cos(0.5) ** 2)
+        with pytest.raises(
+            ValidationError,
+            match=r"^c = 1e\+308 overflows the application bound at n = 3$",
+        ):
+            ricci_offset(model, 3)
+        finite = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e307, 0.5)
+        assert math.isfinite(application_bounds(finite, 3, 0.0))
+        assert math.isfinite(ricci_offset(finite, 3))
+
     def test_dimension_guard(self):
-        with pytest.raises(InvalidDimension):
-            ricci_offset(AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0), 1)
+        model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0)
+        message = r"^ambient models need n >= 2, got n = 1$"
+        with pytest.raises(ValidationError, match=message):
+            ricci_offset(model, 1)
+        with pytest.raises(ValidationError, match=message):
+            application_bound(model, BundleValuedForm(np.ones((1, 1, 1))))
 
 
 class TestApplicationBound:

@@ -16,7 +16,7 @@ from curvlike.ambient_models import (
     base_mode,
     ricci_offset,
 )
-from curvlike.errors import BundleTooSmall
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
     BoundMode,
     build_T_from_zeta,
@@ -50,7 +50,7 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
             )
         try:
             symmetric_count += is_totally_symmetric(zeta, tol)[0]
-        except BundleTooSmall:
+        except ValidationError:
             pass
         general = check_bound(zeta, BoundMode.GENERAL, tol)
         min_general = min(min_general, general.gap)

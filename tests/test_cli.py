@@ -100,6 +100,21 @@ class TestLemma:
         assert "value: 2.0" in out
         assert "within_bound: true" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--sum", "nan"), "error: --sum must be finite, got nan\n"),
+            (("--sum=-inf",), "error: --sum must be finite, got -inf\n"),
+            (
+                ("--sum", "4", "--values", "1,nan,5"),
+                "error: --values must be finite, got '1,nan,5'\n",
+            ),
+        ],
+    )
+    def test_non_finite_input_names_the_flag(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "lemma", "--which", "f2", "--n", "3", *flags)
+        assert (code, out, err) == (2, "", message)
+
 
 class TestCheckAndNullspace:
     def test_check_passes_on_valid_instance(self, tmp_path, capsys):
@@ -218,6 +233,29 @@ class TestSample:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: c = 1e+308 ")
 
+    def test_slant_application_bound_overflow_is_exit_2_before_any_draw(
+        self, capsys, monkeypatch
+    ):
+        """At n = 3 the slant offset stays finite at c = 1e308 but the
+        application bound's unscaled (n - 1) c does not: the campaign refuses
+        c up front instead of failing in the writer."""
+
+        def no_draw(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(reporting, "draw_symmetric", no_draw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys,
+                "sample", "--n", "3", "--bundle", "3", "--count", "2", "--seed", "1",
+                "--family", "symmetric", "--ambient", "complex_slant",
+                "--c", "1e308", "--theta", "0.5",
+            )
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err == "error: c = 1e+308 overflows the application bound at n = 3\n"
+
     def test_different_seeds_differ(self, capsys):
         base = [
             "sample", "--n", "4", "--bundle", "5", "--count", "10", "--family", "general",
@@ -313,6 +351,34 @@ class TestReport:
         assert err.count("\n") == 1
         assert "field 'ambient': c = 1e+308 " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--format", "json"],
+            ["report", "--format", "text"],
+            ["bound", "--mode", "general"],
+            ["check"],
+        ],
+    )
+    def test_slant_application_bound_overflow_in_file_is_exit_2(
+        self, tmp_path, capsys, argv
+    ):
+        """The file form of the slant overflow: refused at load, naming the
+        ambient field, where `report` used to fail in the writer."""
+        zeta = sample_symmetric(np.random.default_rng(5), 3, 3)
+        ambient = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e308, 0.5)
+        path = str(tmp_path / "big_slant.json")
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: field 'ambient': "
+            "c = 1e+308 overflows the application bound at n = 3\n"
+        )
+
     @pytest.mark.parametrize("family", ["symmetric", "general"])
     def test_total_symmetry_fields_match_the_kernel(self, tmp_path, capsys, family):
         sample = sample_symmetric if family == "symmetric" else sample_general
@@ -380,6 +446,24 @@ class TestReport:
         assert first.encode() == second.encode()
 
 
+class TestAmbientNeedsTwoDimensions:
+    def test_sample_and_file_give_one_message(self, tmp_path, capsys):
+        """`ricci_offset` is the one check of n >= 2 for an ambient model,
+        so a campaign and an instance file say the same thing."""
+        message = "ambient models need n >= 2, got n = 1\n"
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--n", "1", "--bundle", "1", "--count", "2", "--seed", "1",
+            "--family", "general", "--ambient", "real_space_form",
+        )
+        assert (code, out, err) == (2, "", "error: " + message)
+        path = str(tmp_path / "n1.json")
+        zeta = BundleValuedForm(np.ones((1, 1, 1)))
+        save_instance(Instance(zeta, AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0)), path)
+        code, out, err = run_cli(capsys, "report", path)
+        assert (code, out, err) == (2, "", f"error: {path}: field 'ambient': " + message)
+
+
 class TestToleranceOverride:
     def test_env_var_respected(self, tmp_path, capsys, monkeypatch):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
@@ -389,6 +473,14 @@ class TestToleranceOverride:
         code, out, _ = run_cli(capsys, "report", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["tolerance"] == 1e-6
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_env_var_is_exit_2(self, capsys, monkeypatch, raw):
+        """NaN passes a `tol <= 0` check and used to fail in the writer."""
+        monkeypatch.setenv("CURVLIKE_TOL", raw)
+        code, out, err = run_cli(capsys, "lemma", "--which", "f1", "--n", "2", "--sum", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: CURVLIKE_TOL must be finite, got {raw!r}\n"
 
     def test_bad_env_var_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("CURVLIKE_TOL", "banana")

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlike import gauss_bounds
-from curvlike.errors import BundleTooSmall, DimensionMismatch, NotUnitVector
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
     BoundMode,
     EqualityTag,
@@ -26,7 +26,7 @@ from curvlike.gauss_bounds import (
     total_symmetry_residuals,
     verify_gauss,
 )
-from curvlike.optim_lemmas import max_ricci
+from curvlike.optim_lemmas import max_ricci, positive_lead
 from curvlike.sampling import (
     draw_general,
     draw_symmetric,
@@ -88,7 +88,7 @@ class TestBuildAndVerify:
         )
 
     def test_dimension_mismatch(self, h_umbilical_ref):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^tensor dimension 3 != form dimension 2$"):
             verify_gauss(CurvatureLikeTensor.zeros(3), h_umbilical_ref)
 
 
@@ -270,7 +270,7 @@ class TestTotalSymmetry:
         assert not ok and residual >= 0.5
 
     def test_bundle_too_small(self):
-        with pytest.raises(BundleTooSmall):
+        with pytest.raises(ValidationError, match=r"^total symmetry needs bundle dimension >= 3, got 2$"):
             is_totally_symmetric(BundleValuedForm.zeros(3, 2))
 
 
@@ -366,6 +366,74 @@ class TestEqualityDirections:
 
     def test_umbilical_n3_has_none(self, umbilical_n3):
         assert equality_directions(umbilical_n3) == []
+
+    def test_matches_per_vector_oracle(self, umbilical_n3):
+        """The stacked corollary filter certifies, bitwise and in eigenvalue
+        order, the eigen-candidates that the per-vector test accepts: on the
+        zero form, a double umbilical surface, umbilical n = 3 (no candidate
+        at all), H-umbilical lambda = 3 mu, rotated umbilical surfaces with
+        and without a 1e-5 perturbation (candidates within tol of the bound
+        that fail the test), a rotated n = 3 form with one equality direction
+        (eigenvectors of either sign) and 20 seeded general forms up to
+        (16, 32)."""
+        rng = np.random.default_rng(83)
+        double = np.zeros((2, 2, 2))
+        double[0, 0, 0] = double[0, 1, 1] = 2.0
+        one_direction = np.zeros((2, 3, 3))
+        one_direction[0] = np.diag([1.0, 0.3, 0.7])
+        one_direction[1, 1:, 1:] = [[0.5, 0.2], [0.2, -0.5]]
+        forms = [
+            BundleValuedForm.zeros(3, 2),
+            BundleValuedForm(double),
+            umbilical_n3,
+            construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0)),
+        ]
+        for m in (1, 2, 5):
+            umbilical = construct_family(
+                FamilyParams(Family.TOTALLY_UMBILICAL, n=2, h0=rng.standard_normal(m))
+            )
+            rotated = rotate_frame(
+                umbilical, random_orthogonal(rng, 2), random_orthogonal(rng, m)
+            )
+            perturbed = rotated.components.copy()
+            perturbed[0, 0, 1] = perturbed[0, 1, 0] = perturbed[0, 0, 1] + 1e-5
+            forms += [rotated, BundleValuedForm(perturbed)]
+        for _ in range(4):
+            forms.append(
+                rotate_frame(
+                    BundleValuedForm(one_direction),
+                    random_orthogonal(rng, 3),
+                    random_orthogonal(rng, 2),
+                )
+            )
+        for _ in range(19):
+            n = int(rng.integers(1, 17))
+            forms.append(sample_general(rng, n, int(rng.integers(1, 33))))
+        forms.append(sample_general(rng, 16, 32))
+        seen = set()
+        for zeta in forms:
+            expected, candidates, flipped = reference_equality_directions(zeta)
+            got = equality_directions(zeta)
+            assert len(got) == len(expected)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            seen.add((candidates, len(expected), flipped))
+        assert {(0, 0, False), (2, 2, False), (2, 0, False), (1, 1, True)} <= seen
+
+
+def reference_equality_directions(zeta, tol=1e-9):
+    """Eigenvectors of S_T at the general bound that pass the per-vector
+    equality test, sign-fixed; with the number of eigen-candidates tried and
+    whether a sign fix changed a certified vector."""
+    n = zeta.n
+    if zeta.max_abs() <= tol:
+        return [np.eye(n)[i] for i in range(n)], n, False
+    values, vectors = np.linalg.eigh(ricci_forms(zeta.components))
+    bound = chen_ricci_bound(zeta)
+    near = [vectors[:, k] for k in range(n) if abs(values[k] - bound) <= tol]
+    raw = [x for x in near if per_vector_triple(zeta, x, tol)[0]]
+    certified = [positive_lead(x) for x in raw]
+    flipped = any(not np.array_equal(x, y) for x, y in zip(raw, certified))
+    return certified, len(near), flipped
 
 
 class TestClassification:
@@ -511,10 +579,17 @@ class TestCorollary:
                 assert all(type(getattr(one, field)) is bool for field in fields)
                 assert row[:3] == per_vector_triple(zeta, direction)
 
+    @pytest.mark.parametrize("x", [[np.nan, np.nan], [1.0, np.nan], [[1.0, 0.0], [np.nan, 0.0]]])
+    def test_rejects_a_nan_direction(self, h_umbilical_ref, x):
+        """A NaN direction used to pass the unit-norm gate and come back
+        with verified = True."""
+        with pytest.raises(ValidationError, match=r"^norm nan differs from 1"):
+            corollary_triple(h_umbilical_ref, x)
+
     def test_stack_rejects_a_bad_direction(self, h_umbilical_ref):
-        with pytest.raises(NotUnitVector):
+        with pytest.raises(ValidationError, match=r"^norm 1\.414.* differs from 1 beyond"):
             corollary_triple(h_umbilical_ref, [[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^expected a vector of length 2, got shape \(3, 3\)$"):
             corollary_triple(h_umbilical_ref, np.eye(3))
 
     def test_zero_form_all_true(self):

@@ -5,7 +5,7 @@ import pytest
 from jacobi_oracle import jacobi_eigh
 from numpy.testing import assert_allclose
 
-from curvlike.errors import InvalidDimension, LengthMismatch, ValidationError
+from curvlike.errors import ValidationError
 from curvlike.optim_lemmas import (
     ConstrainedQuadratic,
     Objective,
@@ -34,11 +34,11 @@ class TestFValue:
 
     def test_length_mismatch(self):
         q = ConstrainedQuadratic(Objective.F1, 3, 1.0)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValidationError, match=r"^expected 3 coordinates, got shape \(2,\)$"):
             f_value(q, [1.0, 2.0])
 
     def test_needs_n_at_least_two(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^quadratic families need n >= 2, got 1$"):
             ConstrainedQuadratic(Objective.F1, 1, 0.0)
 
 
@@ -73,9 +73,9 @@ class TestClosedForms:
         assert f_value(q, family.representative) == 8.0
 
     def test_invalid_dimension(self):
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^need n >= 2, got 1$"):
             f1_max_closed(1, 3.0)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^need n >= 2, got 1$"):
             f2_max_closed(1, 3.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -181,10 +181,21 @@ class TestJacobi:
         assert vec[int(np.argmax(np.abs(vec)))] > 0
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^matrix asymmetric by 5\.000e-01"):
             max_ricci(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             max_ricci(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        """A NaN matrix passes a `residual > tol` symmetry gate; the
+        finiteness check comes first so no NaN eigenpair is returned."""
+        with pytest.raises(ValidationError, match=r"^matrix entries must be finite$"):
+            max_ricci(np.full((2, 2), bad))
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValidationError, match=r"^matrix entries must be finite$"):
+            max_ricci(a)
 
 
 def _assert_matches_oracle(lam, vec, values, vectors, norm):

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlike.errors import (
-    BundleDimensionMismatch,
-    InvalidParams,
-    OddDimension,
-)
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
     BoundMode,
     EqualityTag,
@@ -45,13 +41,13 @@ class TestSlantStructure:
         assert_allclose(structure.p @ structure.p, -0.25 * np.eye(2), atol=1e-15)
 
     def test_proper_slant_rejects_odd_dimension(self):
-        with pytest.raises(OddDimension):
+        with pytest.raises(ValidationError, match=r"requires even tangent dimension, got 3$"):
             build_slant_structure(3, math.pi / 4)
 
     def test_theta_range(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^theta must lie in \(0, pi/2\], got 0\.0$"):
             build_slant_structure(2, 0.0)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^theta must lie in \(0, pi/2\]"):
             build_slant_structure(2, math.pi)
 
     @pytest.mark.parametrize("n", (2, 4, 6))
@@ -115,15 +111,15 @@ class TestConstructFamily:
             assert_allclose(zeta.components[r], h0[r] * np.eye(3))
 
     def test_missing_parameters_rejected(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^h-umbilical requires mu$"):
             construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=1.0))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^slumbilical requires lambda$"):
             construct_family(FamilyParams(Family.SLUMBILICAL, n=2))
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^totally-umbilical requires h0$"):
             construct_family(FamilyParams(Family.TOTALLY_UMBILICAL, n=2))
 
     def test_slant_theta_range(self):
-        with pytest.raises(InvalidParams):
+        with pytest.raises(ValidationError, match=r"^slant families need theta in \(0, pi/2\)"):
             construct_family(
                 FamilyParams(Family.SLUMBILICAL, n=2, lam=1.0, theta=math.pi / 2)
             )
@@ -181,7 +177,7 @@ class TestLagrangianSymmetryCheck:
     def test_bundle_mismatch(self):
         from curvlike.tensor_core import BundleValuedForm
 
-        with pytest.raises(BundleDimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^Lagrangian-type check needs bundle dimension n = 3, got 4$"):
             lagrangian_symmetry_check(BundleValuedForm.zeros(3, 4))
 
 

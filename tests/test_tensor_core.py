@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlike.errors import (
-    DimensionMismatch,
-    InvalidDimension,
-    InvalidTensor,
-    NonOrthonormalPair,
-    NotOrthogonal,
-    NotUnitVector,
-    ValidationError,
-)
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import build_T_from_zeta
 from curvlike.sampling import sample_general, random_orthogonal, random_unit
 from curvlike.tensor_core import (
@@ -40,17 +32,17 @@ class TestDimensions:
     def test_desk_scale_guards(self):
         Dimensions(1, 1)
         Dimensions(16, 32)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 1\.\.16, got 0$"):
             Dimensions(0, 1)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 1\.\.16, got 17$"):
             Dimensions(17, 1)
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^bundle dimension must be in 1\.\.32, got 33$"):
             Dimensions(2, 33)
 
     def test_form_rejects_bad_shapes(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match=r"^expected components of shape \(m', n, n\)"):
             BundleValuedForm(np.zeros((2, 3, 2)))
-        with pytest.raises(InvalidDimension):
+        with pytest.raises(ValidationError, match=r"^bundle dimension must be in 1\.\.32, got 33$"):
             BundleValuedForm(np.zeros((33, 2, 2)))
 
 
@@ -71,7 +63,7 @@ class TestBundleValuedForm:
     def test_rejects_non_finite(self):
         comps = np.zeros((1, 2, 2))
         comps[0, 0, 0] = np.inf
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^zeta components must be finite$"):
             BundleValuedForm(comps)
 
     def test_components_read_only(self):
@@ -123,14 +115,23 @@ class TestSectional:
 
     def test_rejects_non_unit(self):
         tensor = CurvatureLikeTensor.zeros(2)
-        with pytest.raises(NotUnitVector):
+        with pytest.raises(ValidationError, match=r"^norm 2\.0 differs from 1 beyond"):
             t_sectional(tensor, [2.0, 0.0], [0.0, 1.0])
 
     def test_rejects_non_orthogonal_pair(self):
         tensor = CurvatureLikeTensor.zeros(2)
         s = 1.0 / np.sqrt(2.0)
-        with pytest.raises(NonOrthonormalPair):
+        with pytest.raises(ValidationError, match=r"^<X, Y> = .* exceeds 1e-09$"):
             t_sectional(tensor, [1.0, 0.0], [s, s])
+
+    @pytest.mark.parametrize("bad", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_rejects_nan_direction(self, bad):
+        """A NaN compares false with every tolerance, so the unit-norm and
+        pair gates must fail closed on it rather than return NaN."""
+        tensor = CurvatureLikeTensor.zeros(2)
+        for x, y in ((bad, [0.0, 1.0]), ([1.0, 0.0], bad)):
+            with pytest.raises(ValidationError, match=r"^norm nan differs from 1"):
+                t_sectional(tensor, x, y)
 
 
 class TestRicci:
@@ -160,7 +161,7 @@ class TestRicci:
     def test_invalid_tensor_rejected(self):
         comps = np.zeros((2, 2, 2, 2))
         comps[0, 0, 0, 0] = 1.0  # breaks antisymmetry
-        with pytest.raises(InvalidTensor):
+        with pytest.raises(ValidationError, match=r"^curvature symmetries violated"):
             t_ricci_form(CurvatureLikeTensor(comps))
 
 
@@ -238,8 +239,15 @@ class TestRotateFrame:
         assert_allclose(rotated.components[:, 0, 0], [1.0, 0.0])
         assert_allclose(rotated.components[:, 1, 1], [3.0, 0.0])
 
+    def test_rejects_nan_rotation(self, h_umbilical_ref):
+        q = np.full((2, 2), np.nan)
+        with pytest.raises(ValidationError, match=r"^tangent rotation fails Q\^T Q = I by nan"):
+            rotate_frame(h_umbilical_ref, q, np.eye(2))
+        with pytest.raises(ValidationError, match=r"^bundle rotation fails Q\^T Q = I by nan"):
+            rotate_frame(h_umbilical_ref, np.eye(2), q)
+
     def test_rejects_non_orthogonal(self, h_umbilical_ref):
-        with pytest.raises(NotOrthogonal):
+        with pytest.raises(ValidationError, match=r"^tangent rotation fails Q\^T Q = I"):
             rotate_frame(h_umbilical_ref, np.array([[1.0, 0.1], [0.0, 1.0]]), np.eye(2))
 
 
@@ -263,6 +271,13 @@ class TestFrameHelpers:
 
 
 class TestNullSpace:
+    @pytest.mark.parametrize("rank_tol", [np.nan, 0.0, -1.0])
+    def test_rejects_a_rank_tol_that_is_not_positive(self, rank_tol):
+        comps = np.zeros((1, 3, 3))
+        comps[0, 1, 1] = 1.0
+        with pytest.raises(ValidationError, match=r"^rank_tol must be positive, got "):
+            null_space(BundleValuedForm(comps), rank_tol)
+
     def test_zero_form_gives_full_basis(self):
         basis = null_space(BundleValuedForm.zeros(4, 2))
         assert basis.shape == (4, 4)
