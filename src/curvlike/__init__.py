@@ -11,9 +11,8 @@ __version__ = "0.1.0"
 from .ambient_models import (
     AmbientKind,
     AmbientModel,
-    application_bound,
+    application_bounds,
     intrinsic_ricci,
-    mean_curvature_sq,
     ricci_offset,
 )
 from .errors import CurvlikeError, ValidationError
@@ -23,13 +22,11 @@ from .gauss_bounds import (
     CorollaryTriple,
     EqualityClass,
     EqualityTag,
+    bound_coefficient,
     build_T_from_zeta,
     check_bound,
-    chen_ricci_bound,
-    classify_all_equality,
     corollary_triple,
     equality_directions,
-    improved_bound,
     is_totally_symmetric,
     verify_gauss,
 )
@@ -57,7 +54,6 @@ from .structures import (
     SlantStructure,
     build_slant_structure,
     construct_family,
-    lagrangian_symmetry_check,
     umbilical_rigidity_witness,
 )
 from .tensor_core import (
@@ -74,8 +70,8 @@ from .tensor_core import (
     t_ricci_form,
     t_scalar,
     t_sectional,
-    trace_norm_sq,
-    trace_zeta,
+    trace_norms_sq,
+    traces,
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
@@ -96,8 +92,8 @@ __all__ = [
     "t_ricci",
     "t_scalar",
     "zeta_norm_sq",
-    "trace_zeta",
-    "trace_norm_sq",
+    "traces",
+    "trace_norms_sq",
     "rotate_frame",
     "null_space",
     # gauss_bounds
@@ -108,12 +104,10 @@ __all__ = [
     "CorollaryTriple",
     "build_T_from_zeta",
     "verify_gauss",
-    "chen_ricci_bound",
-    "improved_bound",
+    "bound_coefficient",
     "is_totally_symmetric",
     "check_bound",
     "equality_directions",
-    "classify_all_equality",
     "corollary_triple",
     # optim_lemmas
     "Objective",
@@ -127,8 +121,7 @@ __all__ = [
     "AmbientKind",
     "AmbientModel",
     "ricci_offset",
-    "mean_curvature_sq",
-    "application_bound",
+    "application_bounds",
     "intrinsic_ricci",
     # structures
     "SlantStructure",
@@ -136,7 +129,6 @@ __all__ = [
     "Family",
     "FamilyParams",
     "construct_family",
-    "lagrangian_symmetry_check",
     "RigidityVerdict",
     "umbilical_rigidity_witness",
     # instance_io

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .gauss_bounds import BoundMode, ricci_forms
-from .tensor_core import BundleValuedForm, as_unit_vector, trace_norm_sq
+from .tensor_core import BundleValuedForm, as_unit_vector
 
 
 class AmbientKind(Enum):
@@ -83,28 +83,19 @@ def ricci_offset(model: AmbientModel, n: int) -> float:
     return offset
 
 
-def mean_curvature_sq(zeta: BundleValuedForm) -> float:
-    """Squared mean curvature ||H||^2 with H = trace(zeta) / n."""
-    return trace_norm_sq(zeta) / float(zeta.n) ** 2
+def application_bounds(model: AmbientModel, n: int, trace_sq):
+    """Model-themed right-hand side of the Ricci bound for forms of tangent
+    dimension n, from their ||trace zeta||^2 (a number or an array of them).
 
-
-def application_bound(model: AmbientModel, zeta: BundleValuedForm) -> float:
-    """Model-themed right-hand side of the Ricci bound.
-
-    Written exactly as the geometric statements display it, so agreement with
-    bound-plus-offset is a genuine transcription check:
+    Written exactly as the geometric statements display it, with
+    ||H||^2 = ||trace zeta||^2 / n^2, so agreement with bound-plus-offset is a
+    genuine transcription check:
 
         real space form:        n^2 ||H||^2 / 4 + (n-1) c
         complex Lagrangian:     (n-1)/4 * (c + n ||H||^2)
         complex slant:          1/4 * ((n-1) n ||H||^2 + (n-1) c + 3 c cos^2 theta)
         Sasakian C-totally real:(n-1)/4 * (c + 3 + n ||H||^2)
     """
-    return float(application_bounds(model, zeta.n, trace_norm_sq(zeta)))
-
-
-def application_bounds(model: AmbientModel, n: int, trace_sq):
-    """:func:`application_bound` of forms of tangent dimension n, from their
-    ||trace zeta||^2 (a number or an array of them)."""
     if n < 2:
         raise ValidationError(f"ambient models need n >= 2, got n = {n}")
     h_sq = trace_sq / float(n) ** 2

@@ -40,6 +40,8 @@ from .structures import Family, FamilyParams, construct_family
 from .tensor_core import DEFAULT_TOL
 
 LEMMA_AGREEMENT_TOL = 1e-8
+# S^2 and the oracle's sampled products overflow from |S| ~ 1e153 at n <= 16.
+LEMMA_MAX_SUM = 1e150
 
 
 def _tolerance() -> float:
@@ -104,6 +106,8 @@ def _cmd_bound(args: argparse.Namespace, tol: float) -> int:
 def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
     if not math.isfinite(args.sum):
         raise CurvlikeError(f"--sum must be finite, got {args.sum!r}")
+    if abs(args.sum) > LEMMA_MAX_SUM:
+        raise CurvlikeError(f"--sum must be within +-{LEMMA_MAX_SUM:g}, got {args.sum!r}")
     which = Objective.F1 if args.which == "f1" else Objective.F2
     problem = ConstrainedQuadratic(which=which, n=args.n, constraint_sum=args.sum)
     if which is Objective.F1:

@@ -36,9 +36,7 @@ from .tensor_core import (
     orthonormal_complement,
     rotate_frame,
     rotation_to_first_axis,
-    trace_norm_sq,
     trace_norms_sq,
-    trace_zeta,
     traces,
 )
 
@@ -175,30 +173,20 @@ def verify_gauss(
 
 
 def bound_coefficient(mode: BoundMode, n: int) -> float:
-    """Factor c of a bound c * ||trace zeta||^2 in tangent dimension n."""
+    """Factor c of a bound c * ||trace zeta||^2 in tangent dimension n: 1/4
+    for the general bound, valid for every Gauss pair, and (n - 1)/(4n) for
+    the improved one, a valid claim only when total symmetry is certified."""
     return 0.25 if mode is BoundMode.GENERAL else (n - 1) / (4.0 * n)
-
-
-def chen_ricci_bound(zeta: BundleValuedForm) -> float:
-    """General bound ||trace zeta||^2 / 4, valid for every Gauss pair."""
-    return bound_coefficient(BoundMode.GENERAL, zeta.n) * trace_norm_sq(zeta)
-
-
-def improved_bound(zeta: BundleValuedForm) -> float:
-    """Sharpened bound (n - 1)/(4n) * ||trace zeta||^2; a valid claim only
-    when the total-symmetry hypothesis is certified."""
-    return bound_coefficient(BoundMode.IMPROVED, zeta.n) * trace_norm_sq(zeta)
 
 
 def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
     """Residual of the cubic-symmetry hypothesis for each form in a stack
-    zeta[..., r, i, j]; see :func:`is_totally_symmetric`."""
+    zeta[..., r, i, j]; see :func:`is_totally_symmetric`.  +inf where m' < n,
+    which leaves no room for the adapted frame, so no tolerance certifies it."""
     comps = np.asarray(components)
     lead, n = comps.ndim - 3, comps.shape[-1]
     if comps.shape[-3] < n:
-        raise ValidationError(
-            f"total symmetry needs bundle dimension >= {n}, got {comps.shape[-3]}"
-        )
+        return np.full(comps.shape[:-3], np.inf)
     cubic, tail = comps[..., :n, :, :], comps[..., n:, :, :]
     within = (-3, -2, -1)
     residual = np.zeros(comps.shape[:-3])
@@ -217,7 +205,8 @@ def is_totally_symmetric(
 
     Reading bundle slots 0..n-1 as the adapted frame, C[i][j][k] :=
     zeta[i][j][k] must be invariant under all permutations of (i, j, k), and
-    every slot past n-1 must vanish.  Returns (verdict, max residual).
+    every slot past n-1 must vanish.  Returns (verdict, max residual), which
+    is (False, inf) when the bundle has fewer than n slots.
     """
     residual = float(total_symmetry_residuals(zeta.components))
     return residual <= tol, residual
@@ -227,8 +216,8 @@ def is_totally_symmetric(
 class FormEvaluation:
     """Per-form quantities that every verdict reads, from :func:`evaluate`;
     each field keeps the stack's leading axes.  The eigenpairs are one
-    ``eigh`` of ``ricci_form``; ``symmetry_residual`` is +inf where m' < n,
-    so ``symmetry_residual <= tol`` is the certificate either way."""
+    ``eigh`` of ``ricci_form``; ``symmetry_residual <= tol`` is the
+    certificate, also where m' < n (see :func:`total_symmetry_residuals`)."""
 
     trace: np.ndarray
     trace_norm_sq: np.ndarray
@@ -243,10 +232,7 @@ def evaluate(components: np.ndarray) -> FormEvaluation:
     residual of a form zeta[r, i, j] or a stack of them zeta[..., r, i, j]."""
     comps = np.asarray(components)
     s_form = ricci_forms(comps)
-    if comps.shape[-3] < comps.shape[-1]:
-        residual = np.full(comps.shape[:-3], np.inf)
-    else:
-        residual = total_symmetry_residuals(comps)
+    residual = total_symmetry_residuals(comps)
     return FormEvaluation(
         traces(comps), trace_norms_sq(comps), s_form, *np.linalg.eigh(s_form), residual
     )
@@ -303,8 +289,12 @@ def equality_directions(
     return [positive_lead(x) for x in candidates[equal]]
 
 
-def classify_all_equality(
-    zeta: BundleValuedForm, mode: BoundMode, tol: float = DEFAULT_TOL
+def _classify(
+    zeta: BundleValuedForm,
+    evaluation: FormEvaluation,
+    mode: BoundMode,
+    bound: float,
+    tol: float,
 ) -> EqualityClass:
     """Classify equality of the bound across ALL unit directions.
 
@@ -316,17 +306,6 @@ def classify_all_equality(
     and diagonalizing the slot-0 quadratic form with descending eigenvalues,
     which also pins mu >= 0.
     """
-    return check_bound(zeta, mode, tol).equality_class
-
-
-def _classify(
-    zeta: BundleValuedForm,
-    evaluation: FormEvaluation,
-    mode: BoundMode,
-    bound: float,
-    tol: float,
-) -> EqualityClass:
-    """Body of :func:`classify_all_equality` for an evaluation and bound in hand."""
     n = zeta.n
     if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol:
         return EqualityClass(EqualityTag.NO_EQUALITY)
@@ -417,9 +396,10 @@ def corollary_triple(
     zeta_x = np.einsum("rij,...i->...rj", zeta.components, xv)
     perp = zeta_x @ np.swapaxes(orthonormal_complement(xv), -1, -2)
     perp_ok = (np.linalg.norm(perp, axis=-2) <= tol).all(axis=-1)
-    half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * trace_zeta(zeta)
+    half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * traces(zeta.components)
     equality = perp_ok & (np.linalg.norm(half, axis=-1) <= tol)
-    trace_zero = np.full(equality.shape, float(np.sqrt(trace_norm_sq(zeta))) <= tol)
+    trace_norm = float(np.sqrt(trace_norms_sq(zeta.components)))
+    trace_zero = np.full(equality.shape, trace_norm <= tol)
     in_null = (np.linalg.norm(zeta_x, axis=-2) <= tol).all(axis=-1)
     verified = equality.astype(int) + trace_zero + in_null != 2
     if xv.ndim == 1:

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
+from .tensor_core import MAX_TANGENT_DIM
 
 ORACLE_SAMPLES = 100_000
 ORACLE_SEED = 1849340219
@@ -40,8 +41,9 @@ class ConstrainedQuadratic:
     constraint_sum: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError(f"quadratic families need n >= 2, got {self.n}")
+        if not 2 <= self.n <= MAX_TANGENT_DIM:
+            need = "n >= 2" if self.n < 2 else f"n <= {MAX_TANGENT_DIM}"
+            raise ValidationError(f"quadratic families need {need}, got {self.n}")
 
 
 def f_value(problem: ConstrainedQuadratic, a) -> float:
@@ -66,8 +68,9 @@ class QuadraticMax:
 def f1_max_closed(n: int, s: float) -> QuadraticMax:
     """Sharp maximum of f1 on the hyperplane: (n-1)/(4n) * S^2, attained at
     a[0] = (n+1)S/(2n) and a[j] = S/(2n) for j >= 1 (the unique maximizer)."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
+    if not 2 <= n <= MAX_TANGENT_DIM:
+        need = "n >= 2" if n < 2 else f"n <= {MAX_TANGENT_DIM}"
+        raise ValidationError(f"need {need}, got {n}")
     argmax = np.full(n, s / (2.0 * n))
     argmax[0] = (n + 1) * s / (2.0 * n)
     return QuadraticMax((n - 1) / (4.0 * n) * s * s, argmax)
@@ -90,8 +93,9 @@ class F2Family:
 def f2_max_closed(n: int, s: float) -> F2Family:
     """Sharp maximum of f2 on the hyperplane: S^2 / 8, attained exactly on the
     family a[0] = S/4, a[1] + ... + a[n-1] = 3S/4."""
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
+    if not 2 <= n <= MAX_TANGENT_DIM:
+        need = "n >= 2" if n < 2 else f"n <= {MAX_TANGENT_DIM}"
+        raise ValidationError(f"need {need}, got {n}")
     a1 = s / 4.0
     tail_sum = 3.0 * s / 4.0
     representative = np.full(n, tail_sum / (n - 1))

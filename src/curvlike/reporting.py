@@ -143,7 +143,7 @@ def _zeta_block(zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float) 
         "norm_sq": zeta_norm_sq(zeta),
         "trace": evaluation.trace,
         "trace_norm_sq": trace_sq,
-        # ||H||^2 with H = trace zeta / n, as ambient_models.mean_curvature_sq.
+        # ||H||^2 with H = trace zeta / n.
         "mean_curvature_sq": trace_sq / float(zeta.n) ** 2,
         "totally_symmetric": residual <= tol,
         # +inf marks m' < n, where the residual is undefined.

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gauss_bounds import is_totally_symmetric
-from .tensor_core import DEFAULT_TOL, BundleValuedForm
+from .tensor_core import BundleValuedForm
 
 LAGRANGIAN_COS_TOL = 1e-12
 
@@ -112,6 +112,11 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
     n = params.n
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
+    named = {"lambda": params.lam, "mu": params.mu, "theta": params.theta, "h0": params.h0}
+    for name, value in named.items():
+        if value is not None and not np.isfinite(value).all():
+            got = np.asarray(value).tolist()
+            raise ValidationError(f"{name} must be finite, got {got!r}")
 
     if params.family is Family.TOTALLY_GEODESIC:
         return BundleValuedForm.zeros(n, n)
@@ -148,23 +153,6 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
         components[j, 0, j] = mu
         components[j, j, 0] = mu
     return BundleValuedForm(components)
-
-
-def lagrangian_symmetry_check(
-    zeta: BundleValuedForm, tol: float = DEFAULT_TOL
-) -> tuple[bool, float]:
-    """The shape-operator symmetry A_{FX} Y = A_{FY} X as a component test.
-
-    For Lagrangian and slant adapted frames this is exactly total symmetry of
-    the cubic form with an empty tail, so the bundle must match the tangent
-    dimension.
-    """
-    if zeta.m_prime != zeta.n:
-        raise ValidationError(
-            f"Lagrangian-type check needs bundle dimension n = {zeta.n}, "
-            f"got {zeta.m_prime}"
-        )
-    return is_totally_symmetric(zeta, tol)
 
 
 class RigidityVerdict(Enum):

@@ -299,21 +299,11 @@ def traces(components: np.ndarray) -> np.ndarray:
     return np.einsum("...rii->...r", components)
 
 
-def trace_zeta(zeta: BundleValuedForm) -> np.ndarray:
-    """Bundle vector trace(zeta) = sum_i zeta(e_i, e_i)."""
-    return traces(zeta.components)
-
-
 def trace_norms_sq(components: np.ndarray) -> np.ndarray:
     """Squared norm of the trace bundle vector of each form in a stack
     ``[..., r, i, j]``, as a stacked (1 x m') (m' x 1) product."""
     t = traces(components)
     return (t[..., None, :] @ t[..., :, None])[..., 0, 0]
-
-
-def trace_norm_sq(zeta: BundleValuedForm) -> float:
-    """Squared norm of the trace bundle vector."""
-    return float(trace_norms_sq(zeta.components))
 
 
 def _require_orthogonal(q, size: int, name: str) -> np.ndarray:
@@ -369,8 +359,9 @@ def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndar
     N_zeta; singular values below rank_tol times the largest absolute
     component are treated as zero.  Returns a (k, n) array, possibly empty.
     """
-    if not rank_tol > 0:
-        raise ValidationError(f"rank_tol must be positive, got {rank_tol!r}")
+    if not 0 < rank_tol < np.inf:
+        need = "finite" if rank_tol > 0 else "positive"
+        raise ValidationError(f"rank_tol must be {need}, got {rank_tol!r}")
     scale = zeta.max_abs()
     if scale == 0.0:
         return np.eye(zeta.n)

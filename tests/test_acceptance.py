@@ -13,8 +13,7 @@ import pytest
 from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
-    application_bound,
-    mean_curvature_sq,
+    application_bounds,
     ricci_offset,
 )
 from curvlike.cli import main
@@ -23,10 +22,7 @@ from curvlike.gauss_bounds import (
     EqualityTag,
     build_T_from_zeta,
     check_bound,
-    chen_ricci_bound,
-    classify_all_equality,
     corollary_triple,
-    improved_bound,
     is_totally_symmetric,
     verify_gauss,
 )
@@ -58,7 +54,7 @@ from curvlike.tensor_core import (
     rotate_frame,
     t_ricci_form,
     t_scalar,
-    trace_norm_sq,
+    trace_norms_sq,
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
@@ -108,7 +104,7 @@ def test_c02_general_bound(general_population):
     violations = 0
     for zeta in general_population:
         lam, _ = max_ricci(t_ricci_form(build_T_from_zeta(zeta)))
-        if lam > chen_ricci_bound(zeta) + 1e-9:
+        if lam > check_bound(zeta, BoundMode.GENERAL).bound_value + 1e-9:
             violations += 1
     assert violations == 0
     _passed("02 general-bound")
@@ -119,7 +115,7 @@ def test_c03_improved_bound(symmetric_population):
     for zeta in symmetric_population:
         assert is_totally_symmetric(zeta)[0]
         lam, _ = max_ricci(t_ricci_form(build_T_from_zeta(zeta)))
-        if lam > improved_bound(zeta) + 1e-9:
+        if lam > check_bound(zeta, BoundMode.IMPROVED).bound_value + 1e-9:
             violations += 1
     assert violations == 0
     _passed("03 improved-bound")
@@ -152,7 +148,7 @@ def test_c05_saturation_and_classification():
         rotated = rotate_frame(
             reference, random_orthogonal(rng, 2), random_orthogonal(rng, 2)
         )
-        eq = classify_all_equality(rotated, BoundMode.IMPROVED)
+        eq = check_bound(rotated, BoundMode.IMPROVED).equality_class
         assert eq.tag is EqualityTag.H_UMBILICAL_SURFACE
         assert abs(eq.mu) == pytest.approx(mu, abs=1e-9)
 
@@ -165,14 +161,15 @@ def test_c05_saturation_and_classification():
 
     zero = BundleValuedForm.zeros(2, 2)
     for mode in BoundMode:
-        assert classify_all_equality(zero, mode).tag is EqualityTag.ZERO_FORM
+        assert check_bound(zero, mode).equality_class.tag is EqualityTag.ZERO_FORM
     _passed("05 saturation-and-classification")
 
 
 def test_c06_scalar_identity(general_population, symmetric_population):
     for zeta in general_population + symmetric_population:
         tau = t_scalar(build_T_from_zeta(zeta))
-        identity = 0.5 * trace_norm_sq(zeta) - 0.5 * zeta_norm_sq(zeta)
+        trace_sq = float(trace_norms_sq(zeta.components))
+        identity = 0.5 * trace_sq - 0.5 * zeta_norm_sq(zeta)
         assert abs(tau - identity) <= 1e-10
     _passed("06 scalar-identity")
 
@@ -223,9 +220,10 @@ def test_c08_ambient_application_bounds():
         zeta = sample_symmetric(rng, n, n)
         lam, _ = max_ricci(t_ricci_form(build_T_from_zeta(zeta)))
         intrinsic_max = lam + ricci_offset(model, n)
-        bound = application_bound(model, zeta)
+        bound = float(application_bounds(model, zeta.n, trace_norms_sq(zeta.components)))
         assert intrinsic_max <= bound + 1e-9
-        assert abs(bound - (improved_bound(zeta) + ricci_offset(model, n))) <= 1e-12
+        improved = check_bound(zeta, BoundMode.IMPROVED).bound_value
+        assert abs(bound - (improved + ricci_offset(model, n))) <= 1e-12
 
     for _ in range(500):
         n = int(rng.integers(2, 7))
@@ -233,11 +231,13 @@ def test_c08_ambient_application_bounds():
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, float(rng.uniform(-5, 5)))
         lam, _ = max_ricci(t_ricci_form(build_T_from_zeta(zeta)))
         intrinsic_max = lam + ricci_offset(model, n)
-        recovery = n * n * mean_curvature_sq(zeta) / 4.0 + (n - 1) * model.c
+        trace_sq = trace_norms_sq(zeta.components)
+        h_sq = float(trace_sq) / float(zeta.n) ** 2
+        recovery = n * n * h_sq / 4.0 + (n - 1) * model.c
         assert intrinsic_max <= recovery + 1e-9
         assert abs(
-            application_bound(model, zeta)
-            - (chen_ricci_bound(zeta) + ricci_offset(model, n))
+            float(application_bounds(model, zeta.n, trace_sq))
+            - (check_bound(zeta, BoundMode.GENERAL).bound_value + ricci_offset(model, n))
         ) <= 1e-12
     _passed("08 ambient-application-bounds")
 
@@ -279,7 +279,7 @@ def test_c11_corollary_two_imply_third(general_population):
         for r in range(base.shape[0]):
             base[r] -= (np.trace(base[r]) / n) * np.eye(n)
         trace_free = BundleValuedForm(base)
-        assert trace_norm_sq(trace_free) <= 1e-18
+        assert float(trace_norms_sq(trace_free.components)) <= 1e-18
         for x in (random_unit(rng, n), np.eye(n)[0]):
             assert corollary_triple(trace_free, x).verified
 

@@ -8,24 +8,17 @@ import pytest
 from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
-    application_bound,
     application_bounds,
     base_mode,
     intrinsic_ricci,
-    mean_curvature_sq,
     ricci_offset,
 )
 from curvlike.errors import ValidationError
-from curvlike.gauss_bounds import (
-    BoundMode,
-    build_T_from_zeta,
-    chen_ricci_bound,
-    improved_bound,
-)
+from curvlike.gauss_bounds import BoundMode, build_T_from_zeta, check_bound
 from curvlike.optim_lemmas import max_ricci
 from curvlike.sampling import random_unit, sample_general, sample_symmetric
 from curvlike.structures import build_slant_structure
-from curvlike.tensor_core import BundleValuedForm, t_ricci_form
+from curvlike.tensor_core import BundleValuedForm, t_ricci_form, trace_norms_sq
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
@@ -81,7 +74,10 @@ class TestRicciOffset:
                 slant = AmbientModel(AmbientKind.COMPLEX_SLANT, c, theta=math.pi / 2)
                 lag = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, c)
                 assert ricci_offset(slant, n) == ricci_offset(lag, n)
-                assert application_bound(slant, zeta) == application_bound(lag, zeta)
+                trace_sq = trace_norms_sq(zeta.components)
+                assert float(application_bounds(slant, zeta.n, trace_sq)) == float(
+                    application_bounds(lag, zeta.n, trace_sq)
+                )
                 x = random_unit(rng, n)
                 assert intrinsic_ricci(slant, zeta, x) == intrinsic_ricci(lag, zeta, x)
 
@@ -117,20 +113,23 @@ class TestRicciOffset:
         message = r"^ambient models need n >= 2, got n = 1$"
         with pytest.raises(ValidationError, match=message):
             ricci_offset(model, 1)
+        zeta = BundleValuedForm(np.ones((1, 1, 1)))
         with pytest.raises(ValidationError, match=message):
-            application_bound(model, BundleValuedForm(np.ones((1, 1, 1))))
+            float(application_bounds(model, zeta.n, trace_norms_sq(zeta.components)))
 
 
 class TestApplicationBound:
     def test_lagrangian_reference(self, h_umbilical_ref):
         model = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 0.0)
-        assert mean_curvature_sq(h_umbilical_ref) == 4.0
-        assert application_bound(model, h_umbilical_ref) == pytest.approx(2.0, abs=1e-12)
+        trace_sq = trace_norms_sq(h_umbilical_ref.components)
+        assert float(trace_sq) / float(h_umbilical_ref.n) ** 2 == 4.0
+        assert float(application_bounds(model, h_umbilical_ref.n, trace_sq)) == pytest.approx(2.0, abs=1e-12)
 
     def test_sasakian_zero_form(self):
         model = AmbientModel(AmbientKind.SASAKIAN_C_TOTALLY_REAL, 1.0)
         zeta = BundleValuedForm.zeros(2, 3)
-        assert application_bound(model, zeta) == pytest.approx(1.0, abs=1e-15)
+        trace_sq = trace_norms_sq(zeta.components)
+        assert float(application_bounds(model, zeta.n, trace_sq)) == pytest.approx(1.0, abs=1e-15)
 
     def test_flat_zero_form(self):
         # The flat parameter is c = 0 except for the Sasakian kind, whose
@@ -142,23 +141,26 @@ class TestApplicationBound:
             AmbientModel(AmbientKind.COMPLEX_SLANT, 0.0, theta=0.5),
             AmbientModel(AmbientKind.SASAKIAN_C_TOTALLY_REAL, -3.0),
         ]
+        trace_sq = trace_norms_sq(zeta.components)
         for model in flat:
-            assert application_bound(model, zeta) == 0.0
+            assert float(application_bounds(model, zeta.n, trace_sq)) == 0.0
 
     def test_decomposes_into_bound_plus_offset(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             n = int(rng.integers(2, 7))
             zeta = sample_symmetric(rng, n, n)
+            trace_sq = trace_norms_sq(zeta.components)
+            improved = check_bound(zeta, BoundMode.IMPROVED).bound_value
             for model in _models(rng):
-                lhs = application_bound(model, zeta)
-                rhs = improved_bound(zeta) + ricci_offset(model, n)
+                lhs = float(application_bounds(model, zeta.n, trace_sq))
+                rhs = improved + ricci_offset(model, n)
                 assert abs(lhs - rhs) <= 1e-12
         zeta = sample_general(rng, 4, 5)
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.5)
         assert abs(
-            application_bound(model, zeta)
-            - (chen_ricci_bound(zeta) + ricci_offset(model, 4))
+            float(application_bounds(model, zeta.n, trace_norms_sq(zeta.components)))
+            - (check_bound(zeta, BoundMode.GENERAL).bound_value + ricci_offset(model, 4))
         ) <= 1e-12
 
 
@@ -186,9 +188,10 @@ class TestIntrinsicRicci:
             n = int(rng.integers(2, 6))
             zeta = sample_symmetric(rng, n, n)
             x = random_unit(rng, n)
+            trace_sq = trace_norms_sq(zeta.components)
             for model in _models(rng):
                 assert intrinsic_ricci(model, zeta, x) <= (
-                    application_bound(model, zeta) + 1e-9
+                    float(application_bounds(model, zeta.n, trace_sq)) + 1e-9
                 )
 
     def test_real_space_form_recovery(self):
@@ -199,7 +202,8 @@ class TestIntrinsicRicci:
             model = AmbientModel(AmbientKind.REAL_SPACE_FORM, float(rng.uniform(-3, 3)))
             lam, _ = max_ricci(t_ricci_form(build_T_from_zeta(zeta)))
             intrinsic_max = lam + ricci_offset(model, n)
-            expected = n * n * mean_curvature_sq(zeta) / 4.0 + (n - 1) * model.c
+            h_sq = float(trace_norms_sq(zeta.components)) / float(zeta.n) ** 2
+            expected = n * n * h_sq / 4.0 + (n - 1) * model.c
             assert intrinsic_max <= expected + 1e-9
 
 

@@ -12,11 +12,10 @@ from curvlike import reporting
 from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
-    application_bound,
+    application_bounds,
     base_mode,
     ricci_offset,
 )
-from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
     BoundMode,
     build_T_from_zeta,
@@ -27,7 +26,11 @@ from curvlike.gauss_bounds import (
 from curvlike.instance_io import dump_json
 from curvlike.reporting import run_sample
 from curvlike.sampling import sample_general, sample_symmetric
-from curvlike.tensor_core import DEFAULT_TOL, validate_curvature_symmetries
+from curvlike.tensor_core import (
+    DEFAULT_TOL,
+    trace_norms_sq,
+    validate_curvature_symmetries,
+)
 
 
 def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
@@ -48,10 +51,7 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
             violations.append(
                 {"index": index, "kind": "symmetry", "detail": sym.max_residual}
             )
-        try:
-            symmetric_count += is_totally_symmetric(zeta, tol)[0]
-        except ValidationError:
-            pass
+        symmetric_count += is_totally_symmetric(zeta, tol)[0]
         general = check_bound(zeta, BoundMode.GENERAL, tol)
         min_general = min(min_general, general.gap)
         if general.gap < -tol:
@@ -72,7 +72,8 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
                 )
         if ambient is not None:
             base = general if base_mode(ambient) is BoundMode.GENERAL else improved
-            margin = application_bound(ambient, zeta) - (
+            trace_sq = trace_norms_sq(zeta.components)
+            margin = float(application_bounds(ambient, zeta.n, trace_sq)) - (
                 base.ricci_max + ricci_offset(ambient, n)
             )
             min_margin = min(min_margin, margin)

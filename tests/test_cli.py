@@ -74,6 +74,23 @@ class TestConstructAndBound:
         expected = np.linalg.eigvalsh(ricci_forms(zeta.components)).max()
         assert abs(ricci_max - expected) <= 1e-12 * zeta_norm_sq(zeta)
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (("--family", "h-umbilical", "--lambda", "nan", "--mu", "1"), "lambda"),
+            (("--family", "h-umbilical", "--lambda", "3", "--mu", "inf"), "mu"),
+            (("--family", "slumbilical", "--lambda", "1", "--theta", "nan"), "theta"),
+            (("--family", "totally-umbilical", "--h0", "1,-inf"), "h0"),
+        ],
+    )
+    def test_non_finite_parameter_names_the_flag(self, tmp_path, capsys, flags, name):
+        target = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "construct", "--n", "2", *flags, "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} must be finite, got ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_missing_parameter_is_exit_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys,
@@ -114,6 +131,41 @@ class TestLemma:
     def test_non_finite_input_names_the_flag(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "lemma", "--which", "f2", "--n", "3", *flags)
         assert (code, out, err) == (2, "", message)
+
+    def test_overflowing_sum_names_the_flag(self, capsys):
+        """S^2 overflows binary64 above about 1.3e154: refused before any
+        kernel warns."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "lemma", "--which", "f1", "--n", "3", "--sum", "1e200"
+            )
+        assert caught == []
+        assert (code, out, err) == (
+            2, "", "error: --sum must be within +-1e+150, got 1e+200\n"
+        )
+
+    @pytest.mark.parametrize("which", ["f1", "f2"])
+    @pytest.mark.parametrize("n", ["2", "16"])
+    def test_sum_limit_is_1e150(self, capsys, which, n):
+        """|S| = 1e150 passes the gate and runs the closed form and the oracle
+        without a warning; just past it is refused.  Exit 1 is allowed: the
+        absolute 1e-8 agreement gate flags one-ulp differences at this scale."""
+        argv = ("lemma", "--which", which, "--n", n)
+        for raw in ("1e150", "-1e150"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, *argv, f"--sum={raw}")
+            assert caught == []
+            assert code in (0, 1) and err == "" and "oracle:" in out
+        code, out, err = run_cli(capsys, *argv, "--sum=-1.000001e150")
+        assert (code, out, err) == (
+            2, "", "error: --sum must be within +-1e+150, got -1.000001e+150\n"
+        )
+
+    def test_n_above_desk_scale_names_n(self, capsys):
+        code, out, err = run_cli(capsys, "lemma", "--which", "f1", "--n", "17", "--sum", "1")
+        assert (code, out, err) == (2, "", "error: quadratic families need n <= 16, got 17\n")
 
 
 class TestCheckAndNullspace:

@@ -78,6 +78,16 @@ class TestClosedForms:
         with pytest.raises(ValidationError, match=r"^need n >= 2, got 1$"):
             f2_max_closed(1, 3.0)
 
+    def test_n_above_desk_scale(self):
+        """The oracle draws ORACLE_SAMPLES points of length n, so n is capped
+        at the tangent-dimension limit; only n = 17 is tried."""
+        with pytest.raises(ValidationError, match=r"^quadratic families need n <= 16, got 17$"):
+            ConstrainedQuadratic(Objective.F1, 17, 0.0)
+        with pytest.raises(ValidationError, match=r"^need n <= 16, got 17$"):
+            f1_max_closed(17, 3.0)
+        with pytest.raises(ValidationError, match=r"^need n <= 16, got 17$"):
+            f2_max_closed(17, 3.0)
+
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("s", S_VALUES)
     def test_argmax_feasible_and_attains(self, n, s):

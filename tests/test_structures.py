@@ -19,7 +19,6 @@ from curvlike.structures import (
     RigidityVerdict,
     build_slant_structure,
     construct_family,
-    lagrangian_symmetry_check,
     umbilical_rigidity_witness,
 )
 
@@ -161,24 +160,18 @@ class TestSaturation:
 class TestLagrangianSymmetryCheck:
     def test_families_pass(self):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=3, lam=2.0, mu=1.0))
-        ok, _ = lagrangian_symmetry_check(zeta)
+        ok, _ = is_totally_symmetric(zeta)
         assert ok
 
     def test_umbilical_fails(self, umbilical_n3):
-        ok, residual = lagrangian_symmetry_check(umbilical_n3)
+        ok, residual = is_totally_symmetric(umbilical_n3)
         assert not ok and residual == 1.0
 
     def test_zero_passes(self):
         from curvlike.tensor_core import BundleValuedForm
 
-        ok, residual = lagrangian_symmetry_check(BundleValuedForm.zeros(3, 3))
+        ok, residual = is_totally_symmetric(BundleValuedForm.zeros(3, 3))
         assert ok and residual == 0.0
-
-    def test_bundle_mismatch(self):
-        from curvlike.tensor_core import BundleValuedForm
-
-        with pytest.raises(ValidationError, match=r"^Lagrangian-type check needs bundle dimension n = 3, got 4$"):
-            lagrangian_symmetry_check(BundleValuedForm.zeros(3, 4))
 
 
 class TestUmbilicalRigidity:

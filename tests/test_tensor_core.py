@@ -20,8 +20,8 @@ from curvlike.tensor_core import (
     t_ricci_form,
     t_scalar,
     t_sectional,
-    trace_norm_sq,
-    trace_zeta,
+    trace_norms_sq,
+    traces,
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
@@ -173,13 +173,15 @@ class TestScalar:
         tensor = build_T_from_zeta(h_umbilical_ref)
         tau = t_scalar(tensor)
         assert tau == pytest.approx(2.0, abs=1e-14)
-        cross = 0.5 * trace_norm_sq(h_umbilical_ref) - 0.5 * zeta_norm_sq(h_umbilical_ref)
+        trace_sq = float(trace_norms_sq(h_umbilical_ref.components))
+        cross = 0.5 * trace_sq - 0.5 * zeta_norm_sq(h_umbilical_ref)
         assert tau == pytest.approx(cross, abs=1e-14)
 
     def test_umbilical_n3(self, umbilical_n3):
         tau = t_scalar(build_T_from_zeta(umbilical_n3))
         assert tau == pytest.approx(3.0, abs=1e-14)
-        assert 0.5 * trace_norm_sq(umbilical_n3) - 0.5 * zeta_norm_sq(umbilical_n3) == (
+        trace_sq = float(trace_norms_sq(umbilical_n3.components))
+        assert 0.5 * trace_sq - 0.5 * zeta_norm_sq(umbilical_n3) == (
             pytest.approx(3.0, abs=1e-14)
         )
 
@@ -198,12 +200,12 @@ class TestZetaScalars:
     def test_zero_form(self):
         zeta = BundleValuedForm.zeros(3, 2)
         assert zeta_norm_sq(zeta) == 0.0
-        assert np.array_equal(trace_zeta(zeta), np.zeros(2))
-        assert trace_norm_sq(zeta) == 0.0
+        assert np.array_equal(traces(zeta.components), np.zeros(2))
+        assert float(trace_norms_sq(zeta.components)) == 0.0
 
     def test_h_umbilical_values(self, h_umbilical_ref):
-        assert_allclose(trace_zeta(h_umbilical_ref), [4.0, 0.0])
-        assert trace_norm_sq(h_umbilical_ref) == 16.0
+        assert_allclose(traces(h_umbilical_ref.components), [4.0, 0.0])
+        assert float(trace_norms_sq(h_umbilical_ref.components)) == 16.0
         assert zeta_norm_sq(h_umbilical_ref) == 12.0
 
     def test_frame_invariance(self):
@@ -215,8 +217,8 @@ class TestZetaScalars:
                 zeta, random_orthogonal(rng, n), random_orthogonal(rng, mp)
             )
             assert zeta_norm_sq(rotated) == pytest.approx(zeta_norm_sq(zeta), abs=1e-10)
-            assert trace_norm_sq(rotated) == pytest.approx(
-                trace_norm_sq(zeta), abs=1e-10
+            assert float(trace_norms_sq(rotated.components)) == pytest.approx(
+                float(trace_norms_sq(zeta.components)), abs=1e-10
             )
 
 
@@ -277,6 +279,12 @@ class TestNullSpace:
         comps[0, 1, 1] = 1.0
         with pytest.raises(ValidationError, match=r"^rank_tol must be positive, got "):
             null_space(BundleValuedForm(comps), rank_tol)
+
+    def test_rejects_an_infinite_rank_tol(self):
+        """Every singular value is below inf, which would make the whole
+        tangent space the null space of a nonzero form."""
+        with pytest.raises(ValidationError, match=r"^rank_tol must be finite, got inf$"):
+            null_space(BundleValuedForm(np.eye(2)[None]), np.inf)
 
     def test_zero_form_gives_full_basis(self):
         basis = null_space(BundleValuedForm.zeros(4, 2))
