@@ -17,7 +17,7 @@ from enum import Enum
 
 from .errors import ValidationError
 from .gauss_bounds import BoundMode, ricci_forms
-from .tensor_core import BundleValuedForm, as_unit_vector
+from .tensor_core import BundleValuedForm, as_unit_vector, check_tangent_dim
 
 
 class AmbientKind(Enum):
@@ -43,35 +43,33 @@ class AmbientModel:
         if self.kind is AmbientKind.COMPLEX_SLANT:
             if self.theta is None:
                 raise ValidationError("complex_slant requires theta")
-            if not 0.0 < self.theta <= math.pi / 2:
-                raise ValidationError(
-                    f"theta must lie in (0, pi/2], got {self.theta!r}"
-                )
+            slant_cos(self.theta)
         elif self.theta is not None:
             raise ValidationError("theta is only valid for complex_slant models")
 
 
-def _cos_sq(theta: float) -> float:
-    """cos^2(theta), snapped to 0 at theta = pi/2 so the slant kind degenerates
-    to the Lagrangian kind exactly."""
+def slant_cos(theta: float) -> float:
+    """The one slant-angle rule: cos(theta) for theta in (0, pi/2], snapped
+    to 0 when |cos theta| < 1e-12 so that theta = pi/2 is the Lagrangian case
+    exactly; ValidationError outside the range."""
+    if not 0.0 < theta <= math.pi / 2:
+        raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
     cos_t = math.cos(theta)
-    if abs(cos_t) < 1e-12:
-        return 0.0
-    return cos_t * cos_t
+    return 0.0 if abs(cos_t) < 1e-12 else cos_t
 
 
 def ricci_offset(model: AmbientModel, n: int) -> float:
     """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X.  The one check
     of a model at dimension n: ValidationError, naming c, if the offset or the
     c-part of the application bound (the slant kind's (n - 1) c) overflows."""
-    if n < 2:
-        raise ValidationError(f"ambient models need n >= 2, got n = {n}")
+    check_tangent_dim(n, 2)
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         offset = (n - 1) * model.c
     elif model.kind is AmbientKind.COMPLEX_LAGRANGIAN:
         offset = 0.25 * (n - 1) * model.c
     elif model.kind is AmbientKind.COMPLEX_SLANT:
-        offset = 0.25 * (n - 1) * model.c + 0.75 * model.c * _cos_sq(model.theta)
+        cos_t = slant_cos(model.theta)
+        offset = 0.25 * (n - 1) * model.c + 0.75 * model.c * (cos_t * cos_t)
     else:
         offset = 0.25 * (n - 1) * (model.c + 3.0)
     if not math.isfinite(offset):
@@ -96,16 +94,16 @@ def application_bounds(model: AmbientModel, n: int, trace_sq):
         complex slant:          1/4 * ((n-1) n ||H||^2 + (n-1) c + 3 c cos^2 theta)
         Sasakian C-totally real:(n-1)/4 * (c + 3 + n ||H||^2)
     """
-    if n < 2:
-        raise ValidationError(f"ambient models need n >= 2, got n = {n}")
+    check_tangent_dim(n, 2)
     h_sq = trace_sq / float(n) ** 2
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         return n * n * h_sq / 4.0 + (n - 1) * model.c
     if model.kind is AmbientKind.COMPLEX_LAGRANGIAN:
         return (n - 1) / 4.0 * (model.c + n * h_sq)
     if model.kind is AmbientKind.COMPLEX_SLANT:
+        cos_t = slant_cos(model.theta)
         return 0.25 * (
-            (n - 1) * n * h_sq + (n - 1) * model.c + 3.0 * model.c * _cos_sq(model.theta)
+            (n - 1) * n * h_sq + (n - 1) * model.c + 3.0 * model.c * (cos_t * cos_t)
         )
     return (n - 1) / 4.0 * (model.c + 3.0 + n * h_sq)
 

@@ -125,11 +125,13 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
         closed_max = family.max_value
     oracle = brute_force_max(problem)
     agreement = abs(closed_max - oracle.max_value)
+    # Each gate is relative to the size of what it judges, floored at 1.
+    scale = max(1.0, abs(closed_max))
     failures = []
-    if agreement > LEMMA_AGREEMENT_TOL:
+    if agreement > LEMMA_AGREEMENT_TOL * scale:
         failures.append(
             f"closed form and oracle disagree by {agreement!r} "
-            f"(> {LEMMA_AGREEMENT_TOL})"
+            f"(> {LEMMA_AGREEMENT_TOL * scale})"
         )
     doc = {
         **report_envelope("lemma-report"),
@@ -146,8 +148,8 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
             raise CurvlikeError(f"--values must be finite, got {args.values!r}")
         value = f_value(problem, point)
         feasibility = abs(float(point.sum()) - args.sum)
-        feasible = feasibility <= tol
-        within = value <= closed_max + tol
+        feasible = feasibility <= tol * max(1.0, abs(args.sum))
+        within = value <= closed_max + tol * scale
         doc["values"] = {
             "point": point,
             "value": value,

@@ -33,6 +33,7 @@ import numpy as np
 
 from .ambient_models import AmbientKind, AmbientModel, ricci_offset
 from .errors import CurvlikeError, ValidationError
+from .structures import build_slant_structure
 from .tensor_core import (
     MAX_BUNDLE_DIM,
     MAX_TANGENT_DIM,
@@ -224,31 +225,41 @@ def _require_int(doc: dict, field: str, low: int, high: int) -> int:
     return value
 
 
-def _parse_ambient(raw, n: int) -> AmbientModel:
+def _object(raw, allowed: set[str], field: str = "") -> dict:
+    """``raw`` checked to be a JSON object whose keys all lie in ``allowed``;
+    ``field`` names it, and is empty for the instance document itself."""
     if not isinstance(raw, dict):
-        raise ValidationError("field 'ambient' must be an object")
-    allowed = {"kind", "c", "theta"}
+        raise ValidationError(
+            f"field '{field}' must be an object"
+            if field
+            else "instance document must be a JSON object"
+        )
     for key in raw:
         if key not in allowed:
-            raise ValidationError(f"field 'ambient.{key}' is not recognized")
+            name = f"{field}.{key}" if field else key
+            raise ValidationError(f"field '{name}' is not recognized")
+    return raw
+
+
+def _number(value, field: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"field '{field}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _parse_ambient(raw, n: int) -> AmbientModel:
+    raw = _object(raw, {"kind", "c", "theta"}, "ambient")
     kind_raw = raw.get("kind")
     kinds = {k.value: k for k in AmbientKind}
     if kind_raw not in kinds:
         raise ValidationError(
             f"field 'ambient.kind' must be one of {sorted(kinds)}, got {kind_raw!r}"
         )
-    c = raw.get("c")
-    if not isinstance(c, (int, float)) or isinstance(c, bool):
-        raise ValidationError(f"field 'ambient.c' must be a number, got {c!r}")
+    c = _number(raw.get("c"), "ambient.c")
     theta = raw.get("theta")
-    if theta is not None and (not isinstance(theta, (int, float)) or isinstance(theta, bool)):
-        raise ValidationError(f"field 'ambient.theta' must be a number, got {theta!r}")
+    theta = None if theta is None else _number(theta, "ambient.theta")
     try:
-        model = AmbientModel(
-            kind=kinds[kind_raw],
-            c=float(c),
-            theta=None if theta is None else float(theta),
-        )
+        model = AmbientModel(kind=kinds[kind_raw], c=c, theta=theta)
         ricci_offset(model, n)
     except ValidationError as exc:
         raise ValidationError(f"field 'ambient': {exc}") from exc
@@ -256,12 +267,7 @@ def _parse_ambient(raw, n: int) -> AmbientModel:
 
 
 def _parse_structure(raw, n: int) -> StructureInfo:
-    if not isinstance(raw, dict):
-        raise ValidationError("field 'structure' must be an object")
-    allowed = {"kind", "theta"}
-    for key in raw:
-        if key not in allowed:
-            raise ValidationError(f"field 'structure.{key}' is not recognized")
+    raw = _object(raw, {"kind", "theta"}, "structure")
     kind = raw.get("kind")
     if kind not in STRUCTURE_KINDS:
         raise ValidationError(
@@ -274,27 +280,17 @@ def _parse_structure(raw, n: int) -> StructureInfo:
         return StructureInfo(kind=kind)
     if theta is None:
         raise ValidationError("field 'structure.theta' is required for slant structures")
-    if not isinstance(theta, (int, float)) or isinstance(theta, bool):
-        raise ValidationError(f"field 'structure.theta' must be a number, got {theta!r}")
-    theta = float(theta)
-    if not 0.0 < theta <= math.pi / 2:
-        raise ValidationError(
-            f"field 'structure.theta' must lie in (0, pi/2], got {theta!r}"
-        )
-    if theta < math.pi / 2 - 1e-12 and n % 2 != 0:
-        raise ValidationError(
-            f"field 'structure.theta': proper slant requires even n, got n = {n}"
-        )
+    theta = _number(theta, "structure.theta")
+    try:
+        build_slant_structure(n, theta)
+    except ValidationError as exc:
+        raise ValidationError(f"field 'structure.theta': {exc}") from exc
     return StructureInfo(kind=kind, theta=theta)
 
 
 def instance_from_dict(doc) -> Instance:
-    if not isinstance(doc, dict):
-        raise ValidationError("instance document must be a JSON object")
     allowed = {"version", "n", "bundle_dim", "zeta", "ambient", "structure"}
-    for key in doc:
-        if key not in allowed:
-            raise ValidationError(f"field '{key}' is not recognized")
+    doc = _object(doc, allowed)
     version = doc.get("version")
     if version != SCHEMA_VERSION:
         raise ValidationError(

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .tensor_core import MAX_TANGENT_DIM
+from .tensor_core import check_tangent_dim
 
 ORACLE_SAMPLES = 100_000
 ORACLE_SEED = 1849340219
@@ -41,9 +41,7 @@ class ConstrainedQuadratic:
     constraint_sum: float
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n <= MAX_TANGENT_DIM:
-            need = "n >= 2" if self.n < 2 else f"n <= {MAX_TANGENT_DIM}"
-            raise ValidationError(f"quadratic families need {need}, got {self.n}")
+        check_tangent_dim(self.n, 2)
 
 
 def f_value(problem: ConstrainedQuadratic, a) -> float:
@@ -68,9 +66,7 @@ class QuadraticMax:
 def f1_max_closed(n: int, s: float) -> QuadraticMax:
     """Sharp maximum of f1 on the hyperplane: (n-1)/(4n) * S^2, attained at
     a[0] = (n+1)S/(2n) and a[j] = S/(2n) for j >= 1 (the unique maximizer)."""
-    if not 2 <= n <= MAX_TANGENT_DIM:
-        need = "n >= 2" if n < 2 else f"n <= {MAX_TANGENT_DIM}"
-        raise ValidationError(f"need {need}, got {n}")
+    check_tangent_dim(n, 2)
     argmax = np.full(n, s / (2.0 * n))
     argmax[0] = (n + 1) * s / (2.0 * n)
     return QuadraticMax((n - 1) / (4.0 * n) * s * s, argmax)
@@ -93,9 +89,7 @@ class F2Family:
 def f2_max_closed(n: int, s: float) -> F2Family:
     """Sharp maximum of f2 on the hyperplane: S^2 / 8, attained exactly on the
     family a[0] = S/4, a[1] + ... + a[n-1] = 3S/4."""
-    if not 2 <= n <= MAX_TANGENT_DIM:
-        need = "n >= 2" if n < 2 else f"n <= {MAX_TANGENT_DIM}"
-        raise ValidationError(f"need {need}, got {n}")
+    check_tangent_dim(n, 2)
     a1 = s / 4.0
     tail_sum = 3.0 * s / 4.0
     representative = np.full(n, tail_sum / (n - 1))
@@ -115,7 +109,8 @@ def brute_force_max(
     by elimination; for F2 the objective depends on the tail only through its
     sum, leaving a concave single-variable quadratic in a[0].  The stationary
     value is then cross-checked against seeded random points on the constraint
-    hyperplane; any sampled value above it means the oracle itself is broken.
+    hyperplane; any sampled value above it by more than 1e-9 max(1, |value|)
+    means the oracle itself is broken.
     """
     n = problem.n
     s = problem.constraint_sum
@@ -137,7 +132,7 @@ def brute_force_max(
     else:
         values = points[:, 0] * tails.sum(axis=1) - points[:, 0] ** 2
     sampled_max = float(values.max())
-    if sampled_max > best + 1e-9:
+    if sampled_max > best + 1e-9 * max(1.0, abs(best)):
         raise ArithmeticError(
             f"oracle self-check failed: sampled {sampled_max!r} exceeds "
             f"stationary value {best!r}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .tensor_core import BundleValuedForm
 
 PRNG_NAME = "numpy-pcg64"
@@ -31,11 +30,8 @@ def draw_symmetric(
 ) -> np.ndarray:
     """Components (count, m', n, n) of ``count`` totally symmetric forms: a
     random 3-index array averaged over all six index permutations fills bundle
-    slots 0..n-1; the tail stays zero."""
-    if m_prime < n:
-        raise ValidationError(
-            f"totally symmetric forms need bundle dimension >= {n}, got {m_prime}"
-        )
+    slots 0..n-1; the tail stays zero.  Needs m' >= n, which
+    :func:`~curvlike.reporting.run_sample` checks before its first draw."""
     raw = rng.standard_normal((count, n, n, n))
     cubic = (
         raw

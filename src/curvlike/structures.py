@@ -16,11 +16,10 @@ from enum import Enum
 
 import numpy as np
 
+from .ambient_models import slant_cos
 from .errors import ValidationError
 from .gauss_bounds import is_totally_symmetric
-from .tensor_core import BundleValuedForm
-
-LAGRANGIAN_COS_TOL = 1e-12
+from .tensor_core import BundleValuedForm, check_tangent_dim
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,10 @@ def build_slant_structure(n: int, theta: float) -> SlantStructure:
 
     theta = pi/2 gives P = 0 (the Lagrangian case) and accepts any n; a proper
     slant angle forces even n, since P^2 = -cos^2(theta) I is then a scaled
-    complex structure.
+    complex structure.  This is the one owner of that parity rule.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if not 0.0 < theta <= math.pi / 2:
-        raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
-    cos_t = math.cos(theta)
-    if abs(cos_t) < LAGRANGIAN_COS_TOL:
-        cos_t = 0.0
+    check_tangent_dim(n)
+    cos_t = slant_cos(theta)
     if cos_t != 0.0 and n % 2 != 0:
         raise ValidationError(
             f"proper slant angle {theta!r} requires even tangent dimension, got {n}"
@@ -109,9 +103,7 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
     characteristic direction), identically zero.  Totally umbilical forms are
     zeta[r][i][j] = delta_ij h0[r]; totally geodesic is the zero form.
     """
-    n = params.n
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
+    n = check_tangent_dim(params.n)
     named = {"lambda": params.lam, "mu": params.mu, "theta": params.theta, "h0": params.h0}
     for name, value in named.items():
         if value is not None and not np.isfinite(value).all():
@@ -144,6 +136,7 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
             raise ValidationError(
                 f"slant families need theta in (0, pi/2), got {params.theta!r}"
             )
+        build_slant_structure(n, params.theta)
 
     m_prime = n + 1 if params.family is Family.H_UMBILICAL_C_TOTALLY_REAL else n
     components = np.zeros((m_prime, n, n))
@@ -169,9 +162,7 @@ def umbilical_rigidity_witness(n: int, h0, tol: float = 1e-12) -> RigidityVerdic
     point is forced geodesic.  DIMENSION_1 is the exceptional n = 1 case;
     SYMMETRIC_NONZERO is the failure verdict that must never occur.
     """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if n == 1:
+    if check_tangent_dim(n) == 1:
         return RigidityVerdict.DIMENSION_1
     h = np.atleast_1d(np.asarray(h0, dtype=float))
     if h.size < n:

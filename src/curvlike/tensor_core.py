@@ -30,6 +30,16 @@ FRAME_ORTHO_TOL = 1e-10
 INPUT_SYMMETRY_TOL = 1e-12
 
 
+def check_tangent_dim(n: int, minimum: int = 1) -> int:
+    """The one tangent-dimension rule, ``minimum <= n <= 16``; every entry
+    point taking n calls it before allocating anything sized by n."""
+    if not minimum <= n <= MAX_TANGENT_DIM:
+        raise ValidationError(
+            f"tangent dimension must be in {minimum}..{MAX_TANGENT_DIM}, got {n}"
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Tangent dimension n and bundle dimension m_prime, with desk-scale guards."""
@@ -38,10 +48,7 @@ class Dimensions:
     m_prime: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_TANGENT_DIM:
-            raise ValidationError(
-                f"tangent dimension must be in 1..{MAX_TANGENT_DIM}, got {self.n}"
-            )
+        check_tangent_dim(self.n)
         if not 1 <= self.m_prime <= MAX_BUNDLE_DIM:
             raise ValidationError(
                 f"bundle dimension must be in 1..{MAX_BUNDLE_DIM}, got {self.m_prime}"
@@ -109,6 +116,7 @@ class BundleValuedForm:
 
     @classmethod
     def zeros(cls, n: int, m_prime: int) -> "BundleValuedForm":
+        Dimensions(n=n, m_prime=m_prime)
         return cls(np.zeros((m_prime, n, n)))
 
     @property
@@ -142,10 +150,7 @@ class CurvatureLikeTensor:
             raise ValidationError(
                 f"expected components of shape (n, n, n, n), got {arr.shape}"
             )
-        if not 1 <= arr.shape[0] <= MAX_TANGENT_DIM:
-            raise ValidationError(
-                f"tangent dimension must be in 1..{MAX_TANGENT_DIM}, got {arr.shape[0]}"
-            )
+        check_tangent_dim(arr.shape[0])
         arr.setflags(write=False)
         self.n = arr.shape[0]
         self.components = arr
@@ -162,7 +167,7 @@ class CurvatureLikeTensor:
 
     @classmethod
     def zeros(cls, n: int) -> "CurvatureLikeTensor":
-        return cls(np.zeros((n, n, n, n)))
+        return cls(np.zeros((check_tangent_dim(n),) * 4))
 
 
 @dataclass(frozen=True)

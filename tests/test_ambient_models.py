@@ -110,7 +110,7 @@ class TestRicciOffset:
 
     def test_dimension_guard(self):
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0)
-        message = r"^ambient models need n >= 2, got n = 1$"
+        message = r"^tangent dimension must be in 2\.\.16, got 1$"
         with pytest.raises(ValidationError, match=message):
             ricci_offset(model, 1)
         zeta = BundleValuedForm(np.ones((1, 1, 1)))

@@ -6,7 +6,9 @@ maps both to exit 2 and no caller tells finer classes apart, so none may come
 back.  Builtin ``TypeError`` and ``ArithmeticError`` stay allowed for
 internal invariants.  Each quantity has one public entry point, so the names
 in ``curvlike.__all__`` are pinned, and the one-form wrappers that forwarded
-to the array kernels may not come back.
+to the array kernels may not come back.  Each input rule has one owning
+function, so the comparisons that implement a rule are looked up by shape and
+must all sit in that function.
 """
 
 import ast
@@ -138,3 +140,96 @@ def test_removed_wrappers_stay_removed():
     }
     assert defined == set()
     assert [name for name in REMOVED_NAMES if hasattr(curvlike, name)] == []
+
+
+def _owners(predicate) -> set[str]:
+    """``module.function`` of the innermost function around each node that
+    satisfies ``predicate`` (``module.<module>`` outside any function)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if predicate(node):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for module, tree in MODULES.items():
+        visit(tree, f"{module}.<module>")
+    return found
+
+
+def _names(node) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _is_constant(node, value) -> bool:
+    return (
+        isinstance(node, ast.Constant)
+        and type(node.value) is type(value)
+        and node.value == value
+    )
+
+
+def _string_with(fragment: str):
+    return lambda node: isinstance(node, ast.Constant) and fragment in str(node.value)
+
+
+def test_tangent_dimension_rule_has_one_owner():
+    owners = _owners(
+        lambda node: isinstance(node, ast.Compare) and "MAX_TANGENT_DIM" in _names(node)
+    )
+    assert owners == {"tensor_core.check_tangent_dim"}
+
+
+def test_slant_angle_rule_and_lagrangian_snap_have_one_owner():
+    """cos theta, the (0, pi/2] range and the |cos theta| < 1e-12 snap."""
+
+    def is_rule(node) -> bool:
+        if isinstance(node, ast.Call):
+            return _name(node.func) == "cos"
+        if not isinstance(node, ast.Compare):
+            return False
+        snap = isinstance(node.ops[0], ast.Lt) and _is_constant(node.comparators[0], 1e-12)
+        closed_range = any(
+            isinstance(op, ast.LtE) and "pi" in ast.unparse(side)
+            for op, side in zip(node.ops, node.comparators)
+        )
+        return (snap and _name(getattr(node.left, "func", None)) == "abs") or closed_range
+
+    assert _owners(is_rule) == {"ambient_models.slant_cos"}
+    assert not any("LAGRANGIAN_COS_TOL" in path.read_text() for path in SOURCE.glob("*.py"))
+
+
+def test_even_dimension_rule_has_one_owner():
+    parity = _owners(
+        lambda node: isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and _is_constant(node.right, 2)
+    )
+    assert parity == {"structures.build_slant_structure"}
+
+
+def test_symmetric_bundle_rule_has_one_owner():
+    """m' >= n for a totally symmetric draw is checked once, before any draw."""
+    owners = _owners(
+        lambda node: isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+        and "n" in _names(node)
+        and bool({"bundle_dim", "m_prime"} & _names(node))
+    )
+    assert owners == {"reporting.run_sample"}
+
+
+def test_instance_field_checks_have_one_owner_each():
+    def in_io(fragment: str) -> set[str]:
+        return {
+            owner
+            for owner in _owners(_string_with(fragment))
+            if owner.startswith("instance_io.")
+        }
+
+    assert in_io("is not recognized") == {"instance_io._object"}
+    assert in_io("must be an object") == {"instance_io._object"}
+    assert in_io("must be a number") == {"instance_io._number"}

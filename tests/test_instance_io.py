@@ -117,7 +117,7 @@ class TestLoad:
     @pytest.mark.parametrize(
         "n, c, message",
         [
-            (1, 1.0, "field 'ambient': ambient models need n >= 2, got n = 1"),
+            (1, 1.0, "field 'ambient': tangent dimension must be in 2..16, got 1"),
             (3, 1e308, "field 'ambient': c = 1e+308 overflows the Ricci offset at n = 3"),
         ],
     )
@@ -162,6 +162,27 @@ class TestLoad:
         )
         with pytest.raises(ValidationError, match="even"):
             loads_instance(text)
+
+    @pytest.mark.parametrize(
+        "n, theta, message",
+        [
+            (3, 0.5, "proper slant angle 0.5 requires even tangent dimension, got 3"),
+            (2, 2.0, "theta must lie in (0, pi/2], got 2.0"),
+        ],
+    )
+    def test_structure_theta_is_judged_by_the_slant_structure(self, n, theta, message):
+        """The loader reuses `build_slant_structure`'s rule and words, under
+        the field name."""
+        doc = {
+            "version": 1,
+            "n": n,
+            "bundle_dim": 1,
+            "zeta": [np.zeros((n, n)).tolist()],
+            "structure": {"kind": "slant", "theta": theta},
+        }
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(json.dumps(doc))
+        assert str(caught.value) == f"<string>: field 'structure.theta': {message}"
 
 
 class TestRoundTrip:

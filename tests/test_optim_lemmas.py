@@ -38,7 +38,7 @@ class TestFValue:
             f_value(q, [1.0, 2.0])
 
     def test_needs_n_at_least_two(self):
-        with pytest.raises(ValidationError, match=r"^quadratic families need n >= 2, got 1$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 1$"):
             ConstrainedQuadratic(Objective.F1, 1, 0.0)
 
 
@@ -73,19 +73,19 @@ class TestClosedForms:
         assert f_value(q, family.representative) == 8.0
 
     def test_invalid_dimension(self):
-        with pytest.raises(ValidationError, match=r"^need n >= 2, got 1$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 1$"):
             f1_max_closed(1, 3.0)
-        with pytest.raises(ValidationError, match=r"^need n >= 2, got 1$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 1$"):
             f2_max_closed(1, 3.0)
 
     def test_n_above_desk_scale(self):
         """The oracle draws ORACLE_SAMPLES points of length n, so n is capped
         at the tangent-dimension limit; only n = 17 is tried."""
-        with pytest.raises(ValidationError, match=r"^quadratic families need n <= 16, got 17$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 17$"):
             ConstrainedQuadratic(Objective.F1, 17, 0.0)
-        with pytest.raises(ValidationError, match=r"^need n <= 16, got 17$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 17$"):
             f1_max_closed(17, 3.0)
-        with pytest.raises(ValidationError, match=r"^need n <= 16, got 17$"):
+        with pytest.raises(ValidationError, match=r"^tangent dimension must be in 2\.\.16, got 17$"):
             f2_max_closed(17, 3.0)
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -49,6 +49,14 @@ class TestSlantStructure:
         with pytest.raises(ValidationError, match=r"^theta must lie in \(0, pi/2\]"):
             build_slant_structure(2, math.pi)
 
+    def test_huge_n_is_refused_before_any_allocation(self):
+        """An (n, n) P at n = 10**6 would take 8 TB; the dimension rule runs
+        first."""
+        with pytest.raises(
+            ValidationError, match=r"^tangent dimension must be in 1\.\.16, got 1000000$"
+        ):
+            build_slant_structure(10**6, math.pi / 2)
+
     @pytest.mark.parametrize("n", (2, 4, 6))
     @pytest.mark.parametrize("theta", THETAS)
     def test_invariants(self, n, theta):
@@ -86,7 +94,7 @@ class TestConstructFamily:
 
     def test_h_slumbilical_distinct_parameters(self):
         zeta = construct_family(
-            FamilyParams(Family.H_SLUMBILICAL, n=3, lam=2.0, mu=0.5, theta=math.pi / 4)
+            FamilyParams(Family.H_SLUMBILICAL, n=4, lam=2.0, mu=0.5, theta=math.pi / 4)
         )
         assert zeta.components[0, 0, 0] == 2.0
         assert zeta.components[0, 1, 1] == 0.5
@@ -177,6 +185,12 @@ class TestLagrangianSymmetryCheck:
 class TestUmbilicalRigidity:
     def test_dimension_one_is_exceptional(self):
         assert umbilical_rigidity_witness(1, [5.0]) is RigidityVerdict.DIMENSION_1
+
+    def test_huge_n_is_refused_before_any_allocation(self):
+        with pytest.raises(
+            ValidationError, match=r"^tangent dimension must be in 1\.\.16, got 1000000$"
+        ):
+            umbilical_rigidity_witness(10**6, [1.0])
 
     def test_unit_vector_forces_geodesic(self):
         verdict = umbilical_rigidity_witness(3, [1.0, 0.0, 0.0])

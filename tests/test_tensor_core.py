@@ -39,6 +39,13 @@ class TestDimensions:
         with pytest.raises(ValidationError, match=r"^bundle dimension must be in 1\.\.32, got 33$"):
             Dimensions(2, 33)
 
+    def test_zeros_check_n_before_allocating(self):
+        message = r"^tangent dimension must be in 1\.\.16, got 1000000$"
+        with pytest.raises(ValidationError, match=message):
+            BundleValuedForm.zeros(10**6, 1)
+        with pytest.raises(ValidationError, match=message):
+            CurvatureLikeTensor.zeros(10**6)
+
     def test_form_rejects_bad_shapes(self):
         with pytest.raises(ValidationError, match=r"^expected components of shape \(m', n, n\)"):
             BundleValuedForm(np.zeros((2, 3, 2)))
