@@ -14,15 +14,17 @@ happens only for the zero form or, on surfaces, for the umbilical pattern
 (general bound) and the H-umbilical lambda = 3 mu pattern (improved bound).
 
 The array kernels (:func:`gauss_components`, :func:`gauss_residuals`,
-:func:`ricci_forms`, :func:`total_symmetry_residuals`, :func:`evaluate`) take
-leading axes that stack independent forms; the functions on single forms are
-their one-form case, so a sampling campaign and a single report agree bitwise.
+:func:`gauss_probe_residuals`, :func:`ricci_forms`,
+:func:`total_symmetry_residuals`, :func:`evaluate`) take leading axes that
+stack independent forms; the functions on single forms are their one-form
+case, so a sampling campaign and a single report agree bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import ValidationError
 from .optim_lemmas import max_eigenpair, positive_lead
 from .tensor_core import (
     DEFAULT_TOL,
+    MAX_TANGENT_DIM,
     BundleValuedForm,
     CurvatureLikeTensor,
     as_unit_vector,
@@ -140,14 +143,87 @@ def ricci_forms(components: np.ndarray) -> np.ndarray:
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
 
+# Unit-vector quadruples (X, Y, Z, W) at which gauss_probe_residuals evaluates
+# T.  The seed is a constant per tangent dimension, never a campaign's
+# stream, so a residual depends on the form alone.  With these seeds every
+# entry T[j, i, k, l] with j != l, which the contraction with S_T never
+# reads, enters some probe with weight |X_j Y_i Z_k W_l| >= 2.5e-6 (the
+# smallest is at n = 15; at n = 16 it is 2.8e-5).
+GAUSS_PROBE_SEED = 0x9A055
+GAUSS_PROBES = 4
+
+
+@lru_cache(maxsize=MAX_TANGENT_DIM)
+def _gauss_probes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only probe matrices for tangent dimension n, with k =
+    :data:`GAUSS_PROBES` seeded unit vectors in each of X, Y, Z and W: the
+    rows X_p (x) Y_p (k, n^2), the columns Z_p (x) W_p (n^2, k), and the
+    columns X_p (x) W_p, X_p (x) Z_p, Y_p (x) Z_p, Y_p (x) W_p (n^2, 4k)."""
+    k = GAUSS_PROBES
+    v = np.random.default_rng([GAUSS_PROBE_SEED, n]).standard_normal((4, k, n))
+    x, y, z, w = v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a[:, :, None] * b[:, None, :]).reshape(k, n * n)
+
+    pairs = np.concatenate([outer(x, w), outer(x, z), outer(y, z), outer(y, w)])
+    probes = (outer(x, y), outer(z, w).T.copy(), pairs.T.copy())
+    for probe in probes:
+        probe.flags.writeable = False
+    return probes
+
+
+def gauss_probe_residuals(
+    tensors: np.ndarray, components: np.ndarray, ricci_form: np.ndarray
+) -> np.ndarray:
+    """Residual of the algebraic Gauss equation for each pair of a tensor
+    stack [..., i, j, k, l] and a form stack [..., r, i, j], checked by two
+    routes that share no code with :func:`gauss_components`:
+
+    - the contraction sum_j T[j, i, k, j] against ``ricci_form``, the
+      stack's S_T from :func:`ricci_forms` (an error on that diagonal shows
+      at full size);
+    - T(X, Y, Z, W) at :data:`GAUSS_PROBES` fixed unit-vector quadruples
+      against <zeta(X, W), zeta(Y, Z)> - <zeta(X, Z), zeta(Y, W)>.
+
+    Returns the larger of the two max absolute differences per pair.  T is
+    read as (n^2, n^2) and multiplied by the k columns Z (x) W, zeta is read
+    as (m', n^2) and multiplied by the pair columns; each product is a
+    stacked matmul, one per form, so a form gives the same bits alone and in
+    a stack.  On a correct pair the result is roundoff, a few 1e-16 ||zeta||^2.
+    """
+    comps = np.asarray(components)
+    lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
+    k = GAUSS_PROBES
+    xy, zw, pairs = _gauss_probes(n)
+    contraction = np.trace(tensors, axis1=-4, axis2=-1)
+    residual = np.abs(contraction - ricci_form).max(axis=(-2, -1))
+    t_at = xy @ (np.reshape(tensors, lead + (n * n, n * n)) @ zw)
+    values = comps.reshape(lead + (m, n * n)) @ pairs
+    # Column p of the product pairs zeta(X, W) with zeta(Y, Z); column k + p
+    # pairs zeta(X, Z) with zeta(Y, W).
+    inner = np.diagonal(
+        np.swapaxes(values[..., : 2 * k], -1, -2) @ values[..., 2 * k :], 0, -2, -1
+    )
+    expected = inner[..., :k] - inner[..., k:]
+    probed = np.abs(np.diagonal(t_at, 0, -2, -1) - expected).max(axis=-1)
+    return np.maximum(residual, probed)
+
+
 def gauss_residuals(
     tensors: np.ndarray,
     components: np.ndarray,
     scratch: np.ndarray | None = None,
     gram: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Max absolute residual of the algebraic Gauss equation for each pair of
-    a tensor stack [..., i, j, k, l] and a form stack [..., r, i, j].
+    """Max absolute difference between each tensor of a stack
+    [..., i, j, k, l] and the Gauss tensor that :func:`gauss_components`
+    rebuilds from the matching form of a stack [..., r, i, j].
+
+    The rebuild runs the same deterministic kernel, so on a tensor that
+    kernel built the result is exactly 0.0: this detects a tensor changed
+    after its build, not an error in the build.  ``check`` and ``report``
+    read it; campaigns use the independent :func:`gauss_probe_residuals`.
 
     ``scratch``, shaped like ``tensors``, and ``gram`` are work buffers that
     the rebuild of T overwrites; they are allocated when not given.
@@ -163,8 +239,10 @@ def verify_gauss(
     scratch: np.ndarray | None = None,
     gram: np.ndarray | None = None,
 ) -> float:
-    """Max absolute residual of the algebraic Gauss equation; 0 means the pair
-    is exact.  ``scratch`` and ``gram`` are as in :func:`gauss_residuals`."""
+    """Max absolute difference between ``tensor`` and the Gauss tensor
+    rebuilt from ``zeta`` by the same kernel (:func:`gauss_residuals`), so
+    0.0 for any tensor :func:`build_T_from_zeta` returned.  ``scratch`` and
+    ``gram`` are as in :func:`gauss_residuals`."""
     if tensor.n != zeta.n:
         raise ValidationError(
             f"tensor dimension {tensor.n} != form dimension {zeta.n}"

@@ -26,7 +26,7 @@ from .gauss_bounds import (
     corollary_triple,
     evaluate,
     gauss_components,
-    gauss_residuals,
+    gauss_probe_residuals,
     verify_gauss,
 )
 from .instance_io import (
@@ -326,15 +326,20 @@ def run_sample(
     """Seeded sampling campaign; aggregation order is fixed by instance index.
 
     The campaign runs as array passes over chunks of instances: draw, form
-    checks, the n^4 stage (Gauss tensors, their curvature-symmetry residuals
-    and Gauss residuals), one stacked :func:`evaluate`, then gaps, ambient
-    margins (the offset checked before the first draw) and violations.  Every
-    kernel is the one the per-form functions use, and a chunk holds at most
+    checks, one stacked :func:`evaluate`, the n^4 stage (Gauss tensors and
+    their curvature-symmetry residuals), then gaps, ambient margins (the
+    offset checked before the first draw) and violations.  Every kernel is
+    the one the per-form functions use, and a chunk holds at most
     :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
     depend on the chunk size and memory stays flat in ``count``.  The n^4
     stage writes into one workspace allocated per call (Gram matrices,
     tensors and a scratch stack, each sized to one chunk), so chunks after
     the first allocate no n^4 memory.
+
+    ``max_gauss_residual`` is independent of the build: each T is checked
+    against the chunk's S_T and against zeta at fixed probe vectors by
+    :func:`gauss_probe_residuals`, so it reads roundoff rather than the 0.0
+    that the same-kernel rebuild behind ``check`` and ``report`` gives.
     """
     if family not in ("general", "symmetric"):
         raise ValidationError(f"family must be 'general' or 'symmetric', got {family!r}")
@@ -371,13 +376,13 @@ def run_sample(
     for start in range(0, count, chunk):
         batch = min(chunk, count - start)
         comps = checked_components(draw(rng, n, bundle_dim, batch))
+        evaluation = evaluate(comps)
         gram, scratch = gram_work[:batch], scratch_work[:batch]
         tensors = gauss_components(comps, tensor_work[:batch], gram)
         symmetry = np.maximum.reduce(curvature_residuals(tensors, scratch))
         max_symmetry = max(max_symmetry, float(symmetry.max()))
-        gauss = gauss_residuals(tensors, comps, scratch, gram)
+        gauss = gauss_probe_residuals(tensors, comps, evaluation.ricci_form)
         max_gauss = max(max_gauss, float(gauss.max()))
-        evaluation = evaluate(comps)
         symmetric = evaluation.symmetry_residual <= tol
         symmetric_count += int(symmetric.sum())
         ricci_max = evaluation.eigenvalues.max(axis=-1)

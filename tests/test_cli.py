@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from curvlike.instance_io import Instance, save_instance
 from curvlike.sampling import sample_general, sample_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm, zeta_norm_sq
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -323,6 +327,29 @@ class TestSample:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first.encode() == second.encode()
+
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            (
+                "sample_3x3_symmetric_complex_lagrangian.json",
+                ["--n", "3", "--bundle", "3", "--family", "symmetric",
+                 "--ambient", "complex_lagrangian", "--c", "1"],
+            ),
+            (
+                "sample_4x6_general_real_space_form.json",
+                ["--n", "4", "--bundle", "6", "--family", "general",
+                 "--ambient", "real_space_form", "--c", "-1"],
+            ),
+        ],
+    )
+    def test_golden_bytes(self, capsys, golden, argv):
+        """Every field of a small campaign, including the nonzero
+        max_gauss_residual that the fixed probe vectors give."""
+        code, out, _ = run_cli(capsys, "sample", *argv, "--count", "5", "--seed", "11")
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+        assert json.loads(out)["results"]["max_gauss_residual"] > 0.0
 
     @pytest.mark.parametrize(
         "shape, family", [(("3", "3"), "symmetric"), (("16", "32"), "general")]
@@ -639,26 +666,33 @@ class TestToleranceOverride:
 @pytest.fixture
 def t_builds(monkeypatch):
     """Records the tangent dimension of every n^4 Gauss tensor built, once per
-    tensor of a stack, wherever a curvlike module builds one.  The rebuild a
-    Gauss residual compares against is not counted."""
+    tensor of a stack, wherever a curvlike module builds one, and counts the
+    calls of the two Gauss-residual kernels: ``gauss_residuals``, whose
+    rebuild of T is not counted as a build, and ``gauss_probe_residuals``."""
     build = gauss_bounds.gauss_components
     residuals = gauss_bounds.gauss_residuals
-    built = []
+    probes = gauss_bounds.gauss_probe_residuals
+    record = {"built": [], "gauss_residuals": 0, "gauss_probe_residuals": 0}
     in_reference = []
 
     def counting(components, *args, **kwargs):
         tensors = build(components, *args, **kwargs)
         if not in_reference:
             n = tensors.shape[-1]
-            built.extend([n] * (tensors.size // n**4))
+            record["built"].extend([n] * (tensors.size // n**4))
         return tensors
 
     def reference(tensors, components, *args, **kwargs):
+        record["gauss_residuals"] += 1
         in_reference.append(True)
         try:
             return residuals(tensors, components, *args, **kwargs)
         finally:
             in_reference.pop()
+
+    def probing(*args, **kwargs):
+        record["gauss_probe_residuals"] += 1
+        return probes(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "curvlike":
@@ -666,14 +700,25 @@ def t_builds(monkeypatch):
         for attr, original, wrapper in (
             ("gauss_components", build, counting),
             ("gauss_residuals", residuals, reference),
+            ("gauss_probe_residuals", probes, probing),
         ):
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
-    return built
+    return record
 
 
 class TestGaussTensorBuilds:
-    """The n^4 tensor is built only where its own residuals are reported."""
+    """The n^4 tensor is built only where its own residuals are reported, and
+    only ``check`` and ``report`` rebuild it; a campaign checks its tensors
+    against zeta with the probe kernel, once per chunk."""
+
+    @staticmethod
+    def counts(built=(), rebuilds=0, probes=0):
+        return {
+            "built": list(built),
+            "gauss_residuals": rebuilds,
+            "gauss_probe_residuals": probes,
+        }
 
     def test_bound_builds_none(self, tmp_path, capsys, t_builds):
         path = str(tmp_path / "g.json")
@@ -681,7 +726,7 @@ class TestGaussTensorBuilds:
         save_instance(Instance(zeta=zeta), path)
         for mode in ("general", "improved"):
             run_cli(capsys, "bound", path, "--mode", mode)
-        assert t_builds == []
+        assert t_builds == self.counts()
 
     def test_report_with_ambient_builds_one(self, tmp_path, capsys, t_builds):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
@@ -690,7 +735,14 @@ class TestGaussTensorBuilds:
         save_instance(Instance(zeta=zeta, ambient=ambient), path)
         code, _, _ = run_cli(capsys, "report", path, "--format", "json")
         assert code == 0
-        assert t_builds == [2]
+        assert t_builds == self.counts([2], rebuilds=1)
+
+    def test_check_builds_one_and_rebuilds_it_once(self, tmp_path, capsys, t_builds):
+        path = str(tmp_path / "g.json")
+        save_instance(Instance(zeta=sample_general(np.random.default_rng(6), 4, 6)), path)
+        code, _, _ = run_cli(capsys, "check", path)
+        assert code == 0
+        assert t_builds == self.counts([4], rebuilds=1)
 
     def test_sample_builds_one_per_instance(self, capsys, t_builds):
         run_cli(
@@ -703,7 +755,8 @@ class TestGaussTensorBuilds:
             "sample", "--n", "4", "--bundle", "5", "--count", "5", "--seed", "4",
             "--family", "general", "--ambient", "real_space_form", "--c", "-1",
         )
-        assert t_builds == [3] * 6 + [4] * 5
+        # One chunk per call, and no rebuild.
+        assert t_builds == self.counts([3] * 6 + [4] * 5, probes=2)
 
 
 @pytest.fixture

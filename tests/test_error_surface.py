@@ -8,7 +8,8 @@ internal invariants.  Each quantity has one public entry point, so the names
 in ``curvlike.__all__`` are pinned, and the one-form wrappers that forwarded
 to the array kernels may not come back.  Each input rule has one owning
 function, so the comparisons that implement a rule are looked up by shape and
-must all sit in that function.
+must all sit in that function.  The same-kernel Gauss rebuild, 0.0 by
+construction, is called only where ``check`` and ``report`` still print it.
 """
 
 import ast
@@ -233,3 +234,20 @@ def test_instance_field_checks_have_one_owner_each():
     assert in_io("is not recognized") == {"instance_io._object"}
     assert in_io("must be an object") == {"instance_io._object"}
     assert in_io("must be a number") == {"instance_io._number"}
+
+
+def test_gauss_rebuild_is_called_only_by_check_and_report():
+    """``gauss_residuals`` and ``verify_gauss`` rebuild T with the kernel that
+    built it, so their residual is 0.0 by construction; only the symmetry
+    block of ``check`` and ``report`` may read it.  A campaign calls the
+    independent ``gauss_probe_residuals``."""
+    callers = _owners(
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) in {"gauss_residuals", "verify_gauss"}
+    )
+    assert callers
+    assert {
+        owner
+        for owner in callers
+        if not owner.startswith("gauss_bounds.") and owner != "reporting._symmetry_block"
+    } == set()

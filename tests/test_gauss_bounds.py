@@ -17,6 +17,7 @@ from curvlike.gauss_bounds import (
     equality_directions,
     evaluate,
     gauss_components,
+    gauss_probe_residuals,
     gauss_residuals,
     is_totally_symmetric,
     ricci_forms,
@@ -227,6 +228,106 @@ class TestDirectRicciForm:
                     norm_sq = (comps**2).sum(axis=(-3, -2, -1))
                     error = np.abs(ricci_forms(comps) - einsum_ricci_forms(comps))
                     assert (error.max(axis=(-2, -1)) <= 1e-14 * norm_sq).all()
+
+
+# Largest gauss_probe_residuals / ||zeta||^2 of a correct pair: 3.6e-16 over
+# n = 1..16, m' in {1, n, 32}, general and symmetric draws at scales 1e-3, 1
+# and 1e4.  The pin leaves a margin of 5.6x.
+PROBE_ROUNDOFF = 2e-15
+
+
+def off_ricci_diagonal(n):
+    """Index quadruples (j, i, k, l) of T with j != l, which the contraction
+    sum_j T[j, i, k, j] never reads."""
+    return [idx for idx in np.ndindex((n,) * 4) if idx[0] != idx[3]]
+
+
+def probe_weights(n):
+    """max over the probes of |X_j Y_i Z_k W_l|, the weight of T[j, i, k, l]
+    in the probed values, as an (n, n, n, n) array."""
+    xy, zw, _ = gauss_bounds._gauss_probes(n)
+    return np.abs(xy[:, :, None] * zw.T[:, None, :]).max(axis=0).reshape((n,) * 4)
+
+
+class TestGaussProbes:
+    """The campaign's Gauss residual: T against S_T and against zeta at fixed
+    probe vectors, with no rebuild of T."""
+
+    DELTA = 1e-6
+
+    @staticmethod
+    def residual(tensor, comps):
+        return float(gauss_probe_residuals(tensor, comps, ricci_forms(comps)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_correct_pair_is_roundoff(self, scale):
+        rng = np.random.default_rng(74)
+        for n in range(1, 17):
+            for m in sorted({1, n, 32}):
+                draws = [draw_general(rng, n, m, 3)]
+                if m >= n:
+                    draws.append(draw_symmetric(rng, n, m, 3))
+                for comps in draws:
+                    comps = comps * scale
+                    residual = gauss_probe_residuals(
+                        gauss_components(comps), comps, ricci_forms(comps)
+                    )
+                    norm_sq = (comps**2).sum(axis=(-3, -2, -1))
+                    assert (residual <= PROBE_ROUNDOFF * norm_sq).all()
+
+    def test_every_off_diagonal_entry_is_probed(self):
+        """Each T[j, i, k, l] with j != l enters some probe T(X, Y, Z, W) with
+        weight |X_j Y_i Z_k W_l| >= 2.5e-6, so an error there moves the
+        residual by at least that fraction of itself."""
+        for n in range(2, 17):
+            weight = probe_weights(n)
+            assert min(weight[idx] for idx in off_ricci_diagonal(n)) >= 2.5e-6
+
+    @pytest.mark.parametrize(
+        "n, m, draw", [(3, 3, draw_symmetric), (16, 32, draw_general)]
+    )
+    def test_error_off_the_ricci_diagonal_is_caught_by_the_probes(self, n, m, draw):
+        comps = draw(np.random.default_rng([n, m, 4]), n, m, 1)[0]
+        tensor = gauss_components(comps)
+        floor = PROBE_ROUNDOFF * zeta_norm_sq(BundleValuedForm(comps))
+        entries = off_ricci_diagonal(n)
+        weakest = min(entries, key=probe_weights(n).__getitem__)
+        picks = np.random.default_rng(75).permutation(len(entries))[:40]
+        for idx in [weakest, *(entries[k] for k in picks)]:
+            broken = tensor.copy()
+            broken[idx] += self.DELTA
+            # The contraction reads no entry with j != l, so it would report
+            # the full error on its own: the probes caught this one.
+            assert floor < self.residual(broken, comps) < self.DELTA
+
+    @pytest.mark.parametrize(
+        "n, m, draw", [(3, 3, draw_symmetric), (16, 32, draw_general)]
+    )
+    def test_error_on_the_ricci_diagonal_is_caught_by_the_contraction(self, n, m, draw):
+        comps = draw(np.random.default_rng([n, m, 5]), n, m, 1)[0]
+        tensor = gauss_components(comps)
+        rng = np.random.default_rng(76)
+        for _ in range(20):
+            j, i, k = rng.integers(n, size=3)
+            broken = tensor.copy()
+            broken[j, i, k, j] -= self.DELTA
+            # A probe weighs the entry by less than 1; the contraction shows
+            # all of it.
+            assert self.residual(broken, comps) == pytest.approx(self.DELTA, rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_stack_equals_one_form_bitwise(self, n):
+        rng = np.random.default_rng([n, 6])
+        for m in sorted({1, n, 32}):
+            comps = draw_general(rng, n, m, 3)
+            ricci = ricci_forms(comps)
+            built = gauss_components(comps)
+            noisy = built + 1e-9 * rng.standard_normal(built.shape)
+            for tensors in (built, noisy):
+                stacked = gauss_probe_residuals(tensors, comps, ricci)
+                for k in range(3):
+                    alone = gauss_probe_residuals(tensors[k], comps[k], ricci[k])
+                    assert np.array_equal(stacked[k], alone)
 
 
 class TestBoundValues:
