@@ -13,11 +13,11 @@ to (n - 1)/(4n) * ||trace zeta||^2.  Equality across all unit directions
 happens only for the zero form or, on surfaces, for the umbilical pattern
 (general bound) and the H-umbilical lambda = 3 mu pattern (improved bound).
 
-The array kernels (:func:`gauss_components`, :func:`gauss_residuals`,
-:func:`gauss_probe_residuals`, :func:`ricci_forms`,
-:func:`total_symmetry_residuals`, :func:`evaluate`) take leading axes that
-stack independent forms; the functions on single forms are their one-form
-case, so a sampling campaign and a single report agree bitwise.
+The array kernels (:func:`gauss_components`, :func:`gauss_probe_residuals`,
+:func:`ricci_forms`, :func:`total_symmetry_residuals`, :func:`evaluate`) take
+leading axes that stack independent forms; the functions on single forms are
+their one-form case, so a sampling campaign and a single report agree
+bitwise.  Every kernel allocates its own result.
 """
 
 from __future__ import annotations
@@ -84,41 +84,31 @@ class BoundReport:
     equality_class: EqualityClass
 
 
-def gauss_components(
-    components: np.ndarray,
-    out: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-) -> np.ndarray:
+def gauss_components(components: np.ndarray) -> np.ndarray:
     """Gauss tensors T[..., i, j, k, l] of a stack of forms zeta[..., r, i, j].
 
     With Z the form reshaped to (m', n^2), the Gram matrix G = Z^T Z holds
     every <zeta_ab, zeta_cd>, so T[i, j, k, l] = G[il, jk] - G[ik, jl] costs
     one product and one subtraction per form.  numpy evaluates the stacked
     Z^T Z through BLAS syrk, which fills one triangle and mirrors it, so G is
-    bitwise symmetric and both antisymmetries and the pair-exchange symmetry
-    of T are exact.
-
-    ``out`` (shape lead + (n, n, n, n)) receives T and is returned; ``gram``
-    (shape lead + (n^2, n^2)) holds G.  Either is allocated when not given.
+    bitwise symmetric and both antisymmetries of T are exact.  Pair exchange
+    holds to roundoff only: G[il, jk] and G[kj, li] are the same dot product
+    taken in different BLAS tiles.
     """
     comps = np.asarray(components)
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
     z = comps.reshape(lead + (m, n * n))
-    gram = np.matmul(np.swapaxes(z, -1, -2), z, out=gram)
-    g = gram.reshape(lead + (n, n, n, n))
+    g = (np.swapaxes(z, -1, -2) @ z).reshape(lead + (n, n, n, n))
     # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
-    return np.subtract(np.moveaxis(g, -3, -1), np.swapaxes(g, -3, -2), out=out)
+    return np.moveaxis(g, -3, -1) - np.swapaxes(g, -3, -2)
 
 
-def build_T_from_zeta(
-    zeta: BundleValuedForm, gram: np.ndarray | None = None
-) -> CurvatureLikeTensor:
+def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
     """Assemble T[i,j,k,l] = sum_r (zeta[r,i,l] zeta[r,j,k] - zeta[r,i,k] zeta[r,j,l]).
 
-    The output satisfies all curvature symmetries by construction.  ``gram``
-    is the work buffer of :func:`gauss_components`.
+    The output satisfies all curvature symmetries by construction.
     """
-    return CurvatureLikeTensor._adopt(gauss_components(zeta.components, gram=gram))
+    return CurvatureLikeTensor(gauss_components(zeta.components))
 
 
 def ricci_forms(components: np.ndarray) -> np.ndarray:
@@ -210,44 +200,21 @@ def gauss_probe_residuals(
     return np.maximum(residual, probed)
 
 
-def gauss_residuals(
-    tensors: np.ndarray,
-    components: np.ndarray,
-    scratch: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Max absolute difference between each tensor of a stack
-    [..., i, j, k, l] and the Gauss tensor that :func:`gauss_components`
-    rebuilds from the matching form of a stack [..., r, i, j].
+def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
+    """Max absolute difference between ``tensor`` and the Gauss tensor that
+    :func:`gauss_components` rebuilds from ``zeta``.
 
     The rebuild runs the same deterministic kernel, so on a tensor that
-    kernel built the result is exactly 0.0: this detects a tensor changed
-    after its build, not an error in the build.  ``check`` and ``report``
-    read it; campaigns use the independent :func:`gauss_probe_residuals`.
-
-    ``scratch``, shaped like ``tensors``, and ``gram`` are work buffers that
-    the rebuild of T overwrites; they are allocated when not given.
+    :func:`build_T_from_zeta` returned the result is exactly 0.0: this
+    detects a tensor changed after its build, not an error in the build.
+    ``check`` and ``report`` read it; campaigns use the independent
+    :func:`gauss_probe_residuals`.
     """
-    diff = gauss_components(components, out=scratch, gram=gram)
-    np.subtract(tensors, diff, out=diff)
-    return np.abs(diff, out=diff).max(axis=(-4, -3, -2, -1))
-
-
-def verify_gauss(
-    tensor: CurvatureLikeTensor,
-    zeta: BundleValuedForm,
-    scratch: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-) -> float:
-    """Max absolute difference between ``tensor`` and the Gauss tensor
-    rebuilt from ``zeta`` by the same kernel (:func:`gauss_residuals`), so
-    0.0 for any tensor :func:`build_T_from_zeta` returned.  ``scratch`` and
-    ``gram`` are as in :func:`gauss_residuals`."""
     if tensor.n != zeta.n:
         raise ValidationError(
             f"tensor dimension {tensor.n} != form dimension {zeta.n}"
         )
-    return float(gauss_residuals(tensor.components, zeta.components, scratch, gram))
+    return float(np.abs(tensor.components - gauss_components(zeta.components)).max())
 
 
 def bound_coefficient(mode: BoundMode, n: int) -> float:

@@ -139,47 +139,47 @@ def is_float_array(value) -> bool:
     return isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim > 0
 
 
-def _write(value, out: list[str], indent: int) -> None:
+def _write(value, parts: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
-            out.append("{}")
+            parts.append("{}")
             return
-        out.append("{\n")
+        parts.append("{\n")
         for idx, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _write(item, out, indent + 1)
-            out.append(",\n" if idx < len(value) - 1 else "\n")
-        out.append(pad + "}")
+            parts.append(f"{pad}  {json.dumps(str(key))}: ")
+            _write(item, parts, indent + 1)
+            parts.append(",\n" if idx < len(value) - 1 else "\n")
+        parts.append(pad + "}")
     elif is_float_array(value):
-        out.append(format_floats(value, indent))
+        parts.append(format_floats(value, indent))
     elif isinstance(value, (list, tuple, np.ndarray)):
         items = list(value)
         if not items:
-            out.append("[]")
+            parts.append("[]")
             return
         scalars = all(
             not isinstance(item, (dict, list, tuple, np.ndarray)) for item in items
         )
         if scalars:
-            out.append("[" + ", ".join(format_scalar(item) for item in items) + "]")
+            parts.append("[" + ", ".join(format_scalar(item) for item in items) + "]")
         else:
-            out.append("[\n")
+            parts.append("[\n")
             for idx, item in enumerate(items):
-                out.append(pad + "  ")
-                _write(item, out, indent + 1)
-                out.append(",\n" if idx < len(items) - 1 else "\n")
-            out.append(pad + "]")
+                parts.append(pad + "  ")
+                _write(item, parts, indent + 1)
+                parts.append(",\n" if idx < len(items) - 1 else "\n")
+            parts.append(pad + "]")
     else:
-        out.append(format_scalar(value))
+        parts.append(format_scalar(value))
 
 
 def dump_json(value) -> str:
     """Deterministic JSON text for a nested dict/list/scalar structure."""
-    out: list[str] = []
-    _write(value, out, 0)
-    out.append("\n")
-    return "".join(out)
+    parts: list[str] = []
+    _write(value, parts, 0)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def ambient_to_dict(model: AmbientModel) -> dict:

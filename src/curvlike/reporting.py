@@ -118,19 +118,16 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 
 def _symmetry_block(zeta: BundleValuedForm, tol: float) -> dict:
-    """Residuals of the built T.  Its Gram matrix and one scratch tensor are
-    allocated once and shared by the build, the residuals and the rebuild."""
-    n = zeta.n
-    gram = np.empty((n * n, n * n))
-    scratch = np.empty((n, n, n, n))
-    tensor = build_T_from_zeta(zeta, gram)
-    report = validate_curvature_symmetries(tensor, tol, scratch)
+    """Curvature-symmetry residuals of the built T, and its Gauss residual
+    against the same-kernel rebuild of :func:`verify_gauss`."""
+    tensor = build_T_from_zeta(zeta)
+    report = validate_curvature_symmetries(tensor, tol)
     return {
         "skew_first_pair": report.skew_first_pair,
         "skew_second_pair": report.skew_second_pair,
         "first_bianchi": report.first_bianchi,
-        "pair_exchange": pair_exchange_residual(tensor, scratch),
-        "gauss_residual": verify_gauss(tensor, zeta, scratch, gram),
+        "pair_exchange": pair_exchange_residual(tensor),
+        "gauss_residual": verify_gauss(tensor, zeta),
         "passed": report.passed,
     }
 
@@ -331,10 +328,7 @@ def run_sample(
     offset checked before the first draw) and violations.  Every kernel is
     the one the per-form functions use, and a chunk holds at most
     :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
-    depend on the chunk size and memory stays flat in ``count``.  The n^4
-    stage writes into one workspace allocated per call (Gram matrices,
-    tensors and a scratch stack, each sized to one chunk), so chunks after
-    the first allocate no n^4 memory.
+    depend on the chunk size and memory stays flat in ``count``.
 
     ``max_gauss_residual`` is independent of the build: each T is checked
     against the chunk's S_T and against zeta at fixed probe vectors by
@@ -362,10 +356,6 @@ def run_sample(
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
-    workspace = min(chunk, count)
-    gram_work = np.empty((workspace, n * n, n * n))
-    tensor_work = np.empty((workspace, n, n, n, n))
-    scratch_work = np.empty_like(tensor_work)
     violations: list[dict] = []
     symmetric_count = 0
     max_gauss = 0.0
@@ -377,9 +367,8 @@ def run_sample(
         batch = min(chunk, count - start)
         comps = checked_components(draw(rng, n, bundle_dim, batch))
         evaluation = evaluate(comps)
-        gram, scratch = gram_work[:batch], scratch_work[:batch]
-        tensors = gauss_components(comps, tensor_work[:batch], gram)
-        symmetry = np.maximum.reduce(curvature_residuals(tensors, scratch))
+        tensors = gauss_components(comps)
+        symmetry = np.maximum.reduce(curvature_residuals(tensors))
         max_symmetry = max(max_symmetry, float(symmetry.max()))
         gauss = gauss_probe_residuals(tensors, comps, evaluation.ricci_form)
         max_gauss = max(max_gauss, float(gauss.max()))

@@ -128,8 +128,14 @@ class BundleValuedForm:
         return self.dims.m_prime
 
     def value(self, x, y) -> np.ndarray:
-        """Bundle vector zeta(X, Y)."""
-        return np.einsum("rij,i,j->r", self.components, x, y)
+        """Bundle vector zeta(X, Y) of two tangent vectors of shape (n,)."""
+        xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        for v in (xv, yv):
+            if v.shape != (self.n,):
+                raise ValidationError(
+                    f"expected a vector of shape ({self.n},), got shape {v.shape}"
+                )
+        return np.einsum("rij,i,j->r", self.components, xv, yv)
 
     def max_abs(self) -> float:
         return float(np.abs(self.components).max())
@@ -156,16 +162,6 @@ class CurvatureLikeTensor:
         self.components = arr
 
     @classmethod
-    def _adopt(cls, components: np.ndarray) -> "CurvatureLikeTensor":
-        """Wrap a freshly built (n, n, n, n) float array without copying it;
-        the array becomes read-only and must have no other owner."""
-        components.setflags(write=False)
-        tensor = cls.__new__(cls)
-        tensor.n = components.shape[0]
-        tensor.components = components
-        return tensor
-
-    @classmethod
     def zeros(cls, n: int) -> "CurvatureLikeTensor":
         return cls(np.zeros((check_tangent_dim(n),) * 4))
 
@@ -186,19 +182,16 @@ class SymmetryReport:
 
 
 def curvature_residuals(
-    components: np.ndarray, scratch: np.ndarray | None = None
+    components: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max absolute violation of T(X,Y,Z,W) = -T(Y,X,Z,W), of
     T(X,Y,Z,W) = -T(X,Y,W,Z) and of the first Bianchi sum
     T(X,Y,Z,W) + T(X,Z,W,Y) + T(X,W,Y,Z) = 0, over all index quadruples of
-    each tensor in a stack ``[..., i, j, k, l]``.
-
-    Each residual is formed in ``scratch``, a buffer shaped like the stack
-    that is overwritten (allocated when not given).
+    each tensor in a stack ``[..., i, j, k, l]``.  The three residuals are
+    formed in turn in one scratch array shaped like the stack.
     """
     a = np.asarray(components)
-    if scratch is None:
-        scratch = np.empty_like(a)
+    scratch = np.empty_like(a)
 
     def worst(residual: np.ndarray) -> np.ndarray:
         return np.abs(residual, out=residual).max(axis=(-4, -3, -2, -1))
@@ -213,26 +206,20 @@ def curvature_residuals(
 
 
 def validate_curvature_symmetries(
-    tensor: CurvatureLikeTensor,
-    tol: float = DEFAULT_TOL,
-    scratch: np.ndarray | None = None,
+    tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL
 ) -> SymmetryReport:
-    """The three :func:`curvature_residuals` of one tensor, formed in
-    ``scratch`` when given; passes iff every residual is <= tol."""
-    skew_xy, skew_zw, bianchi = (
-        float(r) for r in curvature_residuals(tensor.components, scratch)
-    )
+    """The three :func:`curvature_residuals` of one tensor; passes iff every
+    residual is <= tol."""
+    skew_xy, skew_zw, bianchi = (float(r) for r in curvature_residuals(tensor.components))
     passed = skew_xy <= tol and skew_zw <= tol and bianchi <= tol
     return SymmetryReport(skew_xy, skew_zw, bianchi, tol, passed)
 
 
-def pair_exchange_residual(
-    tensor: CurvatureLikeTensor, scratch: np.ndarray | None = None
-) -> float:
+def pair_exchange_residual(tensor: CurvatureLikeTensor) -> float:
     """Max violation of T(X,Y,Z,W) = T(Z,W,X,Y), a consequence of the three
-    curvature identities; formed in ``scratch`` when given."""
+    curvature identities."""
     a = tensor.components
-    diff = np.subtract(a, np.einsum("klij->ijkl", a), out=scratch)
+    diff = a - np.einsum("klij->ijkl", a)
     return float(np.abs(diff, out=diff).max())
 
 
@@ -365,7 +352,7 @@ def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndar
     component are treated as zero.  Returns a (k, n) array, possibly empty.
     """
     if not 0 < rank_tol < np.inf:
-        need = "finite" if rank_tol > 0 else "positive"
+        need = "positive" if rank_tol <= 0 else "finite"
         raise ValidationError(f"rank_tol must be {need}, got {rank_tol!r}")
     scale = zeta.max_abs()
     if scale == 0.0:

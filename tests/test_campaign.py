@@ -112,6 +112,7 @@ CASES = [
     (4, 6, 30, "general", REAL),
     (5, 3, 30, "general", None),
     (16, 32, 3, "general", None),
+    (16, 32, 17, "general", REAL),
     (3, 3, 0, "symmetric", LAGRANGIAN),
     (4, 6, 1, "general", REAL),
 ]

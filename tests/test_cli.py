@@ -667,26 +667,26 @@ class TestToleranceOverride:
 def t_builds(monkeypatch):
     """Records the tangent dimension of every n^4 Gauss tensor built, once per
     tensor of a stack, wherever a curvlike module builds one, and counts the
-    calls of the two Gauss-residual kernels: ``gauss_residuals``, whose
-    rebuild of T is not counted as a build, and ``gauss_probe_residuals``."""
+    calls of the two Gauss residuals: ``verify_gauss``, whose rebuild of T
+    is not counted as a build, and ``gauss_probe_residuals``."""
     build = gauss_bounds.gauss_components
-    residuals = gauss_bounds.gauss_residuals
+    residual = gauss_bounds.verify_gauss
     probes = gauss_bounds.gauss_probe_residuals
-    record = {"built": [], "gauss_residuals": 0, "gauss_probe_residuals": 0}
+    record = {"built": [], "verify_gauss": 0, "gauss_probe_residuals": 0}
     in_reference = []
 
-    def counting(components, *args, **kwargs):
-        tensors = build(components, *args, **kwargs)
+    def counting(components):
+        tensors = build(components)
         if not in_reference:
             n = tensors.shape[-1]
             record["built"].extend([n] * (tensors.size // n**4))
         return tensors
 
-    def reference(tensors, components, *args, **kwargs):
-        record["gauss_residuals"] += 1
+    def reference(tensor, zeta):
+        record["verify_gauss"] += 1
         in_reference.append(True)
         try:
-            return residuals(tensors, components, *args, **kwargs)
+            return residual(tensor, zeta)
         finally:
             in_reference.pop()
 
@@ -699,7 +699,7 @@ def t_builds(monkeypatch):
             continue
         for attr, original, wrapper in (
             ("gauss_components", build, counting),
-            ("gauss_residuals", residuals, reference),
+            ("verify_gauss", residual, reference),
             ("gauss_probe_residuals", probes, probing),
         ):
             if getattr(module, attr, None) is original:
@@ -716,7 +716,7 @@ class TestGaussTensorBuilds:
     def counts(built=(), rebuilds=0, probes=0):
         return {
             "built": list(built),
-            "gauss_residuals": rebuilds,
+            "verify_gauss": rebuilds,
             "gauss_probe_residuals": probes,
         }
 

@@ -9,7 +9,8 @@ in ``curvlike.__all__`` are pinned, and the one-form wrappers that forwarded
 to the array kernels may not come back.  Each input rule has one owning
 function, so the comparisons that implement a rule are looked up by shape and
 must all sit in that function.  The same-kernel Gauss rebuild, 0.0 by
-construction, is called only where ``check`` and ``report`` still print it.
+construction, is called only where ``check`` and ``report`` still print it,
+and no kernel takes a caller's work buffer.
 """
 
 import ast
@@ -237,17 +238,31 @@ def test_instance_field_checks_have_one_owner_each():
 
 
 def test_gauss_rebuild_is_called_only_by_check_and_report():
-    """``gauss_residuals`` and ``verify_gauss`` rebuild T with the kernel that
-    built it, so their residual is 0.0 by construction; only the symmetry
-    block of ``check`` and ``report`` may read it.  A campaign calls the
-    independent ``gauss_probe_residuals``."""
+    """``verify_gauss`` rebuilds T with the kernel that built it, so its
+    residual is 0.0 by construction; only the symmetry block of ``check`` and
+    ``report`` may read it.  A campaign calls the independent
+    ``gauss_probe_residuals``."""
     callers = _owners(
-        lambda node: isinstance(node, ast.Call)
-        and _name(node.func) in {"gauss_residuals", "verify_gauss"}
+        lambda node: isinstance(node, ast.Call) and _name(node.func) == "verify_gauss"
     )
-    assert callers
-    assert {
-        owner
-        for owner in callers
-        if not owner.startswith("gauss_bounds.") and owner != "reporting._symmetry_block"
-    } == set()
+    assert callers == {"reporting._symmetry_block"}
+
+
+def test_kernels_take_no_work_buffers():
+    """Every kernel allocates its own result: no function takes a caller's
+    ``out``, ``gram`` or ``scratch`` array, and a tensor is built only through
+    the public, copying constructor."""
+    buffers = {
+        f"{module}.{node.name}({arg.arg})"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg in {"out", "gram", "scratch"}
+    }
+    assert buffers == set()
+    tensor_class = next(
+        node for node in _classes(MODULES["tensor_core"]) if node.name == "CurvatureLikeTensor"
+    )
+    methods = {node.name for node in tensor_class.body if isinstance(node, ast.FunctionDef)}
+    assert "_adopt" not in methods

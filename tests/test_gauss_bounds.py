@@ -18,7 +18,6 @@ from curvlike.gauss_bounds import (
     evaluate,
     gauss_components,
     gauss_probe_residuals,
-    gauss_residuals,
     is_totally_symmetric,
     ricci_forms,
     total_symmetry_residuals,
@@ -43,7 +42,6 @@ from curvlike.tensor_core import (
     t_ricci_form,
     trace_norms_sq,
     traces,
-    validate_curvature_symmetries,
     zeta_norm_sq,
 )
 from ricci_oracle import einsum_ricci_forms
@@ -137,7 +135,12 @@ class TestGramKernel:
         """The stacked Z^T Z runs through BLAS syrk, which mirrors one
         triangle; gauss_components relies on it for the exact antisymmetries
         of T.  Should this fail on another numpy or BLAS, the kernel needs its
-        symmetrizing pass back: the test is not to be loosened."""
+        symmetrizing pass back: the test is not to be loosened.
+
+        Pair exchange is not exact: it pairs G[il, jk] with G[kj, li], the
+        same dot product computed in another BLAS tile, so it is held to the
+        summation bound 2 m' eps ||zeta||^2 (it is nonzero for many shapes
+        from n = 6 on)."""
         rng = np.random.default_rng(71)
         for n in range(1, 17):
             for m in range(1, 33):
@@ -145,62 +148,22 @@ class TestGramKernel:
                     comps = draw_general(rng, n, m, 3)[: lead[0] if lead else 1]
                     comps = comps.reshape(lead + (m, n, n))
                     z = comps.reshape(lead + (m, n * n))
-                    plain = np.swapaxes(z, -1, -2) @ z
-                    gram = np.full(lead + (n * n, n * n), np.nan)
-                    tensors = gauss_components(comps, gram=gram)
-                    for g in (plain, gram):
-                        assert np.array_equal(g, np.swapaxes(g, -1, -2))
-                    assert np.array_equal(gram, plain)
+                    gram = np.swapaxes(z, -1, -2) @ z
+                    assert np.array_equal(gram, np.swapaxes(gram, -1, -2))
+                    tensors = gauss_components(comps)
                     skew_xy, skew_zw, _ = curvature_residuals(tensors)
                     assert not skew_xy.any() and not skew_zw.any()
+                    if not lead:
+                        tensor = CurvatureLikeTensor(tensors)
+                        bound = 2 * m * np.finfo(float).eps * (comps**2).sum()
+                        assert pair_exchange_residual(tensor) <= bound
 
-    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
-    @pytest.mark.parametrize("n, m", [(1, 1), (3, 3), (4, 6), (16, 32)])
-    def test_buffers_equal_allocating_calls_bitwise(self, lead, n, m):
-        """Each n^4 kernel writes into caller buffers (filled with NaN here, so
-        anything left unwritten shows) and gives the bits of its allocating
-        call; gauss_components returns the buffer it was given."""
-        comps = draw_general(np.random.default_rng([n, m, 3]), n, m, 3)
-        comps = comps[: lead[0] if lead else 1].reshape(lead + (m, n, n))
-        shape = lead + (n, n, n, n)
-        out = np.full(shape, np.nan)
-        gram = np.full(lead + (n * n, n * n), np.nan)
-        scratch = np.full(shape, np.nan)
-        tensors = gauss_components(comps)
-        assert gauss_components(comps, out=out, gram=gram) is out
-        assert np.array_equal(out, tensors)
-        noisy = tensors + 1e-3 * np.arange(tensors.size).reshape(shape)
-        assert np.array_equal(
-            gauss_residuals(noisy, comps, scratch, gram), gauss_residuals(noisy, comps)
-        )
-        for got, expected in zip(
-            curvature_residuals(noisy, scratch), curvature_residuals(noisy)
-        ):
-            assert np.array_equal(got, expected)
-        if not lead:
-            tensor = CurvatureLikeTensor(noisy)
-            zeta = BundleValuedForm(comps)
-            assert pair_exchange_residual(tensor, scratch) == (
-                pair_exchange_residual(tensor)
-            )
-            assert verify_gauss(tensor, zeta, scratch, gram) == verify_gauss(tensor, zeta)
-            assert validate_curvature_symmetries(tensor, 1e-9, scratch) == (
-                validate_curvature_symmetries(tensor, 1e-9)
-            )
-
-    def test_built_tensor_adopts_the_fresh_array(self, monkeypatch):
-        built = []
-
-        def build(components, *args, **kwargs):
-            built.append(gauss_components(components, *args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(gauss_bounds, "gauss_components", build)
-        tensor = build_T_from_zeta(sample_general(np.random.default_rng(72), 4, 6))
-        assert tensor.components is built[0]
-        assert not tensor.components.flags.writeable
-        # The public constructor still copies.
-        assert CurvatureLikeTensor(built[0]).components is not built[0]
+    def test_built_tensor_is_read_only_and_the_constructor_copies(self):
+        zeta = sample_general(np.random.default_rng(72), 4, 6)
+        assert not build_T_from_zeta(zeta).components.flags.writeable
+        fresh = gauss_components(zeta.components)
+        assert CurvatureLikeTensor(fresh).components is not fresh
+        assert fresh.flags.writeable
 
 
 class TestDirectRicciForm:

@@ -1,5 +1,7 @@
 """Unit tests for tensor storage, contractions, and frame operations."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -77,6 +79,25 @@ class TestBundleValuedForm:
         form = BundleValuedForm.zeros(2, 2)
         with pytest.raises(ValueError):
             form.components[0, 0, 0] = 1.0
+
+    def test_value_pairs_two_tangent_vectors(self):
+        comps = np.zeros((2, 2, 2))
+        comps[0, 0, 1] = comps[0, 1, 0] = 3.0
+        comps[1] = np.eye(2)
+        assert np.array_equal(
+            BundleValuedForm(comps).value([1.0, 2.0], [0.5, 1.0]), [6.0, 2.5]
+        )
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [((3,), (2,)), ((2,), (3,)), ((2,), (2, 2)), ((1, 2), (2,)), ((), (2,))],
+    )
+    def test_value_rejects_a_vector_of_the_wrong_shape(self, x, y):
+        bad = re.escape(str(x if x != (2,) else y))
+        with pytest.raises(
+            ValidationError, match=rf"^expected a vector of shape \(2,\), got shape {bad}$"
+        ):
+            BundleValuedForm.zeros(2, 2).value(np.ones(x), np.ones(y))
 
 
 class TestSymmetryValidation:
@@ -280,7 +301,7 @@ class TestFrameHelpers:
 
 
 class TestNullSpace:
-    @pytest.mark.parametrize("rank_tol", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("rank_tol", [0.0, -1.0])
     def test_rejects_a_rank_tol_that_is_not_positive(self, rank_tol):
         comps = np.zeros((1, 3, 3))
         comps[0, 1, 1] = 1.0
@@ -292,6 +313,10 @@ class TestNullSpace:
         tangent space the null space of a nonzero form."""
         with pytest.raises(ValidationError, match=r"^rank_tol must be finite, got inf$"):
             null_space(BundleValuedForm(np.eye(2)[None]), np.inf)
+
+    def test_reports_a_nan_rank_tol_as_not_finite(self):
+        with pytest.raises(ValidationError, match=r"^rank_tol must be finite, got nan$"):
+            null_space(BundleValuedForm(np.eye(2)[None]), np.nan)
 
     def test_zero_form_gives_full_basis(self):
         basis = null_space(BundleValuedForm.zeros(4, 2))
