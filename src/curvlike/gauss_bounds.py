@@ -254,15 +254,19 @@ def is_totally_symmetric(
     is (False, inf) when the bundle has fewer than n slots.
     """
     residual = float(total_symmetry_residuals(zeta.components))
-    return residual <= tol, residual
+    return _certified(residual, tol), residual
+
+
+def _certified(residual, tol: float):
+    """The improved bound's certificate: total-symmetry residual <= tol."""
+    return residual <= tol
 
 
 @dataclass(frozen=True)
 class FormEvaluation:
     """Per-form quantities that every verdict reads, from :func:`evaluate`;
     each field keeps the stack's leading axes.  The eigenpairs are one
-    ``eigh`` of ``ricci_form``; ``symmetry_residual <= tol`` is the
-    certificate, also where m' < n (see :func:`total_symmetry_residuals`)."""
+    ``eigh`` of ``ricci_form``; :func:`_certified` reads ``symmetry_residual``."""
 
     trace: np.ndarray
     trace_norm_sq: np.ndarray
@@ -283,6 +287,12 @@ def evaluate(components: np.ndarray) -> FormEvaluation:
     )
 
 
+def _gaps(evaluation: FormEvaluation, mode: BoundMode) -> np.ndarray:
+    """Bound minus max Ric_T for each evaluated form; < 0 where it fails."""
+    coefficient = bound_coefficient(mode, evaluation.ricci_form.shape[-1])
+    return coefficient * evaluation.trace_norm_sq - evaluation.eigenvalues.max(axis=-1)
+
+
 def check_bound(
     zeta: BundleValuedForm, mode: BoundMode, tol: float = DEFAULT_TOL
 ) -> BoundReport:
@@ -301,13 +311,14 @@ def check_evaluated(
     """:func:`check_bound` on a form whose :func:`evaluate` is in hand."""
     ricci_max, direction = max_eigenpair(evaluation.eigenvalues, evaluation.eigenvectors)
     bound = bound_coefficient(mode, zeta.n) * float(evaluation.trace_norm_sq)
-    certified = mode is BoundMode.GENERAL or bool(evaluation.symmetry_residual <= tol)
+    residual = evaluation.symmetry_residual
+    certified = mode is BoundMode.GENERAL or bool(_certified(residual, tol))
     return BoundReport(
         mode=mode,
         bound_value=bound,
         ricci_max=ricci_max,
         argmax_direction=direction,
-        gap=bound - ricci_max,
+        gap=float(_gaps(evaluation, mode)),
         symmetry_certified=certified,
         equality_class=_classify(zeta, evaluation, mode, bound, tol),
     )

@@ -19,9 +19,9 @@ from .gauss_bounds import (
     BoundMode,
     BoundReport,
     FormEvaluation,
-    bound_coefficient,
+    _certified,
+    _gaps,
     build_T_from_zeta,
-    check_bound,
     check_evaluated,
     corollary_triple,
     evaluate,
@@ -43,11 +43,11 @@ from .sampling import PRNG_NAME, draw_general, draw_symmetric
 from .tensor_core import (
     BundleValuedForm,
     Dimensions,
+    _symmetries_hold,
     checked_components,
     curvature_residuals,
     null_space,
     pair_exchange_residual,
-    validate_curvature_symmetries,
     zeta_norm_sq,
 )
 
@@ -55,6 +55,9 @@ TOOL_NAME = "curvlike"
 
 # Gauss tensors a sampling campaign holds at once: one n = 16 tensor.
 _CHUNK_T_BYTES = 8 * 16**4
+
+_SYMMETRY_FAILURE = "curvature symmetries failed on the built tensor"
+_UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
 
 
 def _require_headroom(zeta: BundleValuedForm) -> None:
@@ -117,32 +120,69 @@ def bound_report_to_dict(report: BoundReport) -> dict:
     }
 
 
-def _symmetry_block(zeta: BundleValuedForm, tol: float) -> dict:
-    """Curvature-symmetry residuals of the built T, and its Gauss residual
-    against the same-kernel rebuild of :func:`verify_gauss`."""
+def _verdicts(
+    evaluation: FormEvaluation | None, residuals, tol: float, ambient: AmbientModel | None
+) -> tuple[dict[str, tuple], dict[BoundMode, np.ndarray]]:
+    """Every verdict on a stack of forms, decided once for ``report``,
+    ``bound``, ``check`` and ``sample``: the (hit, detail) arrays of each
+    violation kind in report order, and each bound's gap < -tol whether or
+    not it is claimed.  ``symmetry`` needs the tensors' curvature
+    ``residuals``, the other kinds the ``evaluation``; an improved-bound hit
+    needs the certificate.  The ambient margin app - (max Ric_T + offset) is
+    exact near the bound (Sterbenz), so no rounding of app + tol hides a
+    violation."""
+    kinds: dict[str, tuple] = {}
+    if residuals is not None:
+        worst = np.maximum.reduce(residuals)
+        kinds["symmetry"] = (~_symmetries_hold(worst, tol), worst)
+    if evaluation is None:
+        return kinds, {}
+    gaps = {mode: _gaps(evaluation, mode) for mode in BoundMode}
+    violated = {mode: gap < -tol for mode, gap in gaps.items()}
+    certified = _certified(evaluation.symmetry_residual, tol)
+    kinds["general-bound"] = (violated[BoundMode.GENERAL], gaps[BoundMode.GENERAL])
+    kinds["certification"] = (~certified, None)
+    improved = certified & violated[BoundMode.IMPROVED]
+    kinds["improved-bound"] = (improved, gaps[BoundMode.IMPROVED])
+    if ambient is not None:
+        n = evaluation.ricci_form.shape[-1]
+        intrinsic = evaluation.eigenvalues.max(axis=-1) + ricci_offset(ambient, n)
+        margin = application_bounds(ambient, n, evaluation.trace_norm_sq) - intrinsic
+        kinds["ambient-bound"] = (margin < -tol, margin)
+    return kinds, violated
+
+
+def _symmetry_block(
+    zeta: BundleValuedForm, tol: float, evaluation=None, ambient=None
+) -> tuple[dict, dict]:
+    """:func:`_verdicts` of one form, and its T's curvature residuals, Gauss
+    residual against the same-kernel :func:`verify_gauss` and verdict."""
     tensor = build_T_from_zeta(zeta)
-    report = validate_curvature_symmetries(tensor, tol)
-    return {
-        "skew_first_pair": report.skew_first_pair,
-        "skew_second_pair": report.skew_second_pair,
-        "first_bianchi": report.first_bianchi,
+    residuals = curvature_residuals(tensor.components)
+    kinds, _ = _verdicts(evaluation, residuals, tol, ambient)
+    names = ("skew_first_pair", "skew_second_pair", "first_bianchi")
+    block = {
+        **{name: float(r) for name, r in zip(names, residuals)},
         "pair_exchange": pair_exchange_residual(tensor),
         "gauss_residual": verify_gauss(tensor, zeta),
-        "passed": report.passed,
+        "passed": not kinds["symmetry"][0],
     }
+    return kinds, block
 
 
-def _zeta_block(zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float) -> dict:
+def _zeta_block(
+    zeta: BundleValuedForm, evaluation: FormEvaluation, kinds: dict, tol: float
+) -> dict:
     trace_sq = float(evaluation.trace_norm_sq)
     residual = float(evaluation.symmetry_residual)
-    kernel = null_space(zeta)
+    kernel = null_space(zeta, tol)
     return {
         "norm_sq": zeta_norm_sq(zeta),
         "trace": evaluation.trace,
         "trace_norm_sq": trace_sq,
         # ||H||^2 with H = trace zeta / n.
         "mean_curvature_sq": trace_sq / float(zeta.n) ** 2,
-        "totally_symmetric": residual <= tol,
+        "totally_symmetric": not kinds["certification"][0],
         # +inf marks m' < n, where the residual is undefined.
         "total_symmetry_residual": residual if math.isfinite(residual) else None,
         "null_space_dim": int(kernel.shape[0]),
@@ -151,59 +191,36 @@ def _zeta_block(zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float) 
 
 
 def _ambient_block(
-    model: AmbientModel,
-    zeta: BundleValuedForm,
-    evaluation: FormEvaluation,
-    general: BoundReport,
-    improved: BoundReport,
-    tol: float,
+    model: AmbientModel, evaluation: FormEvaluation, base: BoundReport, kinds: dict
 ) -> tuple[dict, list[str]]:
-    base = general if base_mode(model) is BoundMode.GENERAL else improved
-    offset = ricci_offset(model, zeta.n)
-    app = float(application_bounds(model, zeta.n, evaluation.trace_norm_sq))
+    n = evaluation.ricci_form.shape[-1]
+    offset = ricci_offset(model, n)
+    app = float(application_bounds(model, n, evaluation.trace_norm_sq))
     intrinsic_max = base.ricci_max + offset
-    certified = base.symmetry_certified
-    holds = intrinsic_max <= app + tol
     doc = {
         **ambient_to_dict(model),
         "ricci_offset": offset,
         "application_bound": app,
         "intrinsic_ricci_max": intrinsic_max,
         "decomposition_residual": abs(app - (base.bound_value + offset)),
-        "claim_certified": certified,
-        "holds": holds,
+        "claim_certified": base.symmetry_certified,
+        "holds": not kinds["ambient-bound"][0],
     }
-    failures: list[str] = []
-    if certified and not holds:
-        failures.append(
-            f"ambient bound violated: intrinsic max {intrinsic_max!r} exceeds "
-            f"{app!r}"
-        )
-    if not certified:
-        failures.append(
-            "ambient claim not certified: form fails the total-symmetry hypothesis"
-        )
-    return doc, failures
+    if not doc["claim_certified"]:
+        return doc, [f"ambient claim {_UNCERTIFIED}"]
+    if doc["holds"]:
+        return doc, []
+    return doc, [f"ambient bound violated: intrinsic max {intrinsic_max!r} exceeds {app!r}"]
 
 
 def _corollary_block(zeta: BundleValuedForm, argmax: np.ndarray, tol: float) -> dict:
     labels = ["argmax", *(f"e{j + 1}" for j in range(zeta.n))]
     triples = corollary_triple(zeta, np.vstack([argmax, np.eye(zeta.n)]), tol)
-    columns = (
-        triples.equality_at_x.tolist(),
-        triples.trace_zero.tolist(),
-        triples.in_null_space.tolist(),
-        triples.verified.tolist(),
-    )
+    fields = ("equality_at_x", "trace_zero", "in_null_space", "verified")
+    columns = [getattr(triples, field).tolist() for field in fields]
     rows = [
-        {
-            "direction": label,
-            "equality_at_x": equality,
-            "trace_zero": trace_zero,
-            "in_null_space": in_null,
-            "verified": verified,
-        }
-        for label, equality, trace_zero, in_null, verified in zip(labels, *columns)
+        {"direction": label, **dict(zip(fields, row))}
+        for label, *row in zip(labels, *columns)
     ]
     return {"rows": rows, "all_verified": bool(triples.verified.all())}
 
@@ -215,36 +232,32 @@ def build_instance_report(
     zeta = instance.zeta
     _require_headroom(zeta)
     evaluation = evaluate(zeta.components)
-    failures: list[str] = []
-    symmetry = _symmetry_block(zeta, tol)
-    if not symmetry["passed"]:
-        failures.append("curvature symmetries failed on the built tensor")
-    general = check_evaluated(zeta, evaluation, BoundMode.GENERAL, tol)
-    improved = check_evaluated(zeta, evaluation, BoundMode.IMPROVED, tol)
-    if general.gap < -tol:
-        failures.append(f"general bound violated: gap {general.gap!r}")
-    if improved.symmetry_certified and improved.gap < -tol:
-        failures.append(f"improved bound violated: gap {improved.gap!r}")
+    kinds, symmetry = _symmetry_block(zeta, tol, evaluation, instance.ambient)
+    bounds = {mode: check_evaluated(zeta, evaluation, mode, tol) for mode in BoundMode}
+    failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
+    for mode in BoundMode:
+        hit, gap = kinds[f"{mode.value}-bound"]
+        if hit:
+            failures.append(f"{mode.value} bound violated: gap {float(gap)!r}")
     doc = {
         **report_envelope("instance-report"),
         "instance": _instance_block(instance, source),
         "tolerance": tol,
         "symmetry": symmetry,
-        "zeta": _zeta_block(zeta, evaluation, tol),
-        "bounds": {
-            "general": bound_report_to_dict(general),
-            "improved": bound_report_to_dict(improved),
-        },
+        "zeta": _zeta_block(zeta, evaluation, kinds, tol),
+        "bounds": {mode.value: bound_report_to_dict(bounds[mode]) for mode in BoundMode},
     }
     if instance.ambient is not None:
         ambient_doc, ambient_failures = _ambient_block(
-            instance.ambient, zeta, evaluation, general, improved, tol
+            instance.ambient, evaluation, bounds[base_mode(instance.ambient)], kinds
         )
         doc["ambient"] = ambient_doc
         failures.extend(ambient_failures)
     if instance.structure is not None:
         doc["structure"] = structure_to_dict(instance.structure)
-    doc["corollary"] = _corollary_block(zeta, general.argmax_direction, tol)
+    doc["corollary"] = _corollary_block(
+        zeta, bounds[BoundMode.GENERAL].argmax_direction, tol
+    )
     if not doc["corollary"]["all_verified"]:
         failures.append("corollary truth table shows exactly two statements true")
     doc["failures"] = failures
@@ -256,14 +269,10 @@ def build_check_report(
 ) -> tuple[dict, int]:
     """Symmetry and Gauss-residual gate for one instance."""
     _require_headroom(instance.zeta)
-    symmetry = _symmetry_block(instance.zeta, tol)
-    failures = []
-    if not symmetry["passed"]:
-        failures.append("curvature symmetries failed on the built tensor")
+    _, symmetry = _symmetry_block(instance.zeta, tol)
+    failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
     if symmetry["gauss_residual"] > tol:
-        failures.append(
-            f"Gauss residual {symmetry['gauss_residual']!r} exceeds tol"
-        )
+        failures.append(f"Gauss residual {symmetry['gauss_residual']!r} exceeds tol")
     doc = {
         **report_envelope("check-report"),
         "instance": _instance_block(instance, source),
@@ -279,14 +288,14 @@ def build_bound_report(
 ) -> tuple[dict, int]:
     """Single-mode bound evaluation; exit 1 on violation or failed certification."""
     _require_headroom(instance.zeta)
-    report = check_bound(instance.zeta, mode, tol)
+    evaluation = evaluate(instance.zeta.components)
+    report = check_evaluated(instance.zeta, evaluation, mode, tol)
+    _, violated = _verdicts(evaluation, None, tol, None)
     failures = []
-    if report.gap < -tol:
+    if violated[mode]:
         failures.append(f"{mode.value} bound violated: gap {report.gap!r}")
-    if mode is BoundMode.IMPROVED and not report.symmetry_certified:
-        failures.append(
-            "improved bound not certified: form fails the total-symmetry hypothesis"
-        )
+    if not report.symmetry_certified:
+        failures.append(f"improved bound {_UNCERTIFIED}")
     doc = {
         **report_envelope("bound-report"),
         "instance": _instance_block(instance, source),
@@ -324,11 +333,14 @@ def run_sample(
 
     The campaign runs as array passes over chunks of instances: draw, form
     checks, one stacked :func:`evaluate`, the n^4 stage (Gauss tensors and
-    their curvature-symmetry residuals), then gaps, ambient margins (the
-    offset checked before the first draw) and violations.  Every kernel is
-    the one the per-form functions use, and a chunk holds at most
-    :data:`_CHUNK_T_BYTES` of Gauss tensors, so the report bytes do not
-    depend on the chunk size and memory stays flat in ``count``.
+    their curvature-symmetry residuals), then :func:`_verdicts`, the pass
+    that ``report``, ``bound`` and ``check`` run on one form.  It flags a
+    worst curvature residual above tol, a gap below -tol (the improved one
+    only where a total-symmetry residual <= tol certifies it) and an ambient
+    margin app - (max Ric_T + offset) below -tol; the offset is checked
+    before the first draw.  A chunk holds at most :data:`_CHUNK_T_BYTES` of
+    Gauss tensors, so the report bytes do not depend on the chunk size and
+    memory stays flat in ``count``.
 
     ``max_gauss_residual`` is independent of the build: each T is checked
     against the chunk's S_T and against zeta at fixed probe vectors by
@@ -344,66 +356,41 @@ def run_sample(
         raise ValidationError(
             f"symmetric sampling needs bundle_dim >= n, got {bundle_dim} < {n}"
         )
-    if (
-        ambient is not None
-        and base_mode(ambient) is BoundMode.IMPROVED
-        and family != "symmetric"
-    ):
-        raise ValidationError(
-            f"ambient kind {ambient.kind.value!r} requires --family symmetric"
-        )
-    offset = None if ambient is None else ricci_offset(ambient, n)
+    if ambient is not None:
+        if base_mode(ambient) is BoundMode.IMPROVED and family != "symmetric":
+            raise ValidationError(
+                f"ambient kind {ambient.kind.value!r} requires --family symmetric"
+            )
+        ricci_offset(ambient, n)
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
     violations: list[dict] = []
     symmetric_count = 0
-    max_gauss = 0.0
-    max_symmetry = 0.0
-    min_gap_general = float("inf")
-    min_gap_improved = float("inf")
-    min_ambient_margin = float("inf")
+    # The largest Gauss and curvature residuals; the least gap or margin of a kind.
+    extremes = {"gauss": 0.0, "symmetry": 0.0}
     for start in range(0, count, chunk):
         batch = min(chunk, count - start)
         comps = checked_components(draw(rng, n, bundle_dim, batch))
         evaluation = evaluate(comps)
         tensors = gauss_components(comps)
-        symmetry = np.maximum.reduce(curvature_residuals(tensors))
-        max_symmetry = max(max_symmetry, float(symmetry.max()))
+        kinds, _ = _verdicts(evaluation, curvature_residuals(tensors), tol, ambient)
         gauss = gauss_probe_residuals(tensors, comps, evaluation.ricci_form)
-        max_gauss = max(max_gauss, float(gauss.max()))
-        symmetric = evaluation.symmetry_residual <= tol
-        symmetric_count += int(symmetric.sum())
-        ricci_max = evaluation.eigenvalues.max(axis=-1)
-        trace_sq = evaluation.trace_norm_sq
-        gap_general = bound_coefficient(BoundMode.GENERAL, n) * trace_sq - ricci_max
-        min_gap_general = min(min_gap_general, float(gap_general.min()))
-        kinds = [
-            ("symmetry", ~(symmetry <= tol), symmetry),
-            ("general-bound", gap_general < -tol, gap_general),
-        ]
-        if family == "symmetric":
-            coefficient = bound_coefficient(BoundMode.IMPROVED, n)
-            gap_improved = coefficient * trace_sq - ricci_max
-            min_gap_improved = min(min_gap_improved, float(gap_improved.min()))
-            kinds.append(("certification", ~symmetric, None))
-            kinds.append(
-                ("improved-bound", symmetric & (gap_improved < -tol), gap_improved)
-            )
-        if ambient is not None:
-            margin = application_bounds(ambient, n, trace_sq) - (ricci_max + offset)
-            min_ambient_margin = min(min_ambient_margin, float(margin.min()))
-            kinds.append(("ambient-bound", margin < -tol, margin))
-        for k in np.flatnonzero(np.logical_or.reduce([hit for _, hit, _ in kinds])):
-            violations.extend(
-                {
-                    "index": start + int(k),
-                    "kind": kind,
-                    "detail": None if detail is None else float(detail[k]),
-                }
-                for kind, hit, detail in kinds
-                if hit[k]
-            )
+        extremes["gauss"] = max(extremes["gauss"], float(gauss.max()))
+        symmetric_count += int((~kinds["certification"][0]).sum())
+        if family != "symmetric":
+            del kinds["certification"], kinds["improved-bound"]
+        for kind, (_, detail) in kinds.items():
+            if kind == "symmetry":
+                extremes[kind] = max(extremes[kind], float(detail.max()))
+            elif detail is not None:
+                extremes[kind] = min(extremes.get(kind, math.inf), float(detail.min()))
+        for k in np.flatnonzero(np.logical_or.reduce([hit for hit, _ in kinds.values()])):
+            index = start + int(k)
+            for kind, (hit, detail) in kinds.items():
+                if hit[k]:
+                    value = None if detail is None else float(detail[k])
+                    violations.append({"index": index, "kind": kind, "detail": value})
     params: dict = {
         "n": n,
         "bundle_dim": bundle_dim,
@@ -416,15 +403,11 @@ def run_sample(
     results: dict = {
         "instances": count,
         "symmetric_count": symmetric_count,
-        "max_gauss_residual": max_gauss,
-        "max_symmetry_residual": max_symmetry,
-        "min_gap_general": None if count == 0 else min_gap_general,
-        "min_gap_improved": (
-            None if family != "symmetric" or count == 0 else min_gap_improved
-        ),
-        "min_ambient_margin": (
-            None if ambient is None or count == 0 else min_ambient_margin
-        ),
+        "max_gauss_residual": extremes["gauss"],
+        "max_symmetry_residual": extremes["symmetry"],
+        "min_gap_general": extremes.get("general-bound"),
+        "min_gap_improved": extremes.get("improved-bound"),
+        "min_ambient_margin": extremes.get("ambient-bound"),
         "violations": violations,
         "all_pass": not violations,
     }

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import BundleValuedForm
-
 PRNG_NAME = "numpy-pcg64"
 
 
@@ -44,29 +42,3 @@ def draw_symmetric(
     components = np.zeros((count, m_prime, n, n))
     components[:, :n] = cubic
     return components
-
-
-def sample_general(rng: np.random.Generator, n: int, m_prime: int) -> BundleValuedForm:
-    """One unrestricted form; see :func:`draw_general`."""
-    return BundleValuedForm(draw_general(rng, n, m_prime, 1)[0])
-
-
-def sample_symmetric(
-    rng: np.random.Generator, n: int, m_prime: int
-) -> BundleValuedForm:
-    """One totally symmetric form; see :func:`draw_symmetric`."""
-    return BundleValuedForm(draw_symmetric(rng, n, m_prime, 1)[0])
-
-
-def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform random unit vector."""
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def random_orthogonal(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Haar-ish random orthogonal matrix via QR with a deterministic sign fix."""
-    a = rng.standard_normal((k, k))
-    q, r = np.linalg.qr(a)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs

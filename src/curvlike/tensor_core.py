@@ -128,13 +128,15 @@ class BundleValuedForm:
         return self.dims.m_prime
 
     def value(self, x, y) -> np.ndarray:
-        """Bundle vector zeta(X, Y) of two tangent vectors of shape (n,)."""
+        """Bundle vector zeta(X, Y) of two finite tangent vectors of shape (n,)."""
         xv, yv = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        for v in (xv, yv):
+        for name, v in (("X", xv), ("Y", yv)):
             if v.shape != (self.n,):
                 raise ValidationError(
                     f"expected a vector of shape ({self.n},), got shape {v.shape}"
                 )
+            if not np.isfinite(v).all():
+                raise ValidationError(f"{name} = {v.tolist()!r} must be finite")
         return np.einsum("rij,i,j->r", self.components, xv, yv)
 
     def max_abs(self) -> float:
@@ -205,14 +207,19 @@ def curvature_residuals(
     return skew_xy, skew_zw, bianchi
 
 
+def _symmetries_hold(worst, tol: float):
+    """The curvature-symmetry rule: worst curvature residual <= tol."""
+    return worst <= tol
+
+
 def validate_curvature_symmetries(
     tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL
 ) -> SymmetryReport:
-    """The three :func:`curvature_residuals` of one tensor; passes iff every
-    residual is <= tol."""
-    skew_xy, skew_zw, bianchi = (float(r) for r in curvature_residuals(tensor.components))
-    passed = skew_xy <= tol and skew_zw <= tol and bianchi <= tol
-    return SymmetryReport(skew_xy, skew_zw, bianchi, tol, passed)
+    """The three :func:`curvature_residuals` of one tensor and the verdict of
+    :func:`_symmetries_hold` on them."""
+    residuals = curvature_residuals(tensor.components)
+    passed = bool(_symmetries_hold(np.maximum.reduce(residuals), tol))
+    return SymmetryReport(*(float(r) for r in residuals), tol, passed)
 
 
 def pair_exchange_residual(tensor: CurvatureLikeTensor) -> float:

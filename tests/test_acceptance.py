@@ -35,12 +35,6 @@ from curvlike.optim_lemmas import (
     f2_max_closed,
     max_ricci,
 )
-from curvlike.sampling import (
-    random_orthogonal,
-    random_unit,
-    sample_general,
-    sample_symmetric,
-)
 from curvlike.structures import (
     Family,
     FamilyParams,
@@ -58,6 +52,7 @@ from curvlike.tensor_core import (
     validate_curvature_symmetries,
     zeta_norm_sq,
 )
+from random_forms import random_orthogonal, random_unit, sample_general, sample_symmetric
 
 GENERAL_POPULATION_SEED = 20_240_001
 SYMMETRIC_POPULATION_SEED = 20_240_002

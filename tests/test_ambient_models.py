@@ -16,9 +16,9 @@ from curvlike.ambient_models import (
 from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import BoundMode, build_T_from_zeta, check_bound
 from curvlike.optim_lemmas import max_ricci
-from curvlike.sampling import random_unit, sample_general, sample_symmetric
 from curvlike.structures import build_slant_structure
 from curvlike.tensor_core import BundleValuedForm, t_ricci_form, trace_norms_sq
+from random_forms import random_unit, sample_general, sample_symmetric
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 

@@ -26,12 +26,12 @@ from curvlike.gauss_bounds import (
 )
 from curvlike.instance_io import dump_json
 from curvlike.reporting import run_sample
-from curvlike.sampling import sample_general, sample_symmetric
 from curvlike.tensor_core import (
     DEFAULT_TOL,
     trace_norms_sq,
     validate_curvature_symmetries,
 )
+from random_forms import sample_general, sample_symmetric
 
 
 def reference_results(n, bundle_dim, count, seed, family, ambient, tol):

@@ -15,9 +15,9 @@ from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
 from curvlike.gauss_bounds import ricci_forms, total_symmetry_residuals
 from curvlike.instance_io import Instance, save_instance
-from curvlike.sampling import sample_general, sample_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
-from curvlike.tensor_core import BundleValuedForm, zeta_norm_sq
+from curvlike.tensor_core import DEFAULT_TOL, BundleValuedForm, zeta_norm_sq
+from random_forms import sample_general, sample_symmetric
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -582,6 +582,35 @@ class TestReport:
         assert code == 1
         assert "symmetry_certified: false" in out
 
+    def test_ambient_verdict_is_the_campaign_margin(self, tmp_path, capsys):
+        """Max Ric_T + offset lies 1.86e-9 above this complex-slant bound, of
+        size 1e7, where app + tol rounds up by a whole ulp: the old test
+        intrinsic <= app + tol passed it.  The margin app - (max Ric_T +
+        offset) is exact there and below -tol, so ``report`` and the
+        campaign pass both call it a violation."""
+        mu = 1.1216980453677514
+        zeta = construct_family(
+            FamilyParams(Family.H_UMBILICAL, n=2, lam=3 * mu, mu=mu)
+        )
+        ambient = AmbientModel(
+            AmbientKind.COMPLEX_SLANT, -26910743.65859768, 1.107185475467293
+        )
+        path = str(tmp_path / "edge.json")
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        code, out, _ = run_cli(capsys, "report", path, "--format", "json")
+        doc, tol = json.loads(out), DEFAULT_TOL
+        block = doc["ambient"]
+        app, intrinsic = block["application_bound"], block["intrinsic_ricci_max"]
+        assert -2 * tol < app - intrinsic < -tol
+        assert (code, block["claim_certified"], block["holds"]) == (1, True, False)
+        assert doc["failures"] == [
+            f"ambient bound violated: intrinsic max {intrinsic!r} exceeds {app!r}"
+        ]
+        stack = gauss_bounds.evaluate(np.stack([zeta.components] * 3))
+        kinds, _ = reporting._verdicts(stack, None, tol, ambient)
+        assert kinds["ambient-bound"][0].tolist() == [True] * 3
+        assert kinds["ambient-bound"][1][0] == app - intrinsic
+
     def test_json_report_round_trips_and_passes(self, tmp_path, capsys):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
         path = str(tmp_path / "x.json")
@@ -647,6 +676,22 @@ class TestToleranceOverride:
         code, out, _ = run_cli(capsys, "report", path, "--format", "json")
         assert code == 0
         assert json.loads(out)["tolerance"] == 1e-6
+
+    def test_report_null_space_uses_the_tolerance(self, tmp_path, capsys, monkeypatch):
+        """A singular value of 1e-5 against a largest component of 2 is zero
+        at tolerance 1e-3 and not at the default, for both commands."""
+        comps = np.zeros((2, 3, 3))
+        comps[0, 0, 0], comps[0, 1, 1], comps[1, 2, 2] = 1.0, 2.0, 1e-5
+        path = str(tmp_path / "thin.json")
+        save_instance(Instance(zeta=BundleValuedForm(comps)), path)
+        monkeypatch.delenv("CURVLIKE_TOL", raising=False)
+        for raw, dim in ((None, 0), ("1e-3", 1)):
+            if raw is not None:
+                monkeypatch.setenv("CURVLIKE_TOL", raw)
+            _, out, _ = run_cli(capsys, "nullspace", path)
+            assert f"\nbasis_dim: {dim}\n" in out
+            _, out, _ = run_cli(capsys, "report", path, "--format", "json")
+            assert json.loads(out)["zeta"]["null_space_dim"] == dim
 
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_non_finite_env_var_is_exit_2(self, capsys, monkeypatch, raw):

@@ -8,9 +8,11 @@ internal invariants.  Each quantity has one public entry point, so the names
 in ``curvlike.__all__`` are pinned, and the one-form wrappers that forwarded
 to the array kernels may not come back.  Each input rule has one owning
 function, so the comparisons that implement a rule are looked up by shape and
-must all sit in that function.  The same-kernel Gauss rebuild, 0.0 by
-construction, is called only where ``check`` and ``report`` still print it,
-and no kernel takes a caller's work buffer.
+must all sit in that function; the same holds for each verdict rule, and the
+verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
+pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
+where ``check`` and ``report`` still print it, and no kernel takes a caller's
+work buffer.
 """
 
 import ast
@@ -235,6 +237,52 @@ def test_instance_field_checks_have_one_owner_each():
     assert in_io("is not recognized") == {"instance_io._object"}
     assert in_io("must be an object") == {"instance_io._object"}
     assert in_io("must be a number") == {"instance_io._number"}
+
+
+# What a verdict compares with tol, by the words that name it, and the one
+# function that may make each comparison.  The Gauss-residual gate of
+# ``check`` is listed so that it cannot pass for one of the others.
+VERDICT_RULES = {
+    "Gauss residual": ({"gauss_residual"}, "reporting.build_check_report"),
+    "ambient margin": ({"margin", "app", "intrinsic_max"}, "reporting._verdicts"),
+    "bound violation": ({"gap", "gap_general", "gap_improved"}, "reporting._verdicts"),
+    "certification": ({"residual", "symmetry_residual"}, "gauss_bounds._certified"),
+    "curvature symmetry": (
+        {"worst", "symmetry", "skew_xy", "skew_zw", "bianchi"},
+        "tensor_core._symmetries_hold",
+    ),
+}
+
+
+def _verdict_rule(node) -> str | None:
+    """The rule a comparison with ``tol`` decides, from the names, attributes
+    and keys it reads; None for any other node."""
+    if not isinstance(node, ast.Compare) or "tol" not in _names(node):
+        return None
+    words = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            words.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            words.add(sub.value)
+    words |= _names(node)
+    return next((rule for rule, (marks, _) in VERDICT_RULES.items() if words & marks), None)
+
+
+def test_each_verdict_rule_has_one_owner():
+    owners = {
+        rule: _owners(lambda node, rule=rule: _verdict_rule(node) == rule)
+        for rule in VERDICT_RULES
+    }
+    assert owners == {rule: {owner} for rule, (_, owner) in VERDICT_RULES.items()}
+
+
+def test_every_cli_verdict_comes_from_the_one_pass():
+    """``report`` and ``check`` reach the pass through their symmetry block."""
+    callers = _owners(lambda node: isinstance(node, ast.Call) and _name(node.func) == "_verdicts")
+    assert callers == {
+        "reporting._symmetry_block", "reporting.build_bound_report", "reporting.run_sample"
+    }
 
 
 def test_gauss_rebuild_is_called_only_by_check_and_report():

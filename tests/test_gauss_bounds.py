@@ -24,13 +24,7 @@ from curvlike.gauss_bounds import (
     verify_gauss,
 )
 from curvlike.optim_lemmas import max_ricci, positive_lead
-from curvlike.sampling import (
-    draw_general,
-    draw_symmetric,
-    random_orthogonal,
-    sample_general,
-    sample_symmetric,
-)
+from curvlike.sampling import draw_general, draw_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import (
     BundleValuedForm,
@@ -44,6 +38,7 @@ from curvlike.tensor_core import (
     traces,
     zeta_norm_sq,
 )
+from random_forms import random_orthogonal, sample_general, sample_symmetric
 from ricci_oracle import einsum_ricci_forms
 
 
@@ -98,8 +93,11 @@ class TestGramKernel:
             for slot in zeta.components
         )
 
-    @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (8, 8), (16, 32), (5, 3)])
+    @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (6, 6), (8, 8), (16, 32), (5, 3)])
     def test_matches_slot_sum_with_exact_symmetries(self, n, m):
+        """Both skews are exact (syrk mirrors G); pair exchange is roundoff,
+        nonzero at (6, 6), so it is held to the bound of
+        test_gram_is_bitwise_symmetric."""
         rng = np.random.default_rng([n, m, 1])
         forms = [sample_general(rng, n, m)]
         if m >= n:
@@ -109,7 +107,9 @@ class TestGramKernel:
             error = np.abs(tensor.components - self.slot_sum(zeta)).max()
             assert error <= 1e-15 * zeta_norm_sq(zeta)
             skew_xy, skew_zw, _ = curvature_residuals(tensor.components)
-            assert skew_xy == skew_zw == pair_exchange_residual(tensor) == 0.0
+            assert skew_xy == skew_zw == 0.0
+            bound = 2 * m * np.finfo(float).eps * zeta_norm_sq(zeta)
+            assert pair_exchange_residual(tensor) <= bound
 
     @pytest.mark.parametrize("draw", [draw_general, draw_symmetric])
     @pytest.mark.parametrize("n, m", [(3, 3), (4, 6), (16, 32)])

@@ -18,9 +18,9 @@ from curvlike.instance_io import (
     loads_instance,
     save_instance,
 )
-from curvlike.sampling import sample_general
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm
+from random_forms import sample_general
 
 
 class TestFloatFormat:

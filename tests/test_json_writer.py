@@ -36,10 +36,10 @@ from curvlike.reporting import (
     build_nullspace_report,
     render_text,
 )
-from curvlike.sampling import sample_general, sample_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm
 from json_oracle import reference_dump_json, reference_format_float
+from random_forms import sample_general, sample_symmetric
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import build_T_from_zeta
-from curvlike.sampling import sample_general, random_orthogonal, random_unit
 from curvlike.tensor_core import (
     BundleValuedForm,
     CurvatureLikeTensor,
@@ -28,6 +27,7 @@ from curvlike.tensor_core import (
     zeta_norm_sq,
 )
 from curvlike.optim_lemmas import max_ricci
+from random_forms import random_orthogonal, random_unit, sample_general
 
 
 class TestDimensions:
@@ -98,6 +98,19 @@ class TestBundleValuedForm:
             ValidationError, match=rf"^expected a vector of shape \(2,\), got shape {bad}$"
         ):
             BundleValuedForm.zeros(2, 2).value(np.ones(x), np.ones(y))
+
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [
+            ([np.inf, 0.0], [0.0, 1.0], "X"),
+            ([np.nan, 0.0], [1.0, 0.0], "X"),
+            ([1.0, 0.0], [0.0, -np.inf], "Y"),
+        ],
+    )
+    def test_value_rejects_a_non_finite_vector(self, x, y, name):
+        form = BundleValuedForm(np.eye(2)[None])
+        with pytest.raises(ValidationError, match=rf"^{name} = \[.*\] must be finite$"):
+            form.value(x, y)
 
 
 class TestSymmetryValidation:
