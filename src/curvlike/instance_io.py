@@ -34,11 +34,7 @@ import numpy as np
 from .ambient_models import AmbientKind, AmbientModel, ricci_offset
 from .errors import CurvlikeError, ValidationError
 from .structures import build_slant_structure
-from .tensor_core import (
-    MAX_BUNDLE_DIM,
-    MAX_TANGENT_DIM,
-    BundleValuedForm,
-)
+from .tensor_core import BundleValuedForm, check_bundle_dim, check_tangent_dim
 
 SCHEMA_VERSION = 1
 
@@ -212,17 +208,16 @@ def instance_to_dict(instance: Instance) -> dict:
     return doc
 
 
-def _require_int(doc: dict, field: str, low: int, high: int) -> int:
+def _require_int(doc: dict, field: str, range_owner) -> int:
     if field not in doc:
         raise ValidationError(f"field '{field}' is required")
     value = doc[field]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"field '{field}' must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ValidationError(
-            f"field '{field}' must lie in {low}..{high}, got {value}"
-        )
-    return value
+    try:
+        return range_owner(value)
+    except ValidationError as exc:
+        raise ValidationError(f"field '{field}': {exc}") from exc
 
 
 def _object(raw, allowed: set[str], field: str = "") -> dict:
@@ -261,6 +256,8 @@ def _parse_ambient(raw, n: int) -> AmbientModel:
     try:
         model = AmbientModel(kind=kinds[kind_raw], c=c, theta=theta)
         ricci_offset(model, n)
+        if theta is not None:
+            build_slant_structure(n, theta)
     except ValidationError as exc:
         raise ValidationError(f"field 'ambient': {exc}") from exc
     return model
@@ -296,8 +293,8 @@ def instance_from_dict(doc) -> Instance:
         raise ValidationError(
             f"field 'version' must be {SCHEMA_VERSION}, got {version!r}"
         )
-    n = _require_int(doc, "n", 1, MAX_TANGENT_DIM)
-    bundle_dim = _require_int(doc, "bundle_dim", 1, MAX_BUNDLE_DIM)
+    n = _require_int(doc, "n", check_tangent_dim)
+    bundle_dim = _require_int(doc, "bundle_dim", check_bundle_dim)
     if "zeta" not in doc:
         raise ValidationError("field 'zeta' is required")
     try:

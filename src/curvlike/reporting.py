@@ -40,6 +40,7 @@ from .instance_io import (
     structure_to_dict,
 )
 from .sampling import PRNG_NAME, draw_general, draw_symmetric
+from .structures import build_slant_structure
 from .tensor_core import (
     BundleValuedForm,
     Dimensions,
@@ -58,27 +59,6 @@ _CHUNK_T_BYTES = 8 * 16**4
 
 _SYMMETRY_FAILURE = "curvature symmetries failed on the built tensor"
 _UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
-
-
-def _require_headroom(zeta: BundleValuedForm) -> None:
-    """Reject a form too large for the reports' arithmetic in binary64.
-
-    |T| <= 2 ||zeta||^2, so a curvature residual (a sum of at most three
-    entries of T) stays below 6 ||zeta||^2; ||trace zeta||^2 <= n ||zeta||^2,
-    and an entry of S_T + S_T^T stays below 2 (sqrt(n) + 1) ||zeta||^2.  So
-    8 n ||zeta||^2 bounds every quantity the reports derive, and the form is
-    accepted when that is finite.  ||zeta||^2 is computed on the form scaled
-    by its largest component, so the check itself cannot overflow.
-    """
-    scale = zeta.max_abs()
-    if scale == 0.0:
-        return
-    unit_norm_sq = float(np.square(zeta.components / scale).sum())
-    if scale > math.sqrt(np.finfo(float).max / (8 * zeta.n * unit_norm_sq)):
-        raise ValidationError(
-            f"zeta is too large: 8 n ||zeta||^2 overflows binary64 "
-            f"(largest |component| {scale!r})"
-        )
 
 
 def report_envelope(kind: str) -> dict:
@@ -122,34 +102,32 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 def _verdicts(
     evaluation: FormEvaluation | None, residuals, tol: float, ambient: AmbientModel | None
-) -> tuple[dict[str, tuple], dict[BoundMode, np.ndarray]]:
+) -> dict[str, tuple]:
     """Every verdict on a stack of forms, decided once for ``report``,
     ``bound``, ``check`` and ``sample``: the (hit, detail) arrays of each
-    violation kind in report order, and each bound's gap < -tol whether or
-    not it is claimed.  ``symmetry`` needs the tensors' curvature
-    ``residuals``, the other kinds the ``evaluation``; an improved-bound hit
-    needs the certificate.  The ambient margin app - (max Ric_T + offset) is
-    exact near the bound (Sterbenz), so no rounding of app + tol hides a
-    violation."""
+    violation kind in report order.  ``symmetry`` needs the tensors'
+    curvature ``residuals``, the other kinds the ``evaluation``; an
+    improved-bound hit needs the certificate.  The ambient margin app -
+    (max Ric_T + offset) is exact near the bound (Sterbenz), so no rounding
+    of app + tol hides a violation."""
     kinds: dict[str, tuple] = {}
     if residuals is not None:
         worst = np.maximum.reduce(residuals)
         kinds["symmetry"] = (~_symmetries_hold(worst, tol), worst)
     if evaluation is None:
-        return kinds, {}
-    gaps = {mode: _gaps(evaluation, mode) for mode in BoundMode}
-    violated = {mode: gap < -tol for mode, gap in gaps.items()}
+        return kinds
+    gap_general = _gaps(evaluation, BoundMode.GENERAL)
+    gap_improved = _gaps(evaluation, BoundMode.IMPROVED)
     certified = _certified(evaluation.symmetry_residual, tol)
-    kinds["general-bound"] = (violated[BoundMode.GENERAL], gaps[BoundMode.GENERAL])
+    kinds["general-bound"] = (gap_general < -tol, gap_general)
     kinds["certification"] = (~certified, None)
-    improved = certified & violated[BoundMode.IMPROVED]
-    kinds["improved-bound"] = (improved, gaps[BoundMode.IMPROVED])
+    kinds["improved-bound"] = (certified & (gap_improved < -tol), gap_improved)
     if ambient is not None:
         n = evaluation.ricci_form.shape[-1]
         intrinsic = evaluation.eigenvalues.max(axis=-1) + ricci_offset(ambient, n)
         margin = application_bounds(ambient, n, evaluation.trace_norm_sq) - intrinsic
         kinds["ambient-bound"] = (margin < -tol, margin)
-    return kinds, violated
+    return kinds
 
 
 def _symmetry_block(
@@ -159,7 +137,7 @@ def _symmetry_block(
     residual against the same-kernel :func:`verify_gauss` and verdict."""
     tensor = build_T_from_zeta(zeta)
     residuals = curvature_residuals(tensor.components)
-    kinds, _ = _verdicts(evaluation, residuals, tol, ambient)
+    kinds = _verdicts(evaluation, residuals, tol, ambient)
     names = ("skew_first_pair", "skew_second_pair", "first_bianchi")
     block = {
         **{name: float(r) for name, r in zip(names, residuals)},
@@ -230,7 +208,6 @@ def build_instance_report(
 ) -> tuple[dict, int]:
     """Full diagnostic report for one instance; returns (report, exit code)."""
     zeta = instance.zeta
-    _require_headroom(zeta)
     evaluation = evaluate(zeta.components)
     kinds, symmetry = _symmetry_block(zeta, tol, evaluation, instance.ambient)
     bounds = {mode: check_evaluated(zeta, evaluation, mode, tol) for mode in BoundMode}
@@ -268,7 +245,6 @@ def build_check_report(
     instance: Instance, tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
     """Symmetry and Gauss-residual gate for one instance."""
-    _require_headroom(instance.zeta)
     _, symmetry = _symmetry_block(instance.zeta, tol)
     failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
     if symmetry["gauss_residual"] > tol:
@@ -287,13 +263,10 @@ def build_bound_report(
     instance: Instance, mode: BoundMode, tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
     """Single-mode bound evaluation; exit 1 on violation or failed certification."""
-    _require_headroom(instance.zeta)
     evaluation = evaluate(instance.zeta.components)
     report = check_evaluated(instance.zeta, evaluation, mode, tol)
-    _, violated = _verdicts(evaluation, None, tol, None)
-    failures = []
-    if violated[mode]:
-        failures.append(f"{mode.value} bound violated: gap {report.gap!r}")
+    hit, _ = _verdicts(evaluation, None, tol, None)[f"{mode.value}-bound"]
+    failures = [f"{mode.value} bound violated: gap {report.gap!r}"] if hit else []
     if not report.symmetry_certified:
         failures.append(f"improved bound {_UNCERTIFIED}")
     doc = {
@@ -362,6 +335,8 @@ def run_sample(
                 f"ambient kind {ambient.kind.value!r} requires --family symmetric"
             )
         ricci_offset(ambient, n)
+        if ambient.theta is not None:
+            build_slant_structure(n, ambient.theta)
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
@@ -374,7 +349,7 @@ def run_sample(
         comps = checked_components(draw(rng, n, bundle_dim, batch))
         evaluation = evaluate(comps)
         tensors = gauss_components(comps)
-        kinds, _ = _verdicts(evaluation, curvature_residuals(tensors), tol, ambient)
+        kinds = _verdicts(evaluation, curvature_residuals(tensors), tol, ambient)
         gauss = gauss_probe_residuals(tensors, comps, evaluation.ricci_form)
         extremes["gauss"] = max(extremes["gauss"], float(gauss.max()))
         symmetric_count += int((~kinds["certification"][0]).sum())

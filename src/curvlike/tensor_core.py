@@ -12,6 +12,7 @@ objects are their one-form case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,15 @@ def check_tangent_dim(n: int, minimum: int = 1) -> int:
     return n
 
 
+def check_bundle_dim(m_prime: int) -> int:
+    """The one bundle-dimension rule, ``1 <= m' <= 32``."""
+    if not 1 <= m_prime <= MAX_BUNDLE_DIM:
+        raise ValidationError(
+            f"bundle dimension must be in 1..{MAX_BUNDLE_DIM}, got {m_prime}"
+        )
+    return m_prime
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Tangent dimension n and bundle dimension m_prime, with desk-scale guards."""
@@ -49,10 +59,7 @@ class Dimensions:
 
     def __post_init__(self) -> None:
         check_tangent_dim(self.n)
-        if not 1 <= self.m_prime <= MAX_BUNDLE_DIM:
-            raise ValidationError(
-                f"bundle dimension must be in 1..{MAX_BUNDLE_DIM}, got {self.m_prime}"
-            )
+        check_bundle_dim(self.m_prime)
 
 
 def mirror_symmetric(components: np.ndarray) -> np.ndarray:
@@ -69,16 +76,26 @@ def checked_components(components) -> np.ndarray:
     bitwise symmetric in (i, j); leading axes stack independent forms.
 
     Checks the desk-scale dimensions, finiteness and the 1e-12 pair symmetry
-    of every form (the message names the worst entry), then mirrors the upper
-    triangle.  :class:`BundleValuedForm` is the one-form case.
+    of every form (the message names the worst entry), mirrors the upper
+    triangle, then checks headroom: |T| <= 2 ||zeta||^2, so a curvature
+    residual (a sum of at most three entries of T) stays below 6 ||zeta||^2;
+    ||trace zeta||^2 <= n ||zeta||^2, and an entry of S_T + S_T^T stays below
+    2 (sqrt(n) + 1) ||zeta||^2.  So 8 n ||zeta||^2 bounds every quantity the
+    reports derive, and a form is accepted when that is finite.  ||zeta||^2 is
+    computed on the form scaled by its largest component, so the check itself
+    cannot overflow, and only where that component exceeds
+    sqrt(max / (8 n m' n^2)), below which no form of the shape overflows.
+    :class:`BundleValuedForm` is the one-form case.
     """
     arr = np.asarray(components, dtype=float)
     if arr.ndim < 3 or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError(
             f"expected components of shape (m', n, n), got {arr.shape}"
         )
-    Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
-    if not np.all(np.isfinite(arr)):
+    dims = Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
+    # The largest |component| of each form; a NaN or inf makes it non-finite.
+    scale = np.abs(arr).max(axis=(-3, -2, -1))
+    if not np.isfinite(scale).all():
         raise ValidationError("zeta components must be finite")
     asym = np.abs(arr - np.swapaxes(arr, -1, -2))
     if asym.max(initial=0.0) > INPUT_SYMMETRY_TOL:
@@ -89,6 +106,16 @@ def checked_components(components) -> np.ndarray:
             f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
         )
     sym = mirror_symmetric(arr)
+    # scale is max |sym| here: mirroring within 1e-12 keeps entries above 1e4.
+    top = np.finfo(float).max
+    forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)
+    for k in np.flatnonzero(scales > math.sqrt(top / (8 * dims.n**3 * dims.m_prime))):
+        unit_norm_sq = float(np.square(forms[k] / scales[k]).sum())
+        if scales[k] > math.sqrt(top / (8 * dims.n * unit_norm_sq)):
+            raise ValidationError(
+                f"zeta is too large: 8 n ||zeta||^2 overflows binary64 "
+                f"(largest |component| {float(scales[k])!r})"
+            )
     sym.setflags(write=False)
     return sym
 

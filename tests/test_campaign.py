@@ -166,10 +166,13 @@ CHUNK_CASES = st.one_of(
         st.integers(1, 5), st.integers(1, 6), st.just("general"),
         st.sampled_from([None, REAL]),
     ),
+    # A proper slant angle needs even n.
     st.integers(2, 5).flatmap(
         lambda n: st.tuples(
             st.just(n), st.integers(n, 6), st.just("symmetric"),
-            st.sampled_from([None, LAGRANGIAN, SLANT, SASAKIAN, REAL]),
+            st.sampled_from(
+                [None, LAGRANGIAN, SASAKIAN, REAL] + ([SLANT] if n % 2 == 0 else [])
+            ),
         )
     ),
 )

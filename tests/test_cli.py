@@ -13,10 +13,16 @@ import pytest
 from curvlike import cli, gauss_bounds, reporting
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
+from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import ricci_forms, total_symmetry_residuals
 from curvlike.instance_io import Instance, save_instance
 from curvlike.structures import Family, FamilyParams, construct_family
-from curvlike.tensor_core import DEFAULT_TOL, BundleValuedForm, zeta_norm_sq
+from curvlike.tensor_core import (
+    DEFAULT_TOL,
+    BundleValuedForm,
+    checked_components,
+    zeta_norm_sq,
+)
 from random_forms import sample_general, sample_symmetric
 
 
@@ -56,6 +62,17 @@ class TestConstructAndBound:
         assert code == 1
         assert "symmetry_certified: false" in out
         assert "gap: -0.5" in out
+        # An uncertified improved bound claims nothing, so its gap is no
+        # violation: `bound` fails on the certificate alone, as `report`
+        # and `sample` count it.
+        assert out.endswith(
+            "\nfailures: [improved bound not certified: "
+            "form fails the total-symmetry hypothesis]\n"
+        )
+        code, out, _ = run_cli(capsys, "report", target, "--format", "json")
+        doc = json.loads(out)
+        assert doc["bounds"]["improved"]["gap"] == -0.5
+        assert (code, doc["failures"]) == (0, [])
 
     def test_general_mode_passes_there(self, tmp_path, capsys):
         target = str(tmp_path / "u.json")
@@ -133,6 +150,10 @@ class TestConstructAndBound:
         assert not target.exists()
 
 
+# Every command that loads an instance file; the path goes last.
+FILE_COMMANDS = (["report"], ["bound", "--mode", "general"], ["check"], ["nullspace"])
+
+
 class TestConstructWritesOnlyLoadableFiles:
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_round_trip(self, tmp_path, capsys, family):
@@ -155,15 +176,65 @@ class TestConstructWritesOnlyLoadableFiles:
                     continue
                 assert (code, err) == (0, ""), case
                 written += 1
-                for op in (
-                    ["report", target],
-                    ["bound", target, "--mode", "general"],
-                    ["check", target],
-                    ["nullspace", target],
-                ):
-                    code, _, err = run_cli(capsys, *op)
+                for op in FILE_COMMANDS:
+                    code, _, err = run_cli(capsys, *op, target)
                     assert code != 2, (*case, op)
         assert written >= 16
+
+    @pytest.mark.parametrize("scale", ["1e150", "1e200", "1e300"])
+    @pytest.mark.parametrize(
+        "family, flags",
+        [
+            ("totally-umbilical", ["--h0", "{scale},1"]),
+            ("h-umbilical", ["--lambda", "{scale}", "--mu", "1"]),
+            ("slumbilical", ["--lambda", "{scale}"]),
+        ],
+    )
+    def test_large_parameters(self, tmp_path, capsys, scale, family, flags):
+        """`construct` writes a file exactly when every file command loads
+        it; the headroom rule cuts between 1e150 and 1e200."""
+        target = tmp_path / "x.json"
+        flags = [flag.format(scale=scale) for flag in flags]
+        for n in (2, 16):
+            argv = ["construct", "--family", family, "--n", str(n), *flags]
+            code, _, err = run_cli(capsys, *argv, "-o", str(target))
+            assert (code == 0) is (scale == "1e150"), (n, err)
+            assert target.exists() is (code == 0)
+            if code == 0:
+                codes = [run_cli(capsys, *op, str(target))[0] for op in FILE_COMMANDS]
+                assert 2 not in codes
+                target.unlink()
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_headroom_limit(self, tmp_path, capsys, n):
+        """The largest accepted h0 of a totally umbilical form, and the next
+        double: `construct`, every file command on a hand-written file, the
+        form constructor and a stacked check give each one verdict."""
+        # ||zeta||^2 = n h^2, and at the limit 8 n ||zeta||^2 = max.
+        limit = math.sqrt(np.finfo(float).max / (8 * n * n))
+        for h, accepted in ((limit, True), (math.nextafter(limit, math.inf), False)):
+            target = tmp_path / f"constructed-{accepted}.json"
+            code, _, _ = run_cli(
+                capsys, "construct", "--family", "totally-umbilical", "--n", str(n),
+                "--h0", repr(h), "-o", str(target),
+            )
+            assert (code == 0, target.exists()) == (accepted, accepted)
+            form = np.diag([h] * n)[None]
+            path = tmp_path / f"written-{accepted}.json"
+            doc = {"version": 1, "n": n, "bundle_dim": 1, "zeta": form.tolist()}
+            path.write_text(json.dumps(doc))
+            refusal = f"error: {path}: field 'zeta': zeta is too large"
+            for op in FILE_COMMANDS:
+                code, _, err = run_cli(capsys, *op, str(path))
+                assert (code != 2) is accepted, (h, op, err)
+                assert accepted or err.startswith(refusal)
+            stack = np.stack([np.eye(n)[None], form])
+            for build, arg in ((BundleValuedForm, form), (checked_components, stack)):
+                if accepted:
+                    build(arg)
+                else:
+                    with pytest.raises(ValidationError, match="^zeta is too large"):
+                        build(arg)
 
 
 class TestLemma:
@@ -441,13 +512,36 @@ class TestSample:
     def test_ambient_campaign(self, capsys):
         code, out, _ = run_cli(
             capsys,
-            "sample", "--n", "3", "--bundle", "3", "--count", "30",
+            "sample", "--n", "4", "--bundle", "4", "--count", "30",
             "--seed", "5", "--family", "symmetric",
             "--ambient", "complex_slant", "--c", "4.0", "--theta", "0.7",
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["min_ambient_margin"] >= -1e-9
+
+    def test_odd_n_proper_slant_ambient_is_exit_2(self, tmp_path, capsys):
+        """A proper slant angle needs even n, whether it comes as
+        `structure.theta`, as `ambient.theta` in a file or as `--theta` of a
+        campaign; theta = pi/2 is the Lagrangian case and fits any n."""
+        message = "proper slant angle 0.7 requires even tangent dimension, got 3\n"
+        code, out, err = run_cli(
+            capsys,
+            "sample", "--n", "3", "--bundle", "3", "--count", "2", "--seed", "1",
+            "--family", "symmetric", "--ambient", "complex_slant",
+            "--c", "1", "--theta", "0.7",
+        )
+        assert (code, out, err) == (2, "", "error: " + message)
+        path = str(tmp_path / "odd.json")
+        zeta = sample_symmetric(np.random.default_rng(5), 3, 3)
+        ambient = AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, 0.7)
+        save_instance(Instance(zeta=zeta, ambient=ambient), path)
+        code, out, err = run_cli(capsys, "report", path)
+        assert (code, out, err) == (2, "", f"error: {path}: field 'ambient': " + message)
+        lagrangian = AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, math.pi / 2)
+        save_instance(Instance(zeta=zeta, ambient=lagrangian), path)
+        code, _, err = run_cli(capsys, "report", path)
+        assert (code, err) == (0, "")
 
     def test_improved_ambient_rejects_general_family(self, capsys):
         code, _, err = run_cli(
@@ -480,25 +574,35 @@ class TestReport:
             ["bound", "--mode", "general"],
             ["bound", "--mode", "improved"],
             ["check"],
+            ["nullspace"],
         ],
     )
     def test_overflowing_form_is_exit_2_without_warnings(self, tmp_path, capsys, argv):
-        """A component of 1e300 loads, but its squared norm overflows: the
-        report is refused up front, naming zeta, before any kernel warns."""
-        path = str(tmp_path / "big.json")
-        code, _, _ = run_cli(
-            capsys,
-            "construct", "--family", "totally-umbilical", "--n", "3",
-            "--h0", "0.1,-0.6666666666666666,1e300", "-o", path,
-        )
-        assert code == 0
+        """A component of 1e300 leaves 8 n ||zeta||^2 no room in binary64:
+        `construct` writes no such file, and every file command refuses a
+        hand-written one at load, naming the field, before any kernel warns."""
+        path = tmp_path / "big.json"
+        h0 = [0.1, -0.6666666666666666, 1e300]
+        too_large = "zeta is too large: 8 n ||zeta||^2 overflows binary64"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+            code, out, err = run_cli(
+                capsys,
+                "construct", "--family", "totally-umbilical", "--n", "3",
+                "--h0", ",".join(map(repr, h0)), "-o", str(path),
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: {too_large} (largest |component| 1e+300)\n"
+            assert not path.exists()
+            zeta = [np.diag([h] * 3).tolist() for h in h0]
+            doc = {"version": 1, "n": 3, "bundle_dim": 3, "zeta": zeta}
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert caught == []
-        assert code == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: zeta ")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {path}: field 'zeta': {too_large} (largest |component| 1e+300)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -607,7 +711,7 @@ class TestReport:
             f"ambient bound violated: intrinsic max {intrinsic!r} exceeds {app!r}"
         ]
         stack = gauss_bounds.evaluate(np.stack([zeta.components] * 3))
-        kinds, _ = reporting._verdicts(stack, None, tol, ambient)
+        kinds = reporting._verdicts(stack, None, tol, ambient)
         assert kinds["ambient-bound"][0].tolist() == [True] * 3
         assert kinds["ambient-bound"][1][0] == app - intrinsic
 

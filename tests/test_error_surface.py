@@ -8,7 +8,8 @@ internal invariants.  Each quantity has one public entry point, so the names
 in ``curvlike.__all__`` are pinned, and the one-form wrappers that forwarded
 to the array kernels may not come back.  Each input rule has one owning
 function, so the comparisons that implement a rule are looked up by shape and
-must all sit in that function; the same holds for each verdict rule, and the
+must all sit in that function (the overflow headroom of a form sits with its
+other checks); the same holds for each verdict rule, and the
 verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
 pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
 where ``check`` and ``report`` still print it, and no kernel takes a caller's
@@ -185,6 +186,39 @@ def test_tangent_dimension_rule_has_one_owner():
         lambda node: isinstance(node, ast.Compare) and "MAX_TANGENT_DIM" in _names(node)
     )
     assert owners == {"tensor_core.check_tangent_dim"}
+
+
+def test_bundle_dimension_rule_has_one_owner():
+    owners = _owners(
+        lambda node: isinstance(node, ast.Compare) and "MAX_BUNDLE_DIM" in _names(node)
+    )
+    assert owners == {"tensor_core.check_bundle_dim"}
+
+
+def test_loader_names_no_dimension_limit():
+    """The loader passes ``n`` and ``bundle_dim`` to the two owners above
+    instead of restating their limits."""
+    names = {
+        node.id if isinstance(node, ast.Name) else node.name
+        for node in ast.walk(MODULES["instance_io"])
+        if isinstance(node, (ast.Name, ast.alias))
+    }
+    assert sorted(name for name in names if name.startswith("MAX_")) == []
+
+
+def test_headroom_rule_has_one_owner():
+    """8 n ||zeta||^2 must stay finite: checked where every form is
+    validated, so no report builder checks it again.  The rule is the only
+    reader of the binary64 maximum."""
+    owners = _owners(lambda node: _name(node) == "finfo")
+    assert owners == {"tensor_core.checked_components"}
+    functions = {
+        node.name
+        for tree in MODULES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_require_headroom" not in functions
 
 
 def test_slant_angle_rule_and_lagrangian_snap_have_one_owner():

@@ -136,6 +136,42 @@ class TestLoad:
         doc.update(n=2, zeta=[np.zeros((2, 2)).tolist()])
         assert loads_instance(json.dumps(doc)).ambient.c == c
 
+    @pytest.mark.parametrize(
+        "n, bundle_dim, message",
+        [
+            (0, 1, "field 'n': tangent dimension must be in 1..16, got 0"),
+            (17, 1, "field 'n': tangent dimension must be in 1..16, got 17"),
+            (1, 0, "field 'bundle_dim': bundle dimension must be in 1..32, got 0"),
+            (1, 33, "field 'bundle_dim': bundle dimension must be in 1..32, got 33"),
+        ],
+    )
+    def test_dimensions_are_judged_by_their_owners(self, n, bundle_dim, message):
+        """The loader reuses the tangent- and bundle-dimension rules and
+        words, under the field name."""
+        text = json.dumps({"version": 1, "n": n, "bundle_dim": bundle_dim, "zeta": []})
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(text)
+        assert str(caught.value) == f"<string>: {message}"
+
+    def test_ambient_theta_meets_the_even_dimension_rule(self):
+        """A proper slant angle needs even n in `ambient.theta` as in
+        `structure.theta`; theta = pi/2 is the Lagrangian case."""
+        doc = {
+            "version": 1,
+            "n": 3,
+            "bundle_dim": 1,
+            "zeta": [np.zeros((3, 3)).tolist()],
+            "ambient": {"kind": "complex_slant", "c": 1.0, "theta": 0.7},
+        }
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(json.dumps(doc))
+        assert str(caught.value) == (
+            "<string>: field 'ambient': "
+            "proper slant angle 0.7 requires even tangent dimension, got 3"
+        )
+        doc["ambient"]["theta"] = math.pi / 2
+        assert loads_instance(json.dumps(doc)).ambient.theta == math.pi / 2
+
     def test_structure_theta_conflicts_with_ambient(self):
         text = json.dumps(
             {

@@ -6,6 +6,7 @@ tests compare the two writers on random documents and on real reports.
 """
 
 import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -64,14 +65,17 @@ def general_instance() -> Instance:
     )
 
 
-def special_values_instance() -> Instance:
-    """(3, 3) form whose upper triangles hold :data:`SPECIAL_VALUES`."""
+def special_values_document() -> dict:
+    """Instance document of a (3, 3) form whose upper triangles hold
+    :data:`SPECIAL_VALUES`.  Its 1e300 entry leaves 8 n ||zeta||^2 no room in
+    binary64, so no form carries it and the loader refuses the file: the
+    document tests the writer and the JSON decoder alone."""
     comps = np.zeros((3, 3, 3))
     upper = np.triu_indices(3)
     for r in range(3):
         comps[r][upper] = SPECIAL_VALUES[6 * r : 6 * r + 6]
         comps[r][upper[::-1]] = SPECIAL_VALUES[6 * r : 6 * r + 6]
-    return Instance(zeta=BundleValuedForm(comps))
+    return {"version": 1, "n": 3, "bundle_dim": 3, "zeta": comps}
 
 
 def as_lists(value):
@@ -86,28 +90,23 @@ def as_lists(value):
 
 
 class TestGoldenBytes:
-    @pytest.mark.parametrize(
-        "build, golden, sha256",
-        [
-            (
-                general_instance,
-                "general_4x6.json",
-                "b7f807cab0ccf7973aeb4820fae111a714e7d67ba3824cdb6ffa92353442b953",
-            ),
-            (
-                special_values_instance,
-                "special_values.json",
-                "5a8c095257e47a61072956184af169d7b31bf24ff293f05fa33e373737cd6953",
-            ),
-        ],
-    )
-    def test_bytes_and_hash(self, build, golden, sha256, tmp_path):
-        instance = build()
+    def test_bytes_and_hash(self, tmp_path):
+        instance = general_instance()
         text = dump_json(instance_to_dict(instance))
-        assert text == (GOLDEN / golden).read_text()
-        assert instance_sha256(instance) == sha256
-        save_instance(instance, tmp_path / golden)
-        assert (tmp_path / golden).read_bytes() == (GOLDEN / golden).read_bytes()
+        assert text == (GOLDEN / "general_4x6.json").read_text()
+        assert instance_sha256(instance) == (
+            "b7f807cab0ccf7973aeb4820fae111a714e7d67ba3824cdb6ffa92353442b953"
+        )
+        save_instance(instance, tmp_path / "general_4x6.json")
+        saved = (tmp_path / "general_4x6.json").read_bytes()
+        assert saved == (GOLDEN / "general_4x6.json").read_bytes()
+
+    def test_special_values_bytes_and_hash(self):
+        text = dump_json(special_values_document())
+        assert text == (GOLDEN / "special_values.json").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5a8c095257e47a61072956184af169d7b31bf24ff293f05fa33e373737cd6953"
+        )
 
     def test_zero_form_hash(self):
         instance = Instance(zeta=BundleValuedForm.zeros(16, 32))
@@ -119,12 +118,15 @@ class TestGoldenBytes:
         assert instance_sha256(instance) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_special_values_round_trip(self):
-        instance = special_values_instance()
-        loaded = loads_instance((GOLDEN / "special_values.json").read_text())
-        assert np.array_equal(
-            np.signbit(loaded.zeta.components), np.signbit(instance.zeta.components)
-        )
-        assert np.array_equal(loaded.zeta.components, instance.zeta.components)
+        """The decoder the loader uses restores every value bit for bit,
+        signed zeros included; the loader itself refuses the file."""
+        text = (GOLDEN / "special_values.json").read_text()
+        comps = special_values_document()["zeta"]
+        decoded = np.asarray(json.loads(text)["zeta"], dtype=float)
+        assert np.array_equal(np.signbit(decoded), np.signbit(comps))
+        assert np.array_equal(decoded, comps)
+        with pytest.raises(ValidationError, match="^<string>: field 'zeta': zeta is too large"):
+            loads_instance(text)
 
     def test_special_values_match_scalar_formatter(self):
         values = np.array(SPECIAL_VALUES)

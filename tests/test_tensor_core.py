@@ -1,5 +1,6 @@
 """Unit tests for tensor storage, contractions, and frame operations."""
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from curvlike.tensor_core import (
     BundleValuedForm,
     CurvatureLikeTensor,
     Dimensions,
+    checked_components,
     null_space,
     orthonormal_complement,
     pair_exchange_residual,
@@ -55,6 +57,27 @@ class TestDimensions:
             BundleValuedForm(np.zeros((33, 2, 2)))
 
 
+def headroom_ok(components) -> bool:
+    """The headroom rule on one form: 8 n ||zeta||^2 is finite, judged on
+    the form scaled by its largest component."""
+    scale = float(np.abs(components).max())
+    if scale == 0.0:
+        return True
+    unit_norm_sq = float(np.square(components / scale).sum())
+    n = components.shape[-1]
+    return not scale > math.sqrt(np.finfo(float).max / (8 * n * unit_norm_sq))
+
+
+def _refuses(components) -> bool:
+    """Whether :func:`checked_components` refuses a form for headroom."""
+    try:
+        checked_components(components)
+    except ValidationError as exc:
+        assert str(exc).startswith("zeta is too large: ")
+        return True
+    return False
+
+
 class TestBundleValuedForm:
     def test_symmetry_is_bitwise_exact(self):
         rng = np.random.default_rng(0)
@@ -70,10 +93,37 @@ class TestBundleValuedForm:
             BundleValuedForm(comps)
 
     def test_rejects_non_finite(self):
-        comps = np.zeros((1, 2, 2))
-        comps[0, 0, 0] = np.inf
-        with pytest.raises(ValidationError, match=r"^zeta components must be finite$"):
-            BundleValuedForm(comps)
+        """Also in a stack, and in the lower triangle, before the mirror
+        drops it."""
+        for value, index in ((np.inf, (0, 0, 0)), (np.nan, (0, 1, 0)), (-np.inf, (0, 1, 0))):
+            comps = np.zeros((1, 2, 2))
+            comps[index] = value
+            with pytest.raises(ValidationError, match=r"^zeta components must be finite$"):
+                BundleValuedForm(comps)
+            with pytest.raises(ValidationError, match=r"^zeta components must be finite$"):
+                checked_components(np.stack([np.zeros((1, 2, 2)), comps]))
+
+    def test_headroom_is_the_scaled_norm_rule_per_form(self):
+        """Around each form's limit, every form of a stack gets the verdict
+        of the scaled rule on it alone, also above the shape's sufficient
+        bound sqrt(max / (8 n m' n^2)), where one large entry passes."""
+        rng = np.random.default_rng(7)
+        for n, m in ((2, 1), (3, 3), (16, 32)):
+            single = np.zeros((m, n, n))
+            single[0, 0, 0] = 1.0
+            drawn = sample_general(rng, n, m).components
+            for base in (single, drawn / np.abs(drawn).max()):
+                limit = math.sqrt(np.finfo(float).max / (8 * n * np.square(base).sum()))
+                forms = [base * (limit * (1 + k * 2.0**-50)) for k in range(-3, 4)]
+                refused = [not headroom_ok(form) for form in forms]
+                assert any(refused) and not all(refused)
+                assert [_refuses(form) for form in forms] == refused
+                kept = np.stack([form for form, bad in zip(forms, refused) if not bad])
+                checked_components(kept)
+                first = float(np.abs(forms[refused.index(True)]).max())
+                with pytest.raises(ValidationError) as caught:
+                    checked_components(np.stack(forms))
+                assert str(caught.value).endswith(f"(largest |component| {first!r})")
 
     def test_components_read_only(self):
         form = BundleValuedForm.zeros(2, 2)
