@@ -14,10 +14,15 @@ happens only for the zero form or, on surfaces, for the umbilical pattern
 (general bound) and the H-umbilical lambda = 3 mu pattern (improved bound).
 
 The array kernels (:func:`gauss_components`, :func:`gauss_probe_residuals`,
-:func:`ricci_forms`, :func:`total_symmetry_residuals`, :func:`evaluate`) take
-leading axes that stack independent forms; the functions on single forms are
-their one-form case, so a sampling campaign and a single report agree
-bitwise.  Every kernel allocates its own result.
+:func:`ricci_forms`, :func:`ricci_probe_residuals`,
+:func:`total_symmetry_residuals`, :func:`evaluate`) take leading axes that
+stack independent forms; the functions on single forms are their one-form
+case, so a sampling campaign and a single report agree bitwise.  Every kernel
+allocates its own result.
+
+A sampling campaign checks each form's S_T against zeta with
+:func:`ricci_probe_residuals`, with no n^4 tensor; it builds T and audits it
+with :func:`gauss_probe_residuals` only for its audited instances.
 """
 
 from __future__ import annotations
@@ -143,24 +148,74 @@ GAUSS_PROBE_SEED = 0x9A055
 GAUSS_PROBES = 4
 
 
+def _probe_vectors(n: int) -> np.ndarray:
+    """The seeded unit vectors X_p, Y_p, Z_p, W_p (p < k = :data:`GAUSS_PROBES`)
+    for tangent dimension n, as a (4, k, n) array."""
+    v = np.random.default_rng([GAUSS_PROBE_SEED, n]).standard_normal((4, GAUSS_PROBES, n))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a_p (x) b_p, flattened to n^2, of two (k, n) stacks of vectors."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=MAX_TANGENT_DIM)
 def _gauss_probes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only probe matrices for tangent dimension n, with k =
     :data:`GAUSS_PROBES` seeded unit vectors in each of X, Y, Z and W: the
     rows X_p (x) Y_p (k, n^2), the columns Z_p (x) W_p (n^2, k), and the
     columns X_p (x) W_p, X_p (x) Z_p, Y_p (x) Z_p, Y_p (x) W_p (n^2, 4k)."""
-    k = GAUSS_PROBES
-    v = np.random.default_rng([GAUSS_PROBE_SEED, n]).standard_normal((4, k, n))
-    x, y, z, w = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    x, y, z, w = _probe_vectors(n)
+    pairs = np.concatenate([_outer(x, w), _outer(x, z), _outer(y, z), _outer(y, w)])
+    return _read_only(_outer(x, y), _outer(z, w).T.copy(), pairs.T.copy())
 
-    def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a[:, :, None] * b[:, None, :]).reshape(k, n * n)
 
-    pairs = np.concatenate([outer(x, w), outer(x, z), outer(y, z), outer(y, w)])
-    probes = (outer(x, y), outer(z, w).T.copy(), pairs.T.copy())
-    for probe in probes:
-        probe.flags.writeable = False
-    return probes
+@lru_cache(maxsize=MAX_TANGENT_DIM)
+def _ricci_probes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only probe matrices of :func:`ricci_probe_residuals` for tangent
+    dimension n, from the 4k unit vectors u of :func:`_gauss_probes`: the
+    columns u (n, 4k), and the columns u (x) u followed by the identity
+    (n^2, 4k + 1)."""
+    units = _probe_vectors(n).reshape(-1, n)
+    squares = np.concatenate([_outer(units, units), np.eye(n).reshape(1, n * n)])
+    return _read_only(units.T.copy(), squares.T.copy())
+
+
+def ricci_probe_residuals(components: np.ndarray, ricci_form: np.ndarray) -> np.ndarray:
+    """Residual of the Ricci form ``ricci_form`` [..., i, k] of each form in a
+    stack zeta[..., r, i, j], checked straight from zeta at the 4k unit
+    vectors x of :func:`_gauss_probes`:
+
+        S_T(x, x) = <zeta(x, x), trace zeta> - sum_j |zeta(x, e_j)|^2,
+
+    which is Ric_T(x) of the Gauss tensor.  The route shares no code with
+    :func:`ricci_forms`: trace zeta and every zeta(x, x) come from one
+    product of zeta, read as (m', n^2), with the columns x (x) x and the
+    identity; zeta(x, e_j) from zeta, read as (m' n, n), times the columns x.
+    Cost O(k m' n^2) per form, without the n^4 tensor.  Every product is a
+    stacked matmul, one per form, so a form gives the same bits alone and in a
+    stack.  Returns the max absolute difference over the probes per form;
+    on a correct pair it is roundoff, a few 1e-16 ||zeta||^2.
+    """
+    comps = np.asarray(components)
+    lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
+    units, squares = _ricci_probes(n)
+    k = units.shape[-1]
+    at_squares = comps.reshape(lead + (m, n * n)) @ squares
+    trace = np.swapaxes(at_squares[..., k:], -1, -2)
+    along = trace @ at_squares[..., :k]
+    across = comps.reshape(lead + (m * n, n)) @ units
+    sum_sq = np.ones((1, m * n)) @ np.square(across)
+    expected = (along - sum_sq)[..., 0, :]
+    s_at = (np.reshape(ricci_form, lead + (1, n * n)) @ squares[:, :k])[..., 0, :]
+    return np.abs(s_at - expected).max(axis=-1)
 
 
 def gauss_probe_residuals(
@@ -207,8 +262,9 @@ def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
     The rebuild runs the same deterministic kernel, so on a tensor that
     :func:`build_T_from_zeta` returned the result is exactly 0.0: this
     detects a tensor changed after its build, not an error in the build.
-    ``check`` and ``report`` read it; campaigns use the independent
-    :func:`gauss_probe_residuals`.
+    ``check`` and ``report`` read it.  Campaigns never rebuild T: they check
+    every S_T with :func:`ricci_probe_residuals` and each audited T with the
+    independent :func:`gauss_probe_residuals`.
     """
     if tensor.n != zeta.n:
         raise ValidationError(

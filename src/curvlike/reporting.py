@@ -27,6 +27,7 @@ from .gauss_bounds import (
     evaluate,
     gauss_components,
     gauss_probe_residuals,
+    ricci_probe_residuals,
     verify_gauss,
 )
 from .instance_io import (
@@ -54,8 +55,9 @@ from .tensor_core import (
 
 TOOL_NAME = "curvlike"
 
-# Gauss tensors a sampling campaign holds at once: one n = 16 tensor.
-_CHUNK_T_BYTES = 8 * 16**4
+# Form components a sampling campaign draws and evaluates in one stacked
+# pass: eight n = 16, m' = 32 forms (512 KiB).
+_CHUNK_ZETA_BYTES = 512 * 1024
 
 _SYMMETRY_FAILURE = "curvature symmetries failed on the built tensor"
 _UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
@@ -305,20 +307,24 @@ def run_sample(
     """Seeded sampling campaign; aggregation order is fixed by instance index.
 
     The campaign runs as array passes over chunks of instances: draw, form
-    checks, one stacked :func:`evaluate`, the n^4 stage (Gauss tensors and
-    their curvature-symmetry residuals), then :func:`_verdicts`, the pass
-    that ``report``, ``bound`` and ``check`` run on one form.  It flags a
-    worst curvature residual above tol, a gap below -tol (the improved one
-    only where a total-symmetry residual <= tol certifies it) and an ambient
-    margin app - (max Ric_T + offset) below -tol; the offset is checked
-    before the first draw.  A chunk holds at most :data:`_CHUNK_T_BYTES` of
-    Gauss tensors, so the report bytes do not depend on the chunk size and
-    memory stays flat in ``count``.
+    checks, one stacked :func:`evaluate`, then :func:`_verdicts`, the pass
+    that ``report``, ``bound`` and ``check`` run on one form.  It flags a gap
+    below -tol (the improved one only where a total-symmetry residual <= tol
+    certifies it) and an ambient margin app - (max Ric_T + offset) below
+    -tol; the offset is checked before the first draw.  A chunk holds at
+    most :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat
+    in ``count``.
 
-    ``max_gauss_residual`` is independent of the build: each T is checked
-    against the chunk's S_T and against zeta at fixed probe vectors by
-    :func:`gauss_probe_residuals`, so it reads roundoff rather than the 0.0
-    that the same-kernel rebuild behind ``check`` and ``report`` gives.
+    Every instance's S_T, which every verdict reads, is checked straight from
+    zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4
+    Gauss tensor is built, one at a time, only for the audited set: the first
+    instance of least general gap in the call, and every instance with a
+    verdict hit.  Its curvature residuals (a ``symmetry`` violation above
+    tol) and :func:`gauss_probe_residuals` against zeta and S_T are audited.
+    The set is chosen per call, so the report bytes do not depend on the
+    chunk size.  ``max_gauss_residual`` is the larger of the two probe
+    residuals, ``max_symmetry_residual`` the worst curvature residual over
+    the audited set, and ``audited`` its size.
     """
     if family not in ("general", "symmetric"):
         raise ValidationError(f"family must be 'general' or 'symmetric', got {family!r}")
@@ -339,33 +345,56 @@ def run_sample(
             build_slant_structure(n, ambient.theta)
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
-    chunk = max(1, _CHUNK_T_BYTES // (8 * n**4))
+    chunk = max(1, _CHUNK_ZETA_BYTES // (8 * bundle_dim * n * n))
     violations: list[dict] = []
-    symmetric_count = 0
+    symmetric_count = audited = 0
     # The largest Gauss and curvature residuals; the least gap or margin of a kind.
     extremes = {"gauss": 0.0, "symmetry": 0.0}
+    # (index, form, S_T) of the first least general gap so far, unless audited.
+    tightest = None
+
+    def audit(index: int, form: np.ndarray, ricci_form: np.ndarray) -> None:
+        nonlocal audited
+        audited += 1
+        tensor = gauss_components(form)
+        hit, worst = _verdicts(None, curvature_residuals(tensor), tol, None)["symmetry"]
+        gauss = gauss_probe_residuals(tensor, form, ricci_form)
+        extremes["gauss"] = max(extremes["gauss"], float(gauss))
+        extremes["symmetry"] = max(extremes["symmetry"], float(worst))
+        if hit:
+            violations.append({"index": index, "kind": "symmetry", "detail": float(worst)})
+
     for start in range(0, count, chunk):
-        batch = min(chunk, count - start)
-        comps = checked_components(draw(rng, n, bundle_dim, batch))
+        comps = checked_components(draw(rng, n, bundle_dim, min(chunk, count - start)))
         evaluation = evaluate(comps)
-        tensors = gauss_components(comps)
-        kinds = _verdicts(evaluation, curvature_residuals(tensors), tol, ambient)
-        gauss = gauss_probe_residuals(tensors, comps, evaluation.ricci_form)
-        extremes["gauss"] = max(extremes["gauss"], float(gauss.max()))
+        kinds = _verdicts(evaluation, None, tol, ambient)
+        probed = ricci_probe_residuals(comps, evaluation.ricci_form)
+        extremes["gauss"] = max(extremes["gauss"], float(probed.max()))
         symmetric_count += int((~kinds["certification"][0]).sum())
         if family != "symmetric":
             del kinds["certification"], kinds["improved-bound"]
+        hits = np.logical_or.reduce([hit for hit, _ in kinds.values()])
+        gaps = kinds["general-bound"][1]
+        k = int(gaps.argmin())
+        if gaps[k] < extremes.get("general-bound", math.inf):
+            # A hit is audited with its chunk below.
+            ricci_form = evaluation.ricci_form[k]
+            tightest = None if hits[k] else (start + k, comps[k].copy(), ricci_form.copy())
         for kind, (_, detail) in kinds.items():
-            if kind == "symmetry":
-                extremes[kind] = max(extremes[kind], float(detail.max()))
-            elif detail is not None:
+            if detail is not None:
                 extremes[kind] = min(extremes.get(kind, math.inf), float(detail.min()))
-        for k in np.flatnonzero(np.logical_or.reduce([hit for hit, _ in kinds.values()])):
+        for k in np.flatnonzero(hits):
             index = start + int(k)
+            audit(index, comps[k], evaluation.ricci_form[k])
             for kind, (hit, detail) in kinds.items():
                 if hit[k]:
                     value = None if detail is None else float(detail[k])
                     violations.append({"index": index, "kind": kind, "detail": value})
+    if tightest is not None:
+        del comps, evaluation  # the last chunk, released before the n^4 stage
+        audit(*tightest)
+        # Its only possible violation, symmetry, goes to its place by index.
+        violations.sort(key=lambda violation: violation["index"])
     params: dict = {
         "n": n,
         "bundle_dim": bundle_dim,
@@ -378,6 +407,7 @@ def run_sample(
     results: dict = {
         "instances": count,
         "symmetric_count": symmetric_count,
+        "audited": audited,
         "max_gauss_residual": extremes["gauss"],
         "max_symmetry_residual": extremes["symmetry"],
         "min_gap_general": extremes.get("general-bound"),

@@ -121,7 +121,7 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
             raise ValidationError(f"h0 must be a nonempty vector, got shape {h0.shape}")
         components = np.zeros((h0.size, n, n))
         components[:, np.arange(n), np.arange(n)] = h0[:, None]
-        return BundleValuedForm(components)
+        return _built(components, "h0")
 
     if params.lam is None:
         raise ValidationError(f"{params.family.value} requires lambda")
@@ -145,7 +145,17 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
         components[0, j, j] = mu
         components[j, 0, j] = mu
         components[j, j, 0] = mu
-    return BundleValuedForm(components)
+    names = "lambda" if params.family is Family.SLUMBILICAL else "lambda and mu"
+    return _built(components, names)
+
+
+def _built(components: np.ndarray, names: str) -> BundleValuedForm:
+    """The family's form, with a refusal of it (a form too large for binary64)
+    naming the parameters it was built from."""
+    try:
+        return BundleValuedForm(components)
+    except ValidationError as exc:
+        raise ValidationError(f"{names}: {exc}") from exc
 
 
 class RigidityVerdict(Enum):

@@ -1,5 +1,6 @@
 """The chunked sampling campaign against a per-instance reference loop built
-from the public one-form functions."""
+from the public one-form functions, and its per-instance check of S_T against
+mutations off the audited set."""
 
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlike import reporting
+from curvlike import gauss_bounds, reporting
 from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
@@ -18,16 +19,21 @@ from curvlike.ambient_models import (
 )
 from curvlike.gauss_bounds import (
     BoundMode,
+    _gaps,
     build_T_from_zeta,
     check_bound,
+    evaluate,
     gauss_probe_residuals,
     is_totally_symmetric,
     ricci_forms,
+    ricci_probe_residuals,
 )
 from curvlike.instance_io import dump_json
 from curvlike.reporting import run_sample
+from curvlike.sampling import draw_general, draw_symmetric
 from curvlike.tensor_core import (
     DEFAULT_TOL,
+    checked_components,
     trace_norms_sq,
     validate_curvature_symmetries,
 )
@@ -35,43 +41,34 @@ from random_forms import sample_general, sample_symmetric
 
 
 def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
-    """The campaign's results block, one instance at a time."""
+    """The campaign's results block, one instance at a time: every S_T is
+    probed against its form, and T is built and audited only for the first
+    instance of least general gap and for every instance with a verdict hit."""
     rng = np.random.default_rng(seed)
     sample = sample_general if family == "general" else sample_symmetric
+    forms = [sample(rng, n, bundle_dim) for _ in range(count)]
+    generals = [check_bound(zeta, BoundMode.GENERAL, tol) for zeta in forms]
+    tightest = min(range(count), key=lambda index: generals[index].gap, default=None)
     violations = []
-    symmetric_count = 0
+    symmetric_count = audited = 0
     max_gauss = max_symmetry = 0.0
     min_general = min_improved = min_margin = float("inf")
-    for index in range(count):
-        zeta = sample(rng, n, bundle_dim)
-        tensor = build_T_from_zeta(zeta)
-        sym = validate_curvature_symmetries(tensor, tol)
-        max_symmetry = max(max_symmetry, sym.max_residual)
-        gauss = gauss_probe_residuals(
-            tensor.components, zeta.components, ricci_forms(zeta.components)
-        )
-        max_gauss = max(max_gauss, float(gauss))
-        if not sym.passed:
-            violations.append(
-                {"index": index, "kind": "symmetry", "detail": sym.max_residual}
-            )
+    for index, (zeta, general) in enumerate(zip(forms, generals)):
+        ricci = ricci_forms(zeta.components)
+        max_gauss = max(max_gauss, float(ricci_probe_residuals(zeta.components, ricci)))
+        found = []
         symmetric_count += is_totally_symmetric(zeta, tol)[0]
-        general = check_bound(zeta, BoundMode.GENERAL, tol)
         min_general = min(min_general, general.gap)
         if general.gap < -tol:
-            violations.append(
-                {"index": index, "kind": "general-bound", "detail": general.gap}
-            )
+            found.append({"index": index, "kind": "general-bound", "detail": general.gap})
         improved = None
         if family == "symmetric":
             improved = check_bound(zeta, BoundMode.IMPROVED, tol)
             min_improved = min(min_improved, improved.gap)
             if not improved.symmetry_certified:
-                violations.append(
-                    {"index": index, "kind": "certification", "detail": None}
-                )
+                found.append({"index": index, "kind": "certification", "detail": None})
             elif improved.gap < -tol:
-                violations.append(
+                found.append(
                     {"index": index, "kind": "improved-bound", "detail": improved.gap}
                 )
         if ambient is not None:
@@ -82,12 +79,23 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
             )
             min_margin = min(min_margin, margin)
             if margin < -tol:
+                found.append({"index": index, "kind": "ambient-bound", "detail": margin})
+        if found or index == tightest:
+            audited += 1
+            tensor = build_T_from_zeta(zeta)
+            sym = validate_curvature_symmetries(tensor, tol)
+            max_symmetry = max(max_symmetry, sym.max_residual)
+            gauss = gauss_probe_residuals(tensor.components, zeta.components, ricci)
+            max_gauss = max(max_gauss, float(gauss))
+            if not sym.passed:
                 violations.append(
-                    {"index": index, "kind": "ambient-bound", "detail": margin}
+                    {"index": index, "kind": "symmetry", "detail": sym.max_residual}
                 )
+        violations.extend(found)
     return {
         "instances": count,
         "symmetric_count": int(symmetric_count),
+        "audited": audited,
         "max_gauss_residual": max_gauss,
         "max_symmetry_residual": max_symmetry,
         "min_gap_general": None if count == 0 else min_general,
@@ -161,6 +169,81 @@ class TestMatchesReferenceLoop:
         assert kinds == {"symmetry", "general-bound", "certification", "ambient-bound"}
 
 
+MUTATION_CASES = [(16, 32, 8, "general", REAL), (3, 3, 40, "symmetric", LAGRANGIAN)]
+
+
+class TestPerInstanceCheck:
+    """A campaign checks every S_T against its form, and the curvature
+    identities of T only on the audited set: a corruption of either is
+    caught where it happens."""
+
+    DELTA = 1e-6
+
+    @staticmethod
+    def forms(n, bundle_dim, count, seed, family):
+        """The campaign's forms, and the index of its one audited instance."""
+        draw = draw_general if family == "general" else draw_symmetric
+        comps = checked_components(draw(np.random.default_rng(seed), n, bundle_dim, count))
+        return comps, int(_gaps(evaluate(comps), BoundMode.GENERAL).argmin())
+
+    @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", MUTATION_CASES)
+    def test_corrupted_ricci_form_off_the_audit_is_caught(
+        self, monkeypatch, n, bundle_dim, count, family, ambient
+    ):
+        args = (n, bundle_dim, count, 13, family, ambient, DEFAULT_TOL)
+        clean, _ = run_sample(*args)
+        comps, tightest = self.forms(*args[:5])
+        target = comps[(tightest + 1) % count]
+        ricci, build, built = gauss_bounds.ricci_forms, reporting.gauss_components, []
+
+        def corrupted(components):
+            forms = ricci(components)
+            for k in np.flatnonzero((components == target).all(axis=(-3, -2, -1))):
+                forms[k, 0, 1] += self.DELTA
+                forms[k, 1, 0] += self.DELTA
+            return forms
+
+        def recording(form):
+            built.append(np.array(form))
+            return build(form)
+
+        monkeypatch.setattr(gauss_bounds, "ricci_forms", corrupted)
+        monkeypatch.setattr(reporting, "gauss_components", recording)
+        doc, _ = run_sample(*args)
+        assert clean["results"]["max_gauss_residual"] < 1e-10
+        assert doc["results"]["max_gauss_residual"] >= 1e-8
+        # No T of the corrupted instance was built: its S_T check caught it.
+        assert doc["results"]["audited"] == len(built) == 1
+        assert np.array_equal(built[0], comps[tightest])
+
+    @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", MUTATION_CASES)
+    def test_corrupted_bianchi_entry_of_the_audited_tensor_is_caught(
+        self, monkeypatch, n, bundle_dim, count, family, ambient
+    ):
+        args = (n, bundle_dim, count, 13, family, ambient, DEFAULT_TOL)
+        _, tightest = self.forms(*args[:5])
+        build = reporting.gauss_components
+
+        def corrupted(form):
+            tensor = build(form)
+            # Both antisymmetries still hold exactly; the Bianchi sum
+            # T[0,1,2,0] + T[0,2,0,1] + T[0,0,1,2] is off by DELTA.
+            for index, sign in (
+                ((0, 1, 2, 0), 1), ((1, 0, 0, 2), 1), ((1, 0, 2, 0), -1), ((0, 1, 0, 2), -1)
+            ):
+                tensor[index] += sign * self.DELTA
+            return tensor
+
+        monkeypatch.setattr(reporting, "gauss_components", corrupted)
+        doc, code = run_sample(*args)
+        results = doc["results"]
+        assert results["max_symmetry_residual"] == pytest.approx(self.DELTA, rel=1e-6)
+        assert results["violations"] == [
+            {"index": tightest, "kind": "symmetry", "detail": results["max_symmetry_residual"]}
+        ]
+        assert code == 1
+
+
 CHUNK_CASES = st.one_of(
     st.tuples(
         st.integers(1, 5), st.integers(1, 6), st.just("general"),
@@ -192,8 +275,9 @@ def test_report_bytes_do_not_depend_on_chunk_size(case, count, seed, tol):
     args = (n, bundle_dim, count, seed, family, ambient, tol)
     reports = set()
     # One instance per chunk, the whole call in one chunk, and the default.
-    for chunk_bytes in (8 * n**4, 8 * n**4 * max(count, 1), reporting._CHUNK_T_BYTES):
-        with mock.patch.object(reporting, "_CHUNK_T_BYTES", chunk_bytes):
+    form_bytes = 8 * bundle_dim * n * n
+    for chunk_bytes in (form_bytes, form_bytes * max(count, 1), reporting._CHUNK_ZETA_BYTES):
+        with mock.patch.object(reporting, "_CHUNK_ZETA_BYTES", chunk_bytes):
             doc, code = run_sample(*args)
         reports.add((reporting.render_report(doc, "json"), code))
     assert len(reports) == 1

@@ -14,8 +14,14 @@ from curvlike import cli, gauss_bounds, reporting
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
 from curvlike.errors import ValidationError
-from curvlike.gauss_bounds import ricci_forms, total_symmetry_residuals
+from curvlike.gauss_bounds import (
+    BoundMode,
+    evaluate,
+    ricci_forms,
+    total_symmetry_residuals,
+)
 from curvlike.instance_io import Instance, save_instance
+from curvlike.sampling import draw_general, draw_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import (
     DEFAULT_TOL,
@@ -112,6 +118,25 @@ class TestConstructAndBound:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {name} must be finite, got ")
         assert err.count("\n") == 1
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "flags, names",
+        [
+            (("--family", "totally-umbilical", "--h0", "0.1,-0.6666666666666666,1e300"), "h0"),
+            (("--family", "h-umbilical", "--lambda", "1e300", "--mu", "1"), "lambda and mu"),
+            (("--family", "h-umbilical", "--lambda", "3", "--mu=-1e300"), "lambda and mu"),
+            (("--family", "slumbilical", "--lambda", "1e300"), "lambda"),
+        ],
+    )
+    def test_overflowing_parameter_names_the_flag(self, tmp_path, capsys, flags, names):
+        target = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "construct", "--n", "3", *flags, "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {names}: zeta is too large: 8 n ||zeta||^2 overflows binary64 "
+            "(largest |component| 1e+300)\n"
+        )
         assert not target.exists()
 
     def test_missing_parameter_is_exit_2(self, tmp_path, capsys):
@@ -592,7 +617,7 @@ class TestReport:
                 "--h0", ",".join(map(repr, h0)), "-o", str(path),
             )
             assert (code, out) == (2, "")
-            assert err == f"error: {too_large} (largest |component| 1e+300)\n"
+            assert err == f"error: h0: {too_large} (largest |component| 1e+300)\n"
             assert not path.exists()
             zeta = [np.diag([h] * 3).tolist() for h in h0]
             doc = {"version": 1, "n": 3, "bundle_dim": 3, "zeta": zeta}
@@ -856,10 +881,15 @@ def t_builds(monkeypatch):
     return record
 
 
+def einsum_gauss(comps):
+    """T[i, j, k, l] = <zeta_il, zeta_jk> - <zeta_ik, zeta_jl> as two einsums."""
+    return np.einsum("ril,rjk->ijkl", comps, comps) - np.einsum("rik,rjl->ijkl", comps, comps)
+
+
 class TestGaussTensorBuilds:
     """The n^4 tensor is built only where its own residuals are reported, and
-    only ``check`` and ``report`` rebuild it; a campaign checks its tensors
-    against zeta with the probe kernel, once per chunk."""
+    only ``check`` and ``report`` rebuild it; a campaign builds one per
+    audited instance and checks it against zeta with the probe kernel."""
 
     @staticmethod
     def counts(built=(), rebuilds=0, probes=0):
@@ -893,19 +923,38 @@ class TestGaussTensorBuilds:
         assert code == 0
         assert t_builds == self.counts([4], rebuilds=1)
 
-    def test_sample_builds_one_per_instance(self, capsys, t_builds):
-        run_cli(
-            capsys,
-            "sample", "--n", "3", "--bundle", "3", "--count", "6", "--seed", "4",
-            "--family", "symmetric", "--ambient", "complex_lagrangian", "--c", "1",
-        )
-        run_cli(
-            capsys,
-            "sample", "--n", "4", "--bundle", "5", "--count", "5", "--seed", "4",
-            "--family", "general", "--ambient", "real_space_form", "--c", "-1",
-        )
-        # One chunk per call, and no rebuild.
-        assert t_builds == self.counts([3] * 6 + [4] * 5, probes=2)
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, -1e300])
+    def test_sample_builds_one_per_audited_instance(self, monkeypatch, t_builds, tol):
+        """A campaign builds T only for its audited instances: at the default
+        tol the first one of least general gap, one per call; at tol = -1e300
+        every instance has a verdict hit and is audited.  The curvature
+        residuals see exactly those tensors."""
+        residuals, seen = reporting.curvature_residuals, []
+
+        def recording(tensor):
+            seen.append(np.array(tensor))
+            return residuals(tensor)
+
+        monkeypatch.setattr(reporting, "curvature_residuals", recording)
+        calls = [
+            (3, 3, 6, draw_symmetric, AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)),
+            (4, 5, 5, draw_general, AmbientModel(AmbientKind.REAL_SPACE_FORM, -1.0)),
+        ]
+        audited, built, expected = [], [], []
+        for n, bundle_dim, count, draw, ambient in calls:
+            family = "general" if draw is draw_general else "symmetric"
+            doc, _ = reporting.run_sample(n, bundle_dim, count, 4, family, ambient, tol)
+            audited.append(doc["results"]["audited"])
+            built += [n] * audited[-1]
+            comps = checked_components(draw(np.random.default_rng(4), n, bundle_dim, count))
+            tightest = int(gauss_bounds._gaps(evaluate(comps), BoundMode.GENERAL).argmin())
+            picks = [tightest] if tol == DEFAULT_TOL else range(count)
+            expected += [einsum_gauss(comps[k]) for k in picks]
+        assert audited == ([1, 1] if tol == DEFAULT_TOL else [6, 5])
+        assert t_builds == self.counts(built, probes=len(built))
+        assert len(seen) == len(expected)
+        for tensor, want in zip(seen, expected):
+            np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
 
 
 @pytest.fixture
@@ -974,11 +1023,11 @@ class TestOneEvaluationPerForm:
         assert form_kernels == self.once()
 
     def test_sample_once_per_chunk(self, capsys, form_kernels):
-        # n = 8 chunks hold (16 / 8)^4 = 16 instances: 20 instances, 2 chunks.
+        # (16, 32) chunks hold 8 forms: 20 instances, 3 chunks.
         code, _, _ = run_cli(
             capsys,
-            "sample", "--n", "8", "--bundle", "8", "--count", "20", "--seed", "4",
+            "sample", "--n", "16", "--bundle", "32", "--count", "20", "--seed", "4",
             "--family", "general", "--ambient", "real_space_form", "--c", "-1",
         )
         assert code == 0
-        assert form_kernels == self.once(2)
+        assert form_kernels == self.once(3)

@@ -312,10 +312,14 @@ def test_each_verdict_rule_has_one_owner():
 
 
 def test_every_cli_verdict_comes_from_the_one_pass():
-    """``report`` and ``check`` reach the pass through their symmetry block."""
+    """``report`` and ``check`` reach the pass through their symmetry block,
+    and a campaign's audited tensors through ``run_sample``'s ``audit``."""
     callers = _owners(lambda node: isinstance(node, ast.Call) and _name(node.func) == "_verdicts")
     assert callers == {
-        "reporting._symmetry_block", "reporting.build_bound_report", "reporting.run_sample"
+        "reporting._symmetry_block",
+        "reporting.build_bound_report",
+        "reporting.run_sample",
+        "reporting.audit",
     }
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the Gauss construction, the two bounds, and the classifiers."""
 
+import ast
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from curvlike.gauss_bounds import (
     gauss_probe_residuals,
     is_totally_symmetric,
     ricci_forms,
+    ricci_probe_residuals,
     total_symmetry_residuals,
     verify_gauss,
 )
@@ -293,6 +296,70 @@ class TestGaussProbes:
                     assert np.array_equal(stacked[k], alone)
 
 
+# Largest ricci_probe_residuals / ||zeta||^2 of a correct pair: 4.1e-16 over
+# n = 1..16, m' in {1, n, 32}, general and symmetric draws at scales 1e-3, 1
+# and 1e4 (4.9e-16 over 50 more draws of each shape and kind).  The pin
+# leaves a margin of 4.9x.
+RICCI_PROBE_ROUNDOFF = 2e-15
+
+
+class TestRicciProbes:
+    """The campaign's per-instance check: S_T against zeta at the probe
+    vectors, with no n^4 tensor and no code shared with ricci_forms."""
+
+    DELTA = 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_correct_pair_is_roundoff(self, scale):
+        rng = np.random.default_rng(77)
+        for n in range(1, 17):
+            for m in sorted({1, n, 32}):
+                draws = [draw_general(rng, n, m, 3)]
+                if m >= n:
+                    draws.append(draw_symmetric(rng, n, m, 3))
+                for comps in draws:
+                    comps = comps * scale
+                    residual = ricci_probe_residuals(comps, ricci_forms(comps))
+                    norm_sq = (comps**2).sum(axis=(-3, -2, -1))
+                    assert (residual <= RICCI_PROBE_ROUNDOFF * norm_sq).all()
+
+    @pytest.mark.parametrize(
+        "n, m, draw", [(3, 3, draw_symmetric), (16, 32, draw_general)]
+    )
+    def test_error_in_any_entry_is_caught(self, n, m, draw):
+        comps = draw(np.random.default_rng([n, m, 7]), n, m, 1)[0]
+        s_form = ricci_forms(comps)
+        floor = RICCI_PROBE_ROUNDOFF * zeta_norm_sq(BundleValuedForm(comps))
+        for i, k in zip(*np.triu_indices(n)):
+            broken = s_form.copy()
+            broken[i, k] += self.DELTA
+            broken[k, i] += self.DELTA if i != k else 0.0
+            assert 100 * floor < float(ricci_probe_residuals(comps, broken))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_stack_equals_one_form_bitwise(self, n):
+        rng = np.random.default_rng([n, 8])
+        for m in sorted({1, n, 32}):
+            comps = draw_general(rng, n, m, 3)
+            ricci = ricci_forms(comps)
+            noisy = ricci + 1e-9 * rng.standard_normal(ricci.shape)
+            for forms in (ricci, noisy):
+                stacked = ricci_probe_residuals(comps, forms)
+                for k in range(3):
+                    alone = ricci_probe_residuals(comps[k], forms[k])
+                    assert np.array_equal(stacked[k], alone)
+
+    def test_shares_no_kernel_with_ricci_forms(self):
+        """The route calls no curvlike function but its probe matrices."""
+        tree = ast.parse(inspect.getsource(ricci_probe_residuals))
+        called = {
+            node.func.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert called == {"_ricci_probes"}
+
+
 class TestBoundValues:
     def test_zero(self):
         zeta = BundleValuedForm.zeros(4, 3)
@@ -349,6 +416,20 @@ class TestEvaluate:
         assert np.array_equal(
             evaluation.symmetry_residual, total_symmetry_residuals(comps)
         )
+
+    @pytest.mark.parametrize("n, m", [(16, 32), (8, 8), (7, 9), (3, 3)])
+    def test_stack_of_eight_equals_one_form_bitwise(self, n, m):
+        """A campaign evaluates eight (16, 32) forms per stacked pass: every
+        field carries the bits of the one-form evaluation."""
+        rng = np.random.default_rng([n, m, 84])
+        for draw in (draw_general, draw_symmetric) * 4:
+            comps = draw(rng, n, m, 8)
+            stacked = evaluate(comps)
+            for k in range(8):
+                alone = evaluate(comps[k])
+                for field in dataclasses.fields(stacked):
+                    got = getattr(stacked, field.name)[k]
+                    assert np.array_equal(got, getattr(alone, field.name)), (k, field.name)
 
     def test_bundle_too_small_is_never_certified(self):
         """m' < n has no residual: +inf, for one form and for a stack, so
