@@ -283,20 +283,17 @@ def bound_coefficient(mode: BoundMode, n: int) -> float:
 def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
     """Residual of the cubic-symmetry hypothesis for each form in a stack
     zeta[..., r, i, j]; see :func:`is_totally_symmetric`.  +inf where m' < n,
-    which leaves no room for the adapted frame, so no tolerance certifies it."""
+    which leaves no room for the adapted frame, so no tolerance certifies it.
+    On forms bitwise symmetric in (i, j), as :func:`checked_components` gives
+    them, C[r, i, j] - C[i, r, j] meets every difference the permutations make."""
     comps = np.asarray(components)
-    lead, n = comps.ndim - 3, comps.shape[-1]
+    n = comps.shape[-1]
     if comps.shape[-3] < n:
         return np.full(comps.shape[:-3], np.inf)
     cubic, tail = comps[..., :n, :, :], comps[..., n:, :, :]
-    within = (-3, -2, -1)
-    residual = np.zeros(comps.shape[:-3])
-    for axes in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        permuted = cubic.transpose(tuple(range(lead)) + tuple(lead + a for a in axes))
-        residual = np.maximum(residual, np.abs(cubic - permuted).max(axis=within))
-    if tail.size:
-        residual = np.maximum(residual, np.abs(tail).max(axis=within))
-    return residual
+    swapped = cubic - np.swapaxes(cubic, -3, -2)
+    residual = np.abs(swapped, out=swapped).max(axis=(-3, -2, -1))
+    return np.maximum(residual, np.abs(tail).max(axis=(-3, -2, -1), initial=0.0))
 
 
 def is_totally_symmetric(
@@ -334,7 +331,7 @@ class FormEvaluation:
 
 def evaluate(components: np.ndarray) -> FormEvaluation:
     """trace zeta, ||trace zeta||^2, S_T with its eigenpairs and the total-symmetry
-    residual of a form zeta[r, i, j] or a stack of them zeta[..., r, i, j]."""
+    residual of a form or a stack zeta[..., r, i, j], bitwise symmetric in (i, j)."""
     comps = np.asarray(components)
     s_form = ricci_forms(comps)
     residual = total_symmetry_residuals(comps)

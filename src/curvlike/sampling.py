@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .tensor_core import Dimensions
+
 PRNG_NAME = "numpy-pcg64"
 
 
@@ -19,6 +21,7 @@ def draw_general(
 ) -> np.ndarray:
     """Components (count, m', n, n) of ``count`` unrestricted forms: i.i.d.
     standard normals symmetrized in the tangent pair."""
+    Dimensions(n=n, m_prime=m_prime)
     raw = rng.standard_normal((count, m_prime, n, n))
     return 0.5 * (raw + raw.transpose(0, 1, 3, 2))
 
@@ -30,6 +33,7 @@ def draw_symmetric(
     random 3-index array averaged over all six index permutations fills bundle
     slots 0..n-1; the tail stays zero.  Needs m' >= n, which
     :func:`~curvlike.reporting.run_sample` checks before its first draw."""
+    Dimensions(n=n, m_prime=m_prime)
     raw = rng.standard_normal((count, n, n, n))
     cubic = (
         raw

@@ -63,12 +63,9 @@ class Dimensions:
 
 
 def mirror_symmetric(components: np.ndarray) -> np.ndarray:
-    """Copy the strict upper triangle of each trailing (n, n) slice onto the
-    lower triangle, making the pair symmetry bitwise exact."""
-    out = np.array(components, dtype=float)
-    i_up, j_up = np.triu_indices(out.shape[-1], k=1)
-    out[..., j_up, i_up] = out[..., i_up, j_up]
-    return out
+    """Bitwise symmetric copy: ``where(i <= j, zeta[i, j], zeta[j, i])``."""
+    arr = np.asarray(components, dtype=float)
+    return np.where(np.tri(arr.shape[-1], dtype=bool).T, arr, np.swapaxes(arr, -1, -2))
 
 
 def checked_components(components) -> np.ndarray:
@@ -76,8 +73,8 @@ def checked_components(components) -> np.ndarray:
     bitwise symmetric in (i, j); leading axes stack independent forms.
 
     Checks the desk-scale dimensions, finiteness and the 1e-12 pair symmetry
-    of every form (the message names the worst entry), mirrors the upper
-    triangle, then checks headroom: |T| <= 2 ||zeta||^2, so a curvature
+    of every form against its mirrored copy (the message names the worst
+    entry), then checks headroom: |T| <= 2 ||zeta||^2, so a curvature
     residual (a sum of at most three entries of T) stays below 6 ||zeta||^2;
     ||trace zeta||^2 <= n ||zeta||^2, and an entry of S_T + S_T^T stays below
     2 (sqrt(n) + 1) ||zeta||^2.  So 8 n ||zeta||^2 bounds every quantity the
@@ -97,15 +94,17 @@ def checked_components(components) -> np.ndarray:
     scale = np.abs(arr).max(axis=(-3, -2, -1))
     if not np.isfinite(scale).all():
         raise ValidationError("zeta components must be finite")
-    asym = np.abs(arr - np.swapaxes(arr, -1, -2))
-    if asym.max(initial=0.0) > INPUT_SYMMETRY_TOL:
+    sym = mirror_symmetric(arr)
+    # Below the diagonal arr - sym is zeta[i, j] - zeta[j, i], and 0 elsewhere.
+    asym = arr - sym
+    if not np.abs(asym, out=asym).max(initial=0.0) <= INPUT_SYMMETRY_TOL:
+        asym = np.abs(arr - np.swapaxes(arr, -1, -2))  # names the first worst
         *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         worst = arr[tuple(form)]
         raise ValidationError(
             f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
             f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
         )
-    sym = mirror_symmetric(arr)
     # scale is max |sym| here: mirroring within 1e-12 keeps entries above 1e4.
     top = np.finfo(float).max
     forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)

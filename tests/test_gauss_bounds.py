@@ -32,6 +32,7 @@ from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import (
     BundleValuedForm,
     CurvatureLikeTensor,
+    checked_components,
     curvature_residuals,
     pair_exchange_residual,
     orthonormal_complement,
@@ -117,7 +118,7 @@ class TestGramKernel:
     @pytest.mark.parametrize("draw", [draw_general, draw_symmetric])
     @pytest.mark.parametrize("n, m", [(3, 3), (4, 6), (16, 32)])
     def test_stack_equals_one_form_bitwise(self, draw, n, m):
-        stack = draw(np.random.default_rng([n, m, 2]), n, m, 4)
+        stack = checked_components(draw(np.random.default_rng([n, m, 2]), n, m, 4))
         kernels = (
             gauss_components,
             ricci_forms,
@@ -423,7 +424,7 @@ class TestEvaluate:
         field carries the bits of the one-form evaluation."""
         rng = np.random.default_rng([n, m, 84])
         for draw in (draw_general, draw_symmetric) * 4:
-            comps = draw(rng, n, m, 8)
+            comps = checked_components(draw(rng, n, m, 8))
             stacked = evaluate(comps)
             for k in range(8):
                 alone = evaluate(comps[k])

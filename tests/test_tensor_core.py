@@ -29,6 +29,7 @@ from curvlike.tensor_core import (
     zeta_norm_sq,
 )
 from curvlike.optim_lemmas import max_ricci
+from curvlike.sampling import draw_general, draw_symmetric
 from random_forms import random_orthogonal, random_unit, sample_general
 
 
@@ -49,6 +50,13 @@ class TestDimensions:
             BundleValuedForm.zeros(10**6, 1)
         with pytest.raises(ValidationError, match=message):
             CurvatureLikeTensor.zeros(10**6)
+
+    def test_draws_check_dimensions_before_allocating(self):
+        for draw in (draw_general, draw_symmetric):
+            with pytest.raises(ValidationError, match=r"^tangent dimension must be in 1\.\.16, got 1000000$"):
+                draw(np.random.default_rng(0), 10**6, 1, 1)
+            with pytest.raises(ValidationError, match=r"^bundle dimension must be in 1\.\.32, got 1000000$"):
+                draw(np.random.default_rng(0), 2, 10**6, 1)
 
     def test_form_rejects_bad_shapes(self):
         with pytest.raises(ValidationError, match=r"^expected components of shape \(m', n, n\)"):
