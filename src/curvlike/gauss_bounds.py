@@ -212,7 +212,7 @@ def ricci_probe_residuals(components: np.ndarray, ricci_form: np.ndarray) -> np.
     trace = np.swapaxes(at_squares[..., k:], -1, -2)
     along = trace @ at_squares[..., :k]
     across = comps.reshape(lead + (m * n, n)) @ units
-    sum_sq = np.ones((1, m * n)) @ np.square(across)
+    sum_sq = np.ones((1, m * n)) @ np.square(across, out=across)
     expected = (along - sum_sq)[..., 0, :]
     s_at = (np.reshape(ricci_form, lead + (1, n * n)) @ squares[:, :k])[..., 0, :]
     return np.abs(s_at - expected).max(axis=-1)

@@ -23,7 +23,8 @@ def draw_general(
     standard normals symmetrized in the tangent pair."""
     Dimensions(n=n, m_prime=m_prime)
     raw = rng.standard_normal((count, m_prime, n, n))
-    return 0.5 * (raw + raw.transpose(0, 1, 3, 2))
+    total = raw + raw.transpose(0, 1, 3, 2)
+    return np.multiply(total, 0.5, out=total)
 
 
 def draw_symmetric(

@@ -91,13 +91,14 @@ def checked_components(components) -> np.ndarray:
         )
     dims = Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
     # The largest |component| of each form; a NaN or inf makes it non-finite.
-    scale = np.abs(arr).max(axis=(-3, -2, -1))
+    work = np.abs(arr)
+    scale = work.max(axis=(-3, -2, -1))
     if not np.isfinite(scale).all():
         raise ValidationError("zeta components must be finite")
     sym = mirror_symmetric(arr)
     # Below the diagonal arr - sym is zeta[i, j] - zeta[j, i], and 0 elsewhere.
-    asym = arr - sym
-    if not np.abs(asym, out=asym).max(initial=0.0) <= INPUT_SYMMETRY_TOL:
+    asym = np.abs(np.subtract(arr, sym, out=work), out=work)
+    if not asym.max(initial=0.0) <= INPUT_SYMMETRY_TOL:
         asym = np.abs(arr - np.swapaxes(arr, -1, -2))  # names the first worst
         *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         worst = arr[tuple(form)]

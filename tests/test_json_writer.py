@@ -38,9 +38,9 @@ from curvlike.reporting import (
     render_text,
 )
 from curvlike.structures import Family, FamilyParams, construct_family
-from curvlike.tensor_core import BundleValuedForm
+from curvlike.tensor_core import BundleValuedForm, rotate_frame
 from json_oracle import reference_dump_json, reference_format_float
-from random_forms import sample_general, sample_symmetric
+from random_forms import random_orthogonal, sample_general, sample_symmetric
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -243,3 +243,122 @@ class TestAgainstReference:
         for doc in docs:
             assert dump_json(doc) == reference_dump_json(as_lists(doc))
             assert render_text(doc) == render_text(as_lists(doc))
+
+
+# Arrays of this many elements or more take the emitter's distinct-value path.
+DISTINCT_FLOOR = 1024
+
+# Pool entries for the large arrays, binary64 and binary32: signed zeros,
+# integral values just below, at and above 1e17, subnormals and the largest
+# finite values.
+POOL_EDGES = [
+    0.0, -0.0, 99999999999999984.0, 1e17, 100000000000000016.0,
+    -99999999999999984.0, -1e17, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+POOL_EDGES_32 = [
+    0.0, -0.0, 16777216.0, -16777218.0, 99999998430674944.0, 100000007020609536.0,
+    1.401298464324817e-45, -1.1754942106924411e-38, 3.4028234663852886e38,
+    -3.4028234663852886e38,
+]
+
+
+@st.composite
+def pooled_arrays(draw, dtype=np.float64):
+    """Arrays of 1-3 axes and 500-9000 elements whose entries come from a
+    pool of at most a dozen values, so that most entries repeat."""
+    edges, width = (POOL_EDGES, 64) if dtype == np.float64 else (POOL_EDGES_32, 32)
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(edges),
+                st.floats(width=width, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    inner = tuple(draw(st.lists(st.integers(1, 40), max_size=2)))
+    size = math.prod(inner)
+    lead = draw(st.integers(-(-500 // size), 9000 // size))
+    # A seeded pick of every entry: hypothesis would fill most of an array this
+    # large with one value.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(pool, dtype=dtype)[rng.integers(len(pool), size=(lead, *inner))]
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """``got == expected``, failing with the first difference in a short
+    message: pytest's own diff of two long one-line texts takes minutes, and
+    hypothesis pays it on every failing call while it shrinks."""
+    if got != expected:
+        k = min(len(got), len(expected))
+        k = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), k)
+        lo = max(k - 30, 0)
+        pytest.fail(f"texts differ at {k}: {got[lo:k + 30]!r} != {expected[lo:k + 30]!r}")
+
+
+def h_umbilical(n: int, m_prime: int) -> BundleValuedForm:
+    """The lambda = 3, mu = 1 h-umbilical pattern, with a zero bundle tail up
+    to ``m_prime``."""
+    comps = np.zeros((m_prime, n, n))
+    comps[:n] = construct_family(
+        FamilyParams(Family.H_UMBILICAL, n=n, lam=3.0, mu=1.0)
+    ).components
+    return BundleValuedForm(comps)
+
+
+class TestDistinctPath:
+    """The emitter's distinct-value path, which only arrays of at least
+    :data:`DISTINCT_FLOOR` elements reach, against the reference writer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(pooled_arrays(), pooled_arrays(np.float32)))
+    def test_pooled_arrays_match_reference(self, values):
+        expected = reference_dump_json({"a": values.tolist()})
+        assert_same_text(dump_json({"a": values}), expected)
+
+    @pytest.mark.parametrize(
+        "size", [DISTINCT_FLOOR - 1, DISTINCT_FLOOR, DISTINCT_FLOOR + 1]
+    )
+    def test_floor(self, size, monkeypatch):
+        """Arrays of the floor's size and up take the distinct path, smaller
+        ones the one-template path; both give the reference's bytes."""
+        calls = []
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted_unique)
+        values = np.resize(np.array([0.0, -0.0, 1.5, 1e17, -3.0, 0.1]), size)
+        expected = "[" + ", ".join(map(reference_format_float, values.tolist())) + "]"
+        assert_same_text(format_floats(values), expected)
+        assert bool(calls) == (size >= DISTINCT_FLOOR)
+
+    def test_signed_zeros_stay_apart(self):
+        values = np.resize(np.array([0.0, -0.0, -0.0, 0.0, 2.0, -2.0]), (2, 600))
+        rows = format_floats(values).splitlines()[1:-1]
+        assert rows[0].startswith("  [0.0, -0.0, -0.0, 0.0, 2.0, -2.0, 0.0, -0.0")
+        expected = reference_dump_json({"z": values.tolist()})
+        assert_same_text(dump_json({"z": values}), expected)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (16, 16), (8, 8)])
+    @pytest.mark.parametrize("kind", ["general", "symmetric", "zero", "h-umbilical"])
+    def test_instance_hash_matches_reference(self, kind, shape):
+        n, m_prime = shape
+        rng = np.random.default_rng([n, m_prime])
+        zeta = {
+            "general": lambda: sample_general(rng, n, m_prime),
+            "symmetric": lambda: sample_symmetric(rng, n, m_prime),
+            "zero": lambda: BundleValuedForm.zeros(n, m_prime),
+            "h-umbilical": lambda: h_umbilical(n, m_prime),
+        }[kind]()
+        rotated = rotate_frame(zeta, random_orthogonal(rng, n), np.eye(m_prime))
+        for form in (zeta, rotated):
+            instance = Instance(
+                zeta=form, ambient=AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 2.0)
+            )
+            text = reference_dump_json(as_lists(instance_to_dict(instance)))
+            assert instance_sha256(instance) == hashlib.sha256(text.encode()).hexdigest()
