@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .optim_lemmas import max_eigenpair, positive_lead
+from .optim_lemmas import positive_lead, top_eigenvalues, top_eigenvector
 from .tensor_core import (
     DEFAULT_TOL,
     MAX_TANGENT_DIM,
@@ -318,32 +318,36 @@ def _certified(residual, tol: float):
 @dataclass(frozen=True)
 class FormEvaluation:
     """Per-form quantities that every verdict reads, from :func:`evaluate`;
-    each field keeps the stack's leading axes.  The eigenpairs are one
-    ``eigh`` of ``ricci_form``; :func:`_certified` reads ``symmetry_residual``."""
+    each field keeps the stack's leading axes.  ``ricci_max``, max Ric_T over
+    unit vectors, is the top eigenvalue of ``ricci_form`` from
+    :func:`top_eigenvalues`: the verdicts compare values only, and the one
+    maximizing direction a report prints is :func:`check_evaluated`'s.
+    :func:`_certified` reads ``symmetry_residual``."""
 
     trace: np.ndarray
     trace_norm_sq: np.ndarray
     ricci_form: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    ricci_max: np.ndarray
     symmetry_residual: np.ndarray
 
 
 def evaluate(components: np.ndarray) -> FormEvaluation:
-    """trace zeta, ||trace zeta||^2, S_T with its eigenpairs and the total-symmetry
-    residual of a form or a stack zeta[..., r, i, j], bitwise symmetric in (i, j)."""
+    """trace zeta, ||trace zeta||^2, S_T with its top eigenvalue and the
+    total-symmetry residual of a form or a stack zeta[..., r, i, j], bitwise
+    symmetric in (i, j).  The spectrum of the whole stack is one
+    ``eigvalsh``, with no eigenvectors."""
     comps = np.asarray(components)
     s_form = ricci_forms(comps)
     residual = total_symmetry_residuals(comps)
     return FormEvaluation(
-        traces(comps), trace_norms_sq(comps), s_form, *np.linalg.eigh(s_form), residual
+        traces(comps), trace_norms_sq(comps), s_form, top_eigenvalues(s_form), residual
     )
 
 
 def _gaps(evaluation: FormEvaluation, mode: BoundMode) -> np.ndarray:
     """Bound minus max Ric_T for each evaluated form; < 0 where it fails."""
     coefficient = bound_coefficient(mode, evaluation.ricci_form.shape[-1])
-    return coefficient * evaluation.trace_norm_sq - evaluation.eigenvalues.max(axis=-1)
+    return coefficient * evaluation.trace_norm_sq - evaluation.ricci_max
 
 
 def check_bound(
@@ -355,26 +359,34 @@ def check_bound(
     The improved bound is still reported when certification fails (the gap may
     then be negative); callers read ``symmetry_certified`` before claiming it.
     """
-    return check_evaluated(zeta, evaluate(zeta.components), mode, tol)
+    [report] = check_evaluated(zeta, evaluate(zeta.components), (mode,), tol)
+    return report
 
 
 def check_evaluated(
-    zeta: BundleValuedForm, evaluation: FormEvaluation, mode: BoundMode, tol: float
-) -> BoundReport:
-    """:func:`check_bound` on a form whose :func:`evaluate` is in hand."""
-    ricci_max, direction = max_eigenpair(evaluation.eigenvalues, evaluation.eigenvectors)
-    bound = bound_coefficient(mode, zeta.n) * float(evaluation.trace_norm_sq)
+    zeta: BundleValuedForm, evaluation: FormEvaluation, modes, tol: float
+) -> list[BoundReport]:
+    """:func:`check_bound` in each of ``modes``, in order, on a form whose
+    :func:`evaluate` is in hand.  The maximizing direction is the same in
+    every mode: one ``eigh`` of S_T, by :func:`top_eigenvector`."""
+    direction = top_eigenvector(evaluation.ricci_form)
     residual = evaluation.symmetry_residual
-    certified = mode is BoundMode.GENERAL or bool(_certified(residual, tol))
-    return BoundReport(
-        mode=mode,
-        bound_value=bound,
-        ricci_max=ricci_max,
-        argmax_direction=direction,
-        gap=float(_gaps(evaluation, mode)),
-        symmetry_certified=certified,
-        equality_class=_classify(zeta, evaluation, mode, bound, tol),
-    )
+    reports = []
+    for mode in modes:
+        bound = bound_coefficient(mode, zeta.n) * float(evaluation.trace_norm_sq)
+        certified = mode is BoundMode.GENERAL or bool(_certified(residual, tol))
+        reports.append(
+            BoundReport(
+                mode=mode,
+                bound_value=bound,
+                ricci_max=float(evaluation.ricci_max),
+                argmax_direction=direction,
+                gap=float(_gaps(evaluation, mode)),
+                symmetry_certified=certified,
+                equality_class=_classify(zeta, evaluation, mode, bound, tol),
+            )
+        )
+    return reports
 
 
 def equality_directions(
@@ -390,10 +402,10 @@ def equality_directions(
     n = zeta.n
     if zeta.max_abs() <= tol:
         return [np.eye(n)[i] for i in range(n)]
-    evaluation = evaluate(zeta.components)
-    bound = bound_coefficient(BoundMode.GENERAL, n) * float(evaluation.trace_norm_sq)
-    near = np.abs(evaluation.eigenvalues - bound) <= tol
-    candidates = evaluation.eigenvectors[:, near].T
+    comps = zeta.components
+    values, vectors = np.linalg.eigh(ricci_forms(comps))
+    bound = bound_coefficient(BoundMode.GENERAL, n) * float(trace_norms_sq(comps))
+    candidates = vectors[:, np.abs(values - bound) <= tol].T
     equal = corollary_triple(zeta, candidates, tol).equality_at_x
     return [positive_lead(x) for x in candidates[equal]]
 

@@ -115,7 +115,9 @@ def format_floats(values: np.ndarray, indent: int = 0) -> str:
         template = "\n".join(np.where(_fixed(distinct), "%.1f", "%.17g").tolist())
         texts = np.array((template % tuple(distinct.tolist())).split("\n"), object)
         rows = texts[index].reshape(count, width).tolist()
-        return layout % tuple(map(", ".join, rows))
+        del bits, index, distinct, template, texts  # the rows hold every text
+        rows = tuple(map(", ".join, rows))
+        return layout % rows
     fixed = _fixed(flat)
     if fixed.all() or not fixed.any():  # one code for every element
         rows = [", ".join(["%.1f" if fixed.any() else "%.17g"] * width)] * count

@@ -144,10 +144,11 @@ def max_ricci(s_form) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of a symmetric form with a unit eigenvector.
 
     Realizes the extremization of Ric_T over unit vectors by LAPACK's
-    symmetric eigensolver.  The input must be square, finite and symmetric
-    within 1e-10 (ValidationError otherwise).  The eigenvector sign is fixed
-    so its largest-magnitude coordinate is positive; eigenvalue ties resolve
-    to the first index, so the result is deterministic.
+    symmetric eigensolvers.  The input must be square, finite and symmetric
+    within 1e-10 (ValidationError otherwise).  The value is
+    :func:`top_eigenvalues`' and the vector :func:`top_eigenvector`'s, the
+    rules by which ``check_bound`` reads its form, so on an S_T both give the
+    same bits.
     """
     a = np.asarray(s_form, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -159,13 +160,24 @@ def max_ricci(s_form) -> tuple[float, np.ndarray]:
         raise ValidationError(
             f"matrix asymmetric by {residual:.3e} (> {SYMMETRY_TOL})"
         )
-    return max_eigenpair(*np.linalg.eigh(0.5 * (a + a.T)))
+    sym = 0.5 * (a + a.T)
+    return float(top_eigenvalues(sym)), top_eigenvector(sym)
 
 
-def max_eigenpair(values: np.ndarray, vectors: np.ndarray) -> tuple[float, np.ndarray]:
-    """:func:`max_ricci`'s result from ``eigh``'s eigenpairs of the form."""
-    k = int(np.argmax(values))
-    return float(values[k]), positive_lead(vectors[:, k])
+def top_eigenvalues(s_forms: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric form in a stack [..., n, n], from
+    one ``eigvalsh``, which computes no eigenvectors.  A form gives the same
+    bits alone and in a stack."""
+    return np.linalg.eigvalsh(s_forms).max(axis=-1)
+
+
+def top_eigenvector(s_form: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of one symmetric form, from
+    one ``eigh``.  Its sign is fixed so its largest-magnitude coordinate is
+    positive, and eigenvalue ties resolve to the first index, so the result
+    is deterministic."""
+    values, vectors = np.linalg.eigh(s_form)
+    return positive_lead(vectors[:, int(np.argmax(values))])
 
 
 def positive_lead(vector: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ def _verdicts(
     kinds["improved-bound"] = (certified & (gap_improved < -tol), gap_improved)
     if ambient is not None:
         n = evaluation.ricci_form.shape[-1]
-        intrinsic = evaluation.eigenvalues.max(axis=-1) + ricci_offset(ambient, n)
+        intrinsic = evaluation.ricci_max + ricci_offset(ambient, n)
         margin = application_bounds(ambient, n, evaluation.trace_norm_sq) - intrinsic
         kinds["ambient-bound"] = (margin < -tol, margin)
     return kinds
@@ -212,7 +212,7 @@ def build_instance_report(
     zeta = instance.zeta
     evaluation = evaluate(zeta.components)
     kinds, symmetry = _symmetry_block(zeta, tol, evaluation, instance.ambient)
-    bounds = {mode: check_evaluated(zeta, evaluation, mode, tol) for mode in BoundMode}
+    bounds = dict(zip(BoundMode, check_evaluated(zeta, evaluation, BoundMode, tol)))
     failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
     for mode in BoundMode:
         hit, gap = kinds[f"{mode.value}-bound"]
@@ -266,7 +266,7 @@ def build_bound_report(
 ) -> tuple[dict, int]:
     """Single-mode bound evaluation; exit 1 on violation or failed certification."""
     evaluation = evaluate(instance.zeta.components)
-    report = check_evaluated(instance.zeta, evaluation, mode, tol)
+    [report] = check_evaluated(instance.zeta, evaluation, (mode,), tol)
     hit, _ = _verdicts(evaluation, None, tol, None)[f"{mode.value}-bound"]
     failures = [f"{mode.value} bound violated: gap {report.gap!r}"] if hit else []
     if not report.symmetry_certified:

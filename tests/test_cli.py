@@ -960,13 +960,12 @@ class TestGaussTensorBuilds:
 @pytest.fixture
 def form_kernels(monkeypatch):
     """Counts the per-form kernels wherever a curvlike module calls them:
-    the Ricci form S_T, an eigendecomposition of an S_T it returned (by
-    value, so a symmetrized copy counts too) and the total-symmetry
-    residual.  Counts are per call, whether of one form or a stack."""
-    ricci, symmetry, eigh = (
-        gauss_bounds.ricci_forms, gauss_bounds.total_symmetry_residuals, np.linalg.eigh
-    )
-    counts = {"ricci_forms": 0, "eigh": 0, "total_symmetry_residuals": 0}
+    the Ricci form S_T, each ``eigvalsh`` and each ``eigh`` of an S_T it
+    returned (by value, so a symmetrized copy counts too) and the
+    total-symmetry residual.  Counts are per call, whether of
+    one form or a stack."""
+    ricci, symmetry = gauss_bounds.ricci_forms, gauss_bounds.total_symmetry_residuals
+    counts = {"ricci_forms": 0, "eigvalsh": 0, "eigh": 0, "total_symmetry_residuals": 0}
     forms = []
 
     def counting_ricci(components):
@@ -978,10 +977,15 @@ def form_kernels(monkeypatch):
         counts["total_symmetry_residuals"] += 1
         return symmetry(components)
 
-    def counting_eigh(a, *args, **kwargs):
-        if any(np.shape(a) == f.shape and np.array_equal(a, f) for f in forms):
-            counts["eigh"] += 1
-        return eigh(a, *args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            if any(np.shape(a) == f.shape and np.array_equal(a, f) for f in forms):
+                counts[name] += 1
+            return solver(a, *args, **kwargs)
+
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] != "curvlike":
@@ -992,17 +996,25 @@ def form_kernels(monkeypatch):
         ):
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     return counts
 
 
 class TestOneEvaluationPerForm:
-    """S_T, its eigh and the total-symmetry residual are computed once per
-    report or bound call, and once per campaign chunk."""
+    """S_T, its eigvalsh and the total-symmetry residual are computed once per
+    report or bound call, and once per campaign chunk.  Only a printed
+    maximizing direction needs eigh: once per report or bound call, never
+    in a campaign."""
 
     @staticmethod
-    def once(times=1):
-        return {"ricci_forms": times, "eigh": times, "total_symmetry_residuals": times}
+    def once(times=1, directions=0):
+        return {
+            "ricci_forms": times,
+            "eigvalsh": times,
+            "eigh": directions,
+            "total_symmetry_residuals": times,
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -1020,7 +1032,7 @@ class TestOneEvaluationPerForm:
         save_instance(Instance(zeta=zeta, ambient=ambient), path)
         code, _, _ = run_cli(capsys, argv[0], path, *argv[1:])
         assert code == 0
-        assert form_kernels == self.once()
+        assert form_kernels == self.once(directions=1)
 
     def test_sample_once_per_chunk(self, capsys, form_kernels):
         # (16, 32) chunks hold 8 forms: 20 instances, 3 chunks.

@@ -13,7 +13,8 @@ other checks); the same holds for each verdict rule, and the
 verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
 pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
 where ``check`` and ``report`` still print it, and no kernel takes a caller's
-work buffer.
+work buffer.  S_T's top eigenvalue comes from one owner, and its
+eigenvectors only where a direction is printed or certified.
 """
 
 import ast
@@ -352,3 +353,38 @@ def test_kernels_take_no_work_buffers():
     )
     methods = {node.name for node in tensor_class.body if isinstance(node, ast.FunctionDef)}
     assert "_adopt" not in methods
+
+
+def _callers(name: str) -> set[str]:
+    return _owners(lambda node: isinstance(node, ast.Call) and _name(node.func) == name)
+
+
+def test_each_eigen_route_has_one_owner():
+    """The verdicts read only S_T's top eigenvalue, from one ``eigvalsh``
+    route that ``evaluate`` and ``max_ricci`` share.  An eigenvector of S_T
+    comes from ``eigh`` only where a direction is printed or certified:
+    ``top_eigenvector`` (``check_evaluated`` and ``max_ricci``) and
+    ``equality_directions``.  ``_classify``'s ``eigh`` calls diagonalize 2x2
+    frame forms of zeta, never S_T."""
+    assert _callers("eigvalsh") == {"optim_lemmas.top_eigenvalues"}
+    assert _callers("top_eigenvalues") == {"gauss_bounds.evaluate", "optim_lemmas.max_ricci"}
+    assert _callers("eigh") == {
+        "optim_lemmas.top_eigenvector",
+        "gauss_bounds.equality_directions",
+        "gauss_bounds._classify",
+    }
+    assert _callers("top_eigenvector") == {
+        "gauss_bounds.check_evaluated",
+        "optim_lemmas.max_ricci",
+    }
+    classify = next(
+        node
+        for node in MODULES["gauss_bounds"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_classify"
+    )
+    frame_forms = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(classify)
+        if isinstance(node, ast.Call) and _name(node.func) == "eigh"
+    }
+    assert frame_forms == {"quad", "slot_first.components[0]"}

@@ -409,9 +409,7 @@ class TestEvaluate:
         evaluation = evaluate(comps)
         s_form = ricci_forms(comps)
         assert np.array_equal(evaluation.ricci_form, s_form)
-        values, vectors = np.linalg.eigh(s_form)
-        assert np.array_equal(evaluation.eigenvalues, values)
-        assert np.array_equal(evaluation.eigenvectors, vectors)
+        assert np.array_equal(evaluation.ricci_max, np.linalg.eigvalsh(s_form).max(axis=-1))
         assert np.array_equal(evaluation.trace, np.einsum("...rii->...r", comps))
         assert np.array_equal(evaluation.trace_norm_sq, trace_norms_sq(comps))
         assert np.array_equal(
@@ -443,8 +441,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n, m", [(2, 2), (4, 6), (5, 3), (16, 32)])
     def test_extremum_is_max_ricci_bitwise(self, n, m):
-        """check_bound reads the evaluation's eigh; max_ricci symmetrizes and
-        decomposes again, and both must give the same bits."""
+        """check_bound reads the evaluation's eigvalsh top and one eigh for the
+        direction; max_ricci symmetrizes and decomposes again by the same two
+        rules, and both must give the same bits."""
         rng = np.random.default_rng([n, m, 83])
         for _ in range(5):
             zeta = sample_general(rng, n, m)
@@ -452,6 +451,22 @@ class TestEvaluate:
             ricci_max, direction = max_ricci(ricci_forms(zeta.components))
             assert report.ricci_max == ricci_max
             assert np.array_equal(report.argmax_direction, direction)
+
+    @pytest.mark.parametrize("draw", [draw_general, draw_symmetric])
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 3), (4, 6), (8, 8), (16, 16), (16, 32)])
+    def test_eigvalsh_top_and_printed_direction_agree_with_eigh(self, draw, n, m):
+        """ricci_max comes from eigvalsh and argmax_direction from eigh, two
+        LAPACK routes that differ in the last bits: eigh's top eigenvalue and
+        S_T(v, v) at the printed direction v stay within 8 eps ||S_T||_F of
+        ricci_max (measured at most 1.8 and 4.1 on these draws)."""
+        comps = checked_components(draw(np.random.default_rng([n, m, 85]), n, m, 100))
+        evaluation = evaluate(comps)
+        for k, s_form in enumerate(evaluation.ricci_form):
+            report = check_bound(BundleValuedForm(comps[k]), BoundMode.GENERAL)
+            v = report.argmax_direction
+            bound = 8 * np.finfo(float).eps * np.linalg.norm(s_form)
+            assert abs(np.linalg.eigh(s_form)[0].max() - report.ricci_max) <= bound
+            assert abs(v @ s_form @ v - report.ricci_max) <= bound
 
 
 class TestCheckBound:
