@@ -67,7 +67,8 @@ class EqualityClass:
 
     ``tangent_frame`` / ``bundle_frame`` rows express the adapted frame in the
     input coordinates; ``mu`` is the H-umbilical parameter (canonicalized to
-    mu >= 0).
+    mu >= 0).  An umbilical surface reports the input frame, since every
+    frame of it is adapted; :func:`_classify` states both rules.
     """
 
     tag: EqualityTag
@@ -421,11 +422,16 @@ def _classify(
 
     Equality for every unit X is equivalent to S_T equaling the bound times
     the identity form, which is tested first.  Beyond the zero form, equality
-    can only happen on surfaces: the umbilical pattern for the general bound,
-    the H-umbilical lambda = 3 mu pattern for the improved one.  Detection
-    canonicalizes by rotating the bundle frame so slot 0 carries trace(zeta)
-    and diagonalizing the slot-0 quadratic form with descending eigenvalues,
-    which also pins mu >= 0.
+    can only happen on surfaces.  General bound: at the unit X at angle t,
+    :func:`corollary_triple` tests cos 2t delta + sin 2t e and -sin 2t delta
+    + cos 2t e, with delta = (zeta_00 - zeta_11)/2 and e = zeta_01; the
+    spectral norm of [delta e] is their largest norm over all X, so the form
+    is umbilical iff it is within tol.  Every frame of an umbilical surface
+    is adapted: the reported frame is the input frame.  Improved bound: S_T
+    = bound * I admits forms that are not H-umbilical, so the lambda = 3 mu
+    pattern is tested after one rotation, trace(zeta) to bundle slot 0 and
+    the tangent frame to the descending eigenbasis of that slot, which also
+    pins mu >= 0.
     """
     n = zeta.n
     if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol:
@@ -438,52 +444,32 @@ def _classify(
     trace_norm = float(np.linalg.norm(trace))
     if trace_norm <= tol:
         return EqualityClass(EqualityTag.NO_EQUALITY)
-    u = trace / trace_norm
-
+    comps = zeta.components
     if mode is BoundMode.GENERAL:
-        quad = np.einsum("rij,r->ij", zeta.components, u)
-        _, q_vectors = np.linalg.eigh(quad)
-        q_tangent = q_vectors.T
-        comp = rotate_frame(zeta, q_tangent, np.eye(zeta.m_prime)).components
-        umbilical = (
-            float(np.abs(comp[:, 0, 1]).max()) <= tol
-            and float(np.abs(comp[:, 0, 0] - comp[:, 1, 1]).max()) <= tol
-        )
-        if umbilical:
-            return EqualityClass(
-                EqualityTag.UMBILICAL_SURFACE, tangent_frame=q_tangent
-            )
+        delta = 0.5 * (comps[:, 0, 0] - comps[:, 1, 1])
+        deviation = np.stack([delta, comps[:, 0, 1]], axis=1)
+        if float(np.linalg.norm(deviation, 2)) <= tol:
+            return EqualityClass(EqualityTag.UMBILICAL_SURFACE, tangent_frame=np.eye(2))
         return EqualityClass(EqualityTag.NO_EQUALITY)
 
+    u = trace / trace_norm
     q_bundle = rotation_to_first_axis(u)
-    slot_first = rotate_frame(zeta, np.eye(2), q_bundle)
     # eigh sorts ascending; reversing the columns puts them in descending order.
-    _, q_vectors = np.linalg.eigh(slot_first.components[0])
+    _, q_vectors = np.linalg.eigh(np.einsum("rij,r->ij", comps, u))
     q_tangent = q_vectors[:, ::-1].T
-    comp = rotate_frame(slot_first, q_tangent, np.eye(zeta.m_prime)).components
+    comp = rotate_frame(zeta, q_tangent, q_bundle).components
     mu = trace_norm / 4.0
+    tail = comp[1:]
     pattern = (
         abs(comp[0, 0, 0] - 3.0 * mu) <= tol
         and abs(comp[0, 1, 1] - mu) <= tol
         and abs(comp[0, 0, 1]) <= tol
+        and float(np.abs(tail[:, 0, 0]).max(initial=0.0)) <= tol
+        and float(np.abs(tail[:, 1, 1]).max(initial=0.0)) <= tol
+        and abs(float(np.linalg.norm(tail[:, 0, 1])) - mu) <= tol
     )
-    if zeta.m_prime > 1:
-        tail = comp[1:]
-        pattern = (
-            pattern
-            and float(np.abs(tail[:, 0, 0]).max()) <= tol
-            and float(np.abs(tail[:, 1, 1]).max()) <= tol
-            and abs(float(np.linalg.norm(tail[:, 0, 1])) - mu) <= tol
-        )
-    else:
-        pattern = pattern and mu <= tol
     if pattern:
-        return EqualityClass(
-            EqualityTag.H_UMBILICAL_SURFACE,
-            mu=mu,
-            tangent_frame=q_tangent,
-            bundle_frame=q_bundle,
-        )
+        return EqualityClass(EqualityTag.H_UMBILICAL_SURFACE, mu, q_tangent, q_bundle)
     return EqualityClass(EqualityTag.NO_EQUALITY)
 
 

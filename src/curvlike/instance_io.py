@@ -318,7 +318,7 @@ def instance_from_dict(doc) -> Instance:
     allowed = {"version", "n", "bundle_dim", "zeta", "ambient", "structure"}
     doc = _object(doc, allowed)
     version = doc.get("version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValidationError(
             f"field 'version' must be {SCHEMA_VERSION}, got {version!r}"
         )

@@ -364,8 +364,8 @@ def test_each_eigen_route_has_one_owner():
     route that ``evaluate`` and ``max_ricci`` share.  An eigenvector of S_T
     comes from ``eigh`` only where a direction is printed or certified:
     ``top_eigenvector`` (``check_evaluated`` and ``max_ricci``) and
-    ``equality_directions``.  ``_classify``'s ``eigh`` calls diagonalize 2x2
-    frame forms of zeta, never S_T."""
+    ``equality_directions``.  ``_classify``'s one ``eigh`` diagonalizes the
+    trace-weighted slot form sum_r u_r zeta_r of a surface, never S_T."""
     assert _callers("eigvalsh") == {"optim_lemmas.top_eigenvalues"}
     assert _callers("top_eigenvalues") == {"gauss_bounds.evaluate", "optim_lemmas.max_ricci"}
     assert _callers("eigh") == {
@@ -387,4 +387,4 @@ def test_each_eigen_route_has_one_owner():
         for node in ast.walk(classify)
         if isinstance(node, ast.Call) and _name(node.func) == "eigh"
     }
-    assert frame_forms == {"quad", "slot_first.components[0]"}
+    assert frame_forms == {"np.einsum('rij,r->ij', comps, u)"}

@@ -42,6 +42,7 @@ from curvlike.tensor_core import (
     traces,
     zeta_norm_sq,
 )
+from classify_oracle import reference_improved_class
 from random_forms import random_orthogonal, sample_general, sample_symmetric
 from ricci_oracle import einsum_ricci_forms
 
@@ -648,6 +649,113 @@ class TestClassification:
                 zeta, random_orthogonal(rng, n), random_orthogonal(rng, zeta.m_prime)
             )
             assert check_bound(rotated, BoundMode.GENERAL).equality_class.tag is tag
+
+    def test_umbilical_witness_agrees_with_equality_directions(self):
+        """An umbilical surface off by zeta_00 - zeta_11 = (1.55, 1, 0.5)e-9:
+        ||(zeta_00 - zeta_11)/2|| = 9.6e-10 is within tol, so both axes attain
+        the general bound pointwise, and so does every direction.  The tag
+        agrees with equality_directions in every tangent frame."""
+        h = np.array([0.7, -0.3, 0.2])
+        split = np.array([1.55e-9, 1e-9, 0.5e-9])
+        comps = np.zeros((3, 2, 2))
+        comps[:, 0, 0] = h + split
+        comps[:, 1, 1] = h
+        witness = BundleValuedForm(comps)
+        rng = np.random.default_rng(89)
+        frames = [np.eye(2)] + [random_orthogonal(rng, 2) for _ in range(25)]
+        for q in frames:
+            zeta = rotate_frame(witness, q, np.eye(3))
+            eq = check_bound(zeta, BoundMode.GENERAL).equality_class
+            assert eq.tag is EqualityTag.UMBILICAL_SURFACE
+            assert np.array_equal(eq.tangent_frame, np.eye(2))
+            assert len(equality_directions(zeta)) == 2
+
+    def test_umbilical_tag_holds_at_every_direction(self):
+        """A form tagged umbilical attains the general bound pointwise, by
+        corollary_triple, at the printed maximizer, both axes and 64
+        directions around the circle.  The draws are umbilical surfaces in
+        3 to 5 bundle slots, perturbed by 1e-9.7 ... 1e-7.8 and rotated,
+        where a max-abs test in one frame can pass while the corollary
+        fails."""
+        rng = np.random.default_rng(97)
+        angles = np.linspace(0.0, np.pi, 64, endpoint=False)
+        circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        tagged = 0
+        for _ in range(1000):
+            m = int(rng.integers(3, 6))
+            comps = np.zeros((m, 2, 2))
+            comps[:, 0, 0] = comps[:, 1, 1] = rng.standard_normal(m)
+            noise = rng.uniform(-1.0, 1.0, (m, 2, 2))
+            comps += 10.0 ** rng.uniform(-9.7, -7.8) * (noise + noise.transpose(0, 2, 1)) / 2
+            zeta = rotate_frame(BundleValuedForm(comps), random_orthogonal(rng, 2), np.eye(m))
+            report = check_bound(zeta, BoundMode.GENERAL)
+            if report.equality_class.tag is EqualityTag.UMBILICAL_SURFACE:
+                tagged += 1
+                stack = np.vstack([report.argmax_direction, np.eye(2), circle])
+                assert corollary_triple(zeta, stack).equality_at_x.all()
+        assert tagged >= 200
+
+    def test_improved_pattern_is_load_bearing(self):
+        """Slot 0 = 2 mu I and slot 1 = diag(sqrt 2 mu, -sqrt 2 mu) give S_T =
+        bound * I for the improved bound, yet the form is neither totally
+        symmetric nor H-umbilical: lambda = 2 mu, not 3 mu."""
+        mu = 1.0
+        comps = np.zeros((2, 2, 2))
+        comps[0] = 2.0 * mu * np.eye(2)
+        comps[1] = np.diag([np.sqrt(2.0) * mu, -np.sqrt(2.0) * mu])
+        zeta = BundleValuedForm(comps)
+        report = check_bound(zeta, BoundMode.IMPROVED)
+        s_form = evaluate(comps).ricci_form
+        assert np.abs(s_form - report.bound_value * np.eye(2)).max() <= 1e-15
+        assert not report.symmetry_certified
+        assert report.equality_class.tag is EqualityTag.NO_EQUALITY
+
+    def test_surface_gap_identity(self):
+        """At n = 2, S_T - bound * I = -gap * I for the general bound, with gap
+        = ||delta||^2 + ||e||^2, delta = (zeta_00 - zeta_11)/2 and e =
+        zeta_01: the gap is quadratic in the distance from umbilical."""
+        rng = np.random.default_rng(101)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            zeta = sample_general(rng, 2, int(rng.integers(1, 9)))
+            comps = zeta.components
+            report = check_bound(zeta, BoundMode.GENERAL)
+            off = np.abs(evaluate(comps).ricci_form - report.bound_value * np.eye(2)).max()
+            delta = 0.5 * (comps[:, 0, 0] - comps[:, 1, 1])
+            distance = float(delta @ delta + comps[:, 0, 1] @ comps[:, 0, 1])
+            scale = 4 * eps * zeta_norm_sq(zeta)
+            assert abs(off - report.gap) <= scale
+            assert abs(report.gap - distance) <= scale
+
+    def test_improved_matches_two_rotation_reference(self):
+        """The one-rotation improved branch against the two-rotation
+        reference on perturbed H-umbilical lambda = 3 mu forms, mu from 1e-2
+        to 1e2, in 1 to 4 bundle slots, rotated in the tangent and the
+        bundle: the same tags, the same mu and bundle frame bit for bit, and
+        tangent frames within 4 eps."""
+        rng = np.random.default_rng(103)
+        eps = np.finfo(float).eps
+        tags = set()
+        for _ in range(400):
+            m = int(rng.integers(1, 5))
+            mu = 10.0 ** rng.uniform(-2.0, 2.0)
+            pattern = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0 * mu, mu=mu))
+            comps = np.zeros((m, 2, 2))
+            comps[: min(m, 2)] = pattern.components[:m]
+            noise = rng.standard_normal((m, 2, 2))
+            comps += 10.0 ** rng.uniform(-12.0, -8.0) * (noise + noise.transpose(0, 2, 1)) / 2
+            zeta = rotate_frame(
+                BundleValuedForm(comps), random_orthogonal(rng, 2), random_orthogonal(rng, m)
+            )
+            got = check_bound(zeta, BoundMode.IMPROVED).equality_class
+            expected = reference_improved_class(zeta)
+            assert got.tag is expected.tag
+            tags.add(got.tag)
+            if got.tag is EqualityTag.H_UMBILICAL_SURFACE:
+                assert got.mu == expected.mu
+                assert np.array_equal(got.bundle_frame, expected.bundle_frame)
+                assert np.abs(got.tangent_frame - expected.tangent_frame).max() <= 4 * eps
+        assert tags == {EqualityTag.H_UMBILICAL_SURFACE, EqualityTag.NO_EQUALITY}
 
 
 def per_vector_triple(zeta, x, tol=1e-9):

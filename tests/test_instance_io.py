@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,13 @@ class TestLoad:
     def test_version_required(self):
         text = json.dumps({"n": 1, "bundle_dim": 1, "zeta": [[[0]]]})
         with pytest.raises(ValidationError, match="version"):
+            loads_instance(text)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+    def test_version_must_be_the_integer_one(self, version):
+        text = json.dumps({"version": version, "n": 1, "bundle_dim": 1, "zeta": [[[0]]]})
+        expected = f"field 'version' must be 1, got {version!r}"
+        with pytest.raises(ValidationError, match=f"^<string>: {re.escape(expected)}$"):
             loads_instance(text)
 
     def test_shape_mismatch(self):
