@@ -313,7 +313,9 @@ def run_sample(
     certifies it) and an ambient margin app - (max Ric_T + offset) below
     -tol; the offset is checked before the first draw.  A chunk holds at
     most :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat
-    in ``count``.
+    in ``count``.  Each stage allocates only its result, and the last chunk
+    is held until the tightest instance's audit has run, so a call reuses
+    the heap pages it faulted in rather than returning and refaulting them.
 
     Every instance's S_T, which every verdict reads, is checked straight from
     zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4
@@ -391,7 +393,8 @@ def run_sample(
                     value = None if detail is None else float(detail[k])
                     violations.append({"index": index, "kind": kind, "detail": value})
     if tightest is not None:
-        del comps, evaluation  # the last chunk, released before the n^4 stage
+        # The last chunk stays alive through this audit: freeing it first
+        # would let malloc trim the heap top that the n^4 build then reuses.
         audit(*tightest)
         # Its only possible violation, symmetry, goes to its place by index.
         violations.sort(key=lambda violation: violation["index"])

@@ -36,14 +36,11 @@ def draw_symmetric(
     :func:`~curvlike.reporting.run_sample` checks before its first draw."""
     Dimensions(n=n, m_prime=m_prime)
     raw = rng.standard_normal((count, n, n, n))
-    cubic = (
-        raw
-        + raw.transpose(0, 1, 3, 2)
-        + raw.transpose(0, 2, 1, 3)
-        + raw.transpose(0, 2, 3, 1)
-        + raw.transpose(0, 3, 1, 2)
-        + raw.transpose(0, 3, 2, 1)
-    ) / 6.0
+    # One buffer, summed in the order of (raw + p1 + ... + p5) / 6.
+    cubic = raw + raw.transpose(0, 1, 3, 2)
+    for axes in ((0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)):
+        cubic += raw.transpose(axes)
+    cubic /= 6.0
     components = np.zeros((count, m_prime, n, n))
     components[:, :n] = cubic
     return components

@@ -73,9 +73,9 @@ def checked_components(components) -> np.ndarray:
     bitwise symmetric in (i, j); leading axes stack independent forms.
 
     Checks the desk-scale dimensions, finiteness and the 1e-12 pair symmetry
-    of every form against its mirrored copy (the message names the worst
-    entry), then checks headroom: |T| <= 2 ||zeta||^2, so a curvature
-    residual (a sum of at most three entries of T) stays below 6 ||zeta||^2;
+    |zeta - zeta^T| of every form (the message names the first worst entry),
+    then checks headroom: |T| <= 2 ||zeta||^2, so a curvature residual (a sum
+    of at most three entries of T) stays below 6 ||zeta||^2;
     ||trace zeta||^2 <= n ||zeta||^2, and an entry of S_T + S_T^T stays below
     2 (sqrt(n) + 1) ||zeta||^2.  So 8 n ||zeta||^2 bounds every quantity the
     reports derive, and a form is accepted when that is finite.  ||zeta||^2 is
@@ -83,6 +83,10 @@ def checked_components(components) -> np.ndarray:
     cannot overflow, and only where that component exceeds
     sqrt(max / (8 n m' n^2)), below which no form of the shape overflows.
     :class:`BundleValuedForm` is the one-form case.
+
+    The result is the one allocation: it holds |zeta - zeta^T| for the gate
+    and is then overwritten with the mirror.  The input is never written to
+    or aliased.
     """
     arr = np.asarray(components, dtype=float)
     if arr.ndim < 3 or arr.shape[-1] != arr.shape[-2]:
@@ -91,21 +95,24 @@ def checked_components(components) -> np.ndarray:
         )
     dims = Dimensions(n=arr.shape[-1], m_prime=arr.shape[-3])
     # The largest |component| of each form; a NaN or inf makes it non-finite.
-    work = np.abs(arr)
-    scale = work.max(axis=(-3, -2, -1))
+    within = (-3, -2, -1)
+    scale = np.maximum(arr.max(axis=within), -arr.min(axis=within))
     if not np.isfinite(scale).all():
         raise ValidationError("zeta components must be finite")
-    sym = mirror_symmetric(arr)
-    # Below the diagonal arr - sym is zeta[i, j] - zeta[j, i], and 0 elsewhere.
-    asym = np.abs(np.subtract(arr, sym, out=work), out=work)
+    # zeta^T is copied in first: a ufunc reading the swapped view would
+    # allocate an iterator buffer.
+    sym, swapped = np.empty(arr.shape), np.swapaxes(arr, -1, -2)
+    np.copyto(sym, swapped)
+    asym = np.abs(np.subtract(arr, sym, out=sym), out=sym)
     if not asym.max(initial=0.0) <= INPUT_SYMMETRY_TOL:
-        asym = np.abs(arr - np.swapaxes(arr, -1, -2))  # names the first worst
         *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
         worst = arr[tuple(form)]
         raise ValidationError(
             f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
             f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
         )
+    np.copyto(sym, arr)
+    np.copyto(sym, swapped, where=np.tri(dims.n, k=-1, dtype=bool))
     # scale is max |sym| here: mirroring within 1e-12 keeps entries above 1e4.
     top = np.finfo(float).max
     forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)

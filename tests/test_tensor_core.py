@@ -1,7 +1,9 @@
 """Unit tests for tensor storage, contractions, and frame operations."""
 
+import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from curvlike.tensor_core import (
 from curvlike.optim_lemmas import max_ricci
 from curvlike.sampling import draw_general, draw_symmetric
 from random_forms import random_orthogonal, random_unit, sample_general
+from symmetry_oracle import reference_checked_components
 
 
 class TestDimensions:
@@ -169,6 +172,53 @@ class TestBundleValuedForm:
         form = BundleValuedForm(np.eye(2)[None])
         with pytest.raises(ValidationError, match=rf"^{name} = \[.*\] must be finite$"):
             form.value(x, y)
+
+
+class TestCheckedComponentsMemory:
+    """:func:`checked_components` allocates one array, its result, and never
+    writes to or aliases its input."""
+
+    def test_peak_is_the_result(self):
+        stack = draw_general(np.random.default_rng(190), 16, 32, 8)
+        checked_components(stack)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = checked_components(stack)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= result.nbytes + 64 * 1024
+
+    @staticmethod
+    def inputs(rng):
+        """(name, components) pairs of each kind of input, symmetric and not."""
+        for shift in (0.0, 1e-9):
+            stack = draw_general(rng, 4, 3, 5)
+            stack[3, 2, 1, 0] += shift
+            frozen = stack.copy()
+            frozen.setflags(write=False)
+            yield "writable", stack
+            yield "read-only", frozen
+            yield "swapaxes view", np.swapaxes(stack.copy(), -1, -2)
+            yield "nested list", stack[3].tolist()
+
+    def test_input_is_untouched(self):
+        for name, components in self.inputs(np.random.default_rng(191)):
+            kept = copy.deepcopy(components)
+            try:
+                result = checked_components(components)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as expected:
+                    reference_checked_components(components)
+                assert str(exc) == str(expected.value), name
+                result = None
+            if isinstance(components, list):
+                assert components == kept, name
+                continue
+            assert components.tobytes() == kept.tobytes(), name
+            assert components.flags.writeable == (name != "read-only"), name
+            assert result is None or not np.shares_memory(result, components), name
 
 
 class TestSymmetryValidation:
