@@ -36,7 +36,7 @@ from .reporting import (
     report_envelope,
     run_sample,
 )
-from .structures import Family, FamilyParams, construct_family
+from .structures import FAMILIES, Family, FamilyParams, construct_family
 from .tensor_core import DEFAULT_TOL
 
 LEMMA_AGREEMENT_TOL = 1e-8
@@ -67,7 +67,7 @@ def _parse_floats(raw: str) -> np.ndarray:
 
 
 def _cmd_construct(args: argparse.Namespace, tol: float) -> int:
-    family = {f.value: f for f in Family}[args.family]
+    family = Family(args.family)
     h0 = _parse_floats(args.h0) if args.h0 is not None else None
     params = FamilyParams(
         family=family,
@@ -78,11 +78,10 @@ def _cmd_construct(args: argparse.Namespace, tol: float) -> int:
         h0=h0,
     )
     zeta = construct_family(params)
+    _, optional, _, marker = FAMILIES[family]
     structure = None
-    if family in (Family.SLUMBILICAL, Family.H_SLUMBILICAL) and args.theta is not None:
-        structure = StructureInfo(kind="slant", theta=args.theta)
-    elif family is Family.H_UMBILICAL_C_TOTALLY_REAL:
-        structure = StructureInfo(kind="c_totally_real")
+    if marker is not None and (args.theta is not None or "theta" not in optional):
+        structure = StructureInfo(kind=marker, theta=args.theta)
     save_instance(Instance(zeta=zeta, structure=structure), args.output)
     print(f"wrote {args.output}")
     return 0

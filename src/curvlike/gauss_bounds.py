@@ -149,50 +149,37 @@ GAUSS_PROBE_SEED = 0x9A055
 GAUSS_PROBES = 4
 
 
-def _probe_vectors(n: int) -> np.ndarray:
-    """The seeded unit vectors X_p, Y_p, Z_p, W_p (p < k = :data:`GAUSS_PROBES`)
-    for tangent dimension n, as a (4, k, n) array."""
-    v = np.random.default_rng([GAUSS_PROBE_SEED, n]).standard_normal((4, GAUSS_PROBES, n))
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows a_p (x) b_p, flattened to n^2, of two (k, n) stacks of vectors."""
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=MAX_TANGENT_DIM)
-def _gauss_probes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only probe matrices for tangent dimension n, with k =
-    :data:`GAUSS_PROBES` seeded unit vectors in each of X, Y, Z and W: the
-    rows X_p (x) Y_p (k, n^2), the columns Z_p (x) W_p (n^2, k), and the
-    columns X_p (x) W_p, X_p (x) Z_p, Y_p (x) Z_p, Y_p (x) W_p (n^2, 4k)."""
-    x, y, z, w = _probe_vectors(n)
-    pairs = np.concatenate([_outer(x, w), _outer(x, z), _outer(y, z), _outer(y, w)])
-    return _read_only(_outer(x, y), _outer(z, w).T.copy(), pairs.T.copy())
-
-
-@lru_cache(maxsize=MAX_TANGENT_DIM)
-def _ricci_probes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only probe matrices of :func:`ricci_probe_residuals` for tangent
-    dimension n, from the 4k unit vectors u of :func:`_gauss_probes`: the
-    columns u (n, 4k), and the columns u (x) u followed by the identity
+def _probe_matrices(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only probe matrices for tangent dimension n, from k =
+    :data:`GAUSS_PROBES` seeded unit vectors in each of X, Y, Z and W.
+    :func:`gauss_probe_residuals` reads the first three: the rows
+    X_p (x) Y_p (k, n^2), the columns Z_p (x) W_p (n^2, k), and the columns
+    X_p (x) W_p, X_p (x) Z_p, Y_p (x) Z_p, Y_p (x) W_p (n^2, 4k).
+    :func:`ricci_probe_residuals` reads the last two, from all 4k vectors u:
+    the columns u (n, 4k), and the columns u (x) u followed by the identity
     (n^2, 4k + 1)."""
-    units = _probe_vectors(n).reshape(-1, n)
+    v = np.random.default_rng([GAUSS_PROBE_SEED, n]).standard_normal((4, GAUSS_PROBES, n))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    (x, y, z, w), units = v, v.reshape(-1, n)
+    pairs = np.concatenate([_outer(x, w), _outer(x, z), _outer(y, z), _outer(y, w)])
     squares = np.concatenate([_outer(units, units), np.eye(n).reshape(1, n * n)])
-    return _read_only(units.T.copy(), squares.T.copy())
+    columns = (_outer(z, w), pairs, units, squares)
+    matrices = (_outer(x, y), *(rows.T.copy() for rows in columns))
+    for matrix in matrices:
+        matrix.flags.writeable = False
+    return matrices
 
 
 def ricci_probe_residuals(components: np.ndarray, ricci_form: np.ndarray) -> np.ndarray:
     """Residual of the Ricci form ``ricci_form`` [..., i, k] of each form in a
     stack zeta[..., r, i, j], checked straight from zeta at the 4k unit
-    vectors x of :func:`_gauss_probes`:
+    vectors x of :func:`_probe_matrices`:
 
         S_T(x, x) = <zeta(x, x), trace zeta> - sum_j |zeta(x, e_j)|^2,
 
@@ -207,7 +194,7 @@ def ricci_probe_residuals(components: np.ndarray, ricci_form: np.ndarray) -> np.
     """
     comps = np.asarray(components)
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
-    units, squares = _ricci_probes(n)
+    *_, units, squares = _probe_matrices(n)
     k = units.shape[-1]
     at_squares = comps.reshape(lead + (m, n * n)) @ squares
     trace = np.swapaxes(at_squares[..., k:], -1, -2)
@@ -241,7 +228,7 @@ def gauss_probe_residuals(
     comps = np.asarray(components)
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
     k = GAUSS_PROBES
-    xy, zw, pairs = _gauss_probes(n)
+    xy, zw, pairs, _, _ = _probe_matrices(n)
     contraction = np.trace(tensors, axis1=-4, axis2=-1)
     residual = np.abs(contraction - ricci_form).max(axis=(-2, -1))
     t_at = xy @ (np.reshape(tensors, lead + (n * n, n * n)) @ zw)

@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,17 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _require_numbers(zeta) -> None:
+    """Refuse the first component of a nested (m', n, n) ``zeta`` that
+    :func:`_number` refuses; one type scan passes a form of JSON numbers."""
+    if set(map(type, chain.from_iterable(chain.from_iterable(zeta)))) <= {int, float}:
+        return
+    for r, slot in enumerate(zeta):
+        for i, row in enumerate(slot):
+            for j, value in enumerate(row):
+                _number(value, f"zeta[{r}][{i}][{j}]")
+
+
 def _parse_ambient(raw, n: int) -> AmbientModel:
     raw = _object(raw, {"kind", "c", "theta"}, "ambient")
     kind_raw = raw.get("kind")
@@ -335,6 +347,7 @@ def instance_from_dict(doc) -> Instance:
             f"field 'zeta' must have shape ({bundle_dim}, {n}, {n}), "
             f"got {zeta_arr.shape}"
         )
+    _require_numbers(doc["zeta"])
     try:
         zeta = BundleValuedForm(zeta_arr)
     except CurvlikeError as exc:

@@ -83,14 +83,17 @@ class FamilyParams:
     h0: np.ndarray | None = None
 
 
-_ADAPTED_FAMILIES = (
-    Family.H_UMBILICAL,
-    Family.SLUMBILICAL,
-    Family.H_SLUMBILICAL,
-    Family.H_UMBILICAL_C_TOTALLY_REAL,
-)
-
-_SLANT_FAMILIES = (Family.SLUMBILICAL, Family.H_SLUMBILICAL)
+# The parameters each family requires, those it may also take, the bundle
+# slots it adds past n, and the structure marker its file carries; a slant
+# marker records theta, so a slant family carries it only when given theta.
+FAMILIES = {
+    Family.H_UMBILICAL: (("lambda", "mu"), (), 0, None),
+    Family.SLUMBILICAL: (("lambda",), ("theta",), 0, "slant"),
+    Family.H_SLUMBILICAL: (("lambda", "mu"), ("theta",), 0, "slant"),
+    Family.H_UMBILICAL_C_TOTALLY_REAL: (("lambda", "mu"), (), 1, "c_totally_real"),
+    Family.TOTALLY_UMBILICAL: (("h0",), (), 0, None),
+    Family.TOTALLY_GEODESIC: ((), (), 0, None),
+}
 
 
 def construct_family(params: FamilyParams) -> BundleValuedForm:
@@ -101,21 +104,26 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
     j >= 1, everything else zero.  Slumbilical is the mu = lambda special
     case.  The C-totally real variant carries one extra bundle slot (the
     characteristic direction), identically zero.  Totally umbilical forms are
-    zeta[r][i][j] = delta_ij h0[r]; totally geodesic is the zero form.
+    zeta[r][i][j] = delta_ij h0[r]; totally geodesic is the zero form.  A
+    parameter the family does not take, by :data:`FAMILIES`, is refused.
     """
     n = check_tangent_dim(params.n)
+    required, optional, extra_slots, _ = FAMILIES[params.family]
     named = {"lambda": params.lam, "mu": params.mu, "theta": params.theta, "h0": params.h0}
     for name, value in named.items():
+        if value is not None and name not in required + optional:
+            raise ValidationError(f"{params.family.value} takes no {name}")
         if value is not None and not np.isfinite(value).all():
             got = np.asarray(value).tolist()
             raise ValidationError(f"{name} must be finite, got {got!r}")
+    missing = [name for name in required if named[name] is None]
+    if missing:
+        raise ValidationError(f"{params.family.value} requires {missing[0]}")
 
     if params.family is Family.TOTALLY_GEODESIC:
         return BundleValuedForm.zeros(n, n)
 
     if params.family is Family.TOTALLY_UMBILICAL:
-        if params.h0 is None:
-            raise ValidationError("totally-umbilical requires h0")
         h0 = np.asarray(params.h0, dtype=float)
         if h0.ndim != 1 or h0.size < 1:
             raise ValidationError(f"h0 must be a nonempty vector, got shape {h0.shape}")
@@ -123,30 +131,21 @@ def construct_family(params: FamilyParams) -> BundleValuedForm:
         components[:, np.arange(n), np.arange(n)] = h0[:, None]
         return _built(components, "h0")
 
-    if params.lam is None:
-        raise ValidationError(f"{params.family.value} requires lambda")
-    if params.family is Family.SLUMBILICAL:
-        mu = params.lam
-    else:
-        if params.mu is None:
-            raise ValidationError(f"{params.family.value} requires mu")
-        mu = params.mu
-    if params.family in _SLANT_FAMILIES and params.theta is not None:
+    mu = params.lam if params.mu is None else params.mu
+    if params.theta is not None:
         if not 0.0 < params.theta < math.pi / 2:
             raise ValidationError(
                 f"slant families need theta in (0, pi/2), got {params.theta!r}"
             )
         build_slant_structure(n, params.theta)
 
-    m_prime = n + 1 if params.family is Family.H_UMBILICAL_C_TOTALLY_REAL else n
-    components = np.zeros((m_prime, n, n))
+    components = np.zeros((n + extra_slots, n, n))
     components[0, 0, 0] = params.lam
     for j in range(1, n):
         components[0, j, j] = mu
         components[j, 0, j] = mu
         components[j, j, 0] = mu
-    names = "lambda" if params.family is Family.SLUMBILICAL else "lambda and mu"
-    return _built(components, names)
+    return _built(components, " and ".join(required))
 
 
 def _built(components: np.ndarray, names: str) -> BundleValuedForm:

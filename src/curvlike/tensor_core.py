@@ -62,12 +62,6 @@ class Dimensions:
         check_bundle_dim(self.m_prime)
 
 
-def mirror_symmetric(components: np.ndarray) -> np.ndarray:
-    """Bitwise symmetric copy: ``where(i <= j, zeta[i, j], zeta[j, i])``."""
-    arr = np.asarray(components, dtype=float)
-    return np.where(np.tri(arr.shape[-1], dtype=bool).T, arr, np.swapaxes(arr, -1, -2))
-
-
 def checked_components(components) -> np.ndarray:
     """Validated copy of form components ``[..., r, i, j]``, read-only and
     bitwise symmetric in (i, j); leading axes stack independent forms.
@@ -355,11 +349,12 @@ def _require_orthogonal(q, size: int, name: str) -> np.ndarray:
 
 def rotate_frame(zeta: BundleValuedForm, q_tangent, q_bundle) -> BundleValuedForm:
     """Push zeta through orthogonal changes of the tangent and bundle frames:
-    zeta'[s, a, b] = sum Q_b[s, r] Q_t[a, i] Q_t[b, j] zeta[r, i, j]."""
+    zeta'[s, a, b] = sum Q_b[s, r] Q_t[a, i] Q_t[b, j] zeta[r, i, j], taken as
+    the mean of the product and its transpose, which is bitwise symmetric."""
     qt = _require_orthogonal(q_tangent, zeta.n, "tangent")
     qb = _require_orthogonal(q_bundle, zeta.m_prime, "bundle")
     rotated = np.einsum("sr,ai,bj,rij->sab", qb, qt, qt, zeta.components)
-    return BundleValuedForm(mirror_symmetric(rotated))
+    return BundleValuedForm(0.5 * (rotated + np.swapaxes(rotated, -1, -2)))
 
 
 def rotation_to_first_axis(u: np.ndarray) -> np.ndarray:

@@ -178,19 +178,34 @@ class TestConstructAndBound:
 # Every command that loads an instance file; the path goes last.
 FILE_COMMANDS = (["report"], ["bound", "--mode", "general"], ["check"], ["nullspace"])
 
+# The parameter flags each family takes; the slant families also take --theta.
+FAMILY_FLAGS = {
+    "h-umbilical": ["--lambda", "1", "--mu", "2"],
+    "slumbilical": ["--lambda", "1"],
+    "h-slumbilical": ["--lambda", "1", "--mu", "2"],
+    "h-umbilical-c-totally-real": ["--lambda", "1", "--mu", "2"],
+    "totally-umbilical": ["--h0", "1,0.5"],
+    "totally-geodesic": [],
+}
+SLANT_FAMILIES = ("slumbilical", "h-slumbilical")
+PARAMETER_FLAGS = {"lambda": "1", "mu": "2", "theta": "0.5", "h0": "1,0.5"}
+
 
 class TestConstructWritesOnlyLoadableFiles:
     @pytest.mark.parametrize("family", [f.value for f in Family])
     def test_round_trip(self, tmp_path, capsys, family):
-        """For every n and slant angle, `construct` either refuses (exit 2,
-        no file) or writes a file that every file command loads."""
+        """For every n and, on a slant family, every slant angle, `construct`
+        either refuses (exit 2, no file) or writes a file that every file
+        command loads."""
+        assert set(FAMILY_FLAGS) == {f.value for f in Family}
+        thetas = (None, 0.3, math.pi / 4, math.pi / 2)
         written = 0
         for n in range(1, 17):
-            for theta in (None, 0.3, math.pi / 4, math.pi / 2):
+            for theta in thetas if family in SLANT_FAMILIES else (None,):
                 target = str(tmp_path / f"{n}-{theta}.json")
                 argv = [
-                    "construct", "--family", family, "--n", str(n), "--lambda", "1",
-                    "--mu", "2", "--h0", "1,0.5", "-o", target,
+                    "construct", "--family", family, "--n", str(n),
+                    *FAMILY_FLAGS[family], "-o", target,
                 ]
                 if theta is not None:
                     argv += ["--theta", repr(theta)]
@@ -205,6 +220,26 @@ class TestConstructWritesOnlyLoadableFiles:
                     code, _, err = run_cli(capsys, *op, target)
                     assert code != 2, (*case, op)
         assert written >= 16
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_FLAGS))
+    def test_foreign_parameter_is_exit_2(self, tmp_path, capsys, family):
+        """A parameter the family does not take is refused by name, not
+        dropped, and no file is written."""
+        own = {flag[2:] for flag in FAMILY_FLAGS[family][::2]}
+        if family in SLANT_FAMILIES:
+            own.add("theta")
+        foreign = sorted(set(PARAMETER_FLAGS) - own)
+        assert foreign
+        target = tmp_path / "x.json"
+        for name in foreign:
+            code, out, err = run_cli(
+                capsys,
+                "construct", "--family", family, "--n", "2", *FAMILY_FLAGS[family],
+                f"--{name}", PARAMETER_FLAGS[name], "-o", str(target),
+            )
+            assert (code, out) == (2, ""), name
+            assert err == f"error: {family} takes no {name}\n"
+            assert not target.exists()
 
     @pytest.mark.parametrize("scale", ["1e150", "1e200", "1e300"])
     @pytest.mark.parametrize(

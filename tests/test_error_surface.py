@@ -14,7 +14,8 @@ verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
 pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
 where ``check`` and ``report`` still print it, and no kernel takes a caller's
 work buffer.  S_T's top eigenvalue comes from one owner, and its
-eigenvectors only where a direction is printed or certified.
+eigenvectors only where a direction is printed or certified.  Every
+module-level definition is read somewhere in the package or exported.
 """
 
 import ast
@@ -146,6 +147,40 @@ def test_removed_wrappers_stay_removed():
     }
     assert defined == set()
     assert [name for name in REMOVED_NAMES if hasattr(curvlike, name)] == []
+
+
+def _module_definitions(tree) -> set[str]:
+    """Names a module's top level binds by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names |= {
+                sub.id
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            }
+    return names
+
+
+def test_every_module_level_definition_is_used():
+    """A name defined at a module's top level is read somewhere in the
+    package, or exported through ``__all__``; a dead definition goes."""
+    read = {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for tree in MODULES.values()
+        for sub in ast.walk(tree)
+        if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+        or isinstance(sub, ast.Attribute)
+    }
+    unused = {
+        f"{module}.{name}"
+        for module, tree in MODULES.items()
+        for name in _module_definitions(tree) - read - set(curvlike.__all__)
+        if not name.startswith("__")
+    }
+    assert unused == set()
 
 
 def _owners(predicate) -> set[str]:

@@ -213,7 +213,7 @@ def off_ricci_diagonal(n):
 def probe_weights(n):
     """max over the probes of |X_j Y_i Z_k W_l|, the weight of T[j, i, k, l]
     in the probed values, as an (n, n, n, n) array."""
-    xy, zw, _ = gauss_bounds._gauss_probes(n)
+    xy, zw, *_ = gauss_bounds._probe_matrices(n)
     return np.abs(xy[:, :, None] * zw.T[:, None, :]).max(axis=0).reshape((n,) * 4)
 
 
@@ -222,6 +222,36 @@ class TestGaussProbes:
     probe vectors, with no rebuild of T."""
 
     DELTA = 1e-6
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_probe_matrices_are_the_seeded_vectors(self, n):
+        """Both residuals read one cached set of read-only matrices, built
+        from the seeded unit vectors X, Y, Z, W, bitwise as rebuilt here one
+        outer product at a time."""
+        rng = np.random.default_rng([gauss_bounds.GAUSS_PROBE_SEED, n])
+        v = rng.standard_normal((4, gauss_bounds.GAUSS_PROBES, n))
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        x, y, z, w = v
+        units = v.reshape(-1, n)
+
+        def outers(a, b):
+            return np.array([np.outer(p, q).ravel() for p, q in zip(a, b)])
+
+        pairs = [outers(x, w), outers(x, z), outers(y, z), outers(y, w)]
+        squares = [*outers(units, units), np.eye(n).ravel()]
+        expected = (
+            outers(x, y),
+            outers(z, w).T,
+            np.concatenate(pairs).T,
+            units.T,
+            np.array(squares).T,
+        )
+        matrices = gauss_bounds._probe_matrices(n)
+        assert matrices is gauss_bounds._probe_matrices(n)
+        assert len(matrices) == len(expected)
+        for got, want in zip(matrices, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     @staticmethod
     def residual(tensor, comps):
@@ -359,7 +389,7 @@ class TestRicciProbes:
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
-        assert called == {"_ricci_probes"}
+        assert called == {"_probe_matrices"}
 
 
 class TestBoundValues:

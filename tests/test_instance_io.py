@@ -67,6 +67,28 @@ class TestLoad:
         with pytest.raises(ValidationError, match=r"zeta\[0\]\[0\]\[1\]"):
             loads_instance(text)
 
+    @pytest.mark.parametrize("bad", ["1.5", " 2 ", True, False, None])
+    def test_zeta_components_must_be_json_numbers(self, bad):
+        """A string, a bool or null is refused by the first entry it sits
+        at, not read as a number or reported as non-finite."""
+        zeta = [[[0.5, 1], [1, bad]], [[bad, 0.0], [0.0, 2]]]
+        text = json.dumps({"version": 1, "n": 2, "bundle_dim": 2, "zeta": zeta})
+        expected = f"field 'zeta[0][1][1]' must be a number, got {bad!r}"
+        with pytest.raises(ValidationError, match=f"^<string>: {re.escape(expected)}$"):
+            loads_instance(text)
+
+    def test_one_bool_among_floats_is_named(self):
+        zeta = np.random.default_rng(9).standard_normal((32, 16, 16))
+        zeta = (zeta + zeta.transpose(0, 2, 1)).tolist()
+        zeta[20][7][3] = zeta[20][3][7] = True
+        text = json.dumps({"version": 1, "n": 16, "bundle_dim": 32, "zeta": zeta})
+        expected = "field 'zeta[20][3][7]' must be a number, got True"
+        with pytest.raises(ValidationError, match=f"^<string>: {re.escape(expected)}$"):
+            loads_instance(text)
+        zeta[20][7][3] = zeta[20][3][7] = 1
+        loaded = loads_instance(json.dumps({**json.loads(text), "zeta": zeta}))
+        assert loaded.zeta.components[20, 3, 7] == 1.0
+
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValidationError, match=r"^<string>:1:2: Expecting property name"):
             loads_instance("{nope")
