@@ -17,14 +17,12 @@ An integral float below 1e17 is written by ``%.17g`` as its exact digits, which
 is what ``%.1f`` gives minus the ``.0`` (``-0.0`` included).  From 1e17 up,
 ``%.17g`` uses an exponent and needs no suffix.  So the emitter picks ``%.1f``
 for the integral values below 1e17 and ``%.17g`` for all others, and every
-``sha256``, saved instance and report stays byte-identical to the
-one-float-at-a-time writer that the tests keep as their oracle.
+saved instance and report stays byte-identical to the one-float-at-a-time
+writer that the tests keep as their oracle.
 
-Arrays of :data:`_DISTINCT_FLOOR` = 1024 elements or more format each distinct
-value (by bit pattern: ``-0.0`` stays apart) once.  Every ζ is bitwise
-symmetric in (i, j); at (16, 32) this takes a general form from 3.2 to 2.4 ms,
-a totally symmetric one from 2.5 to 1.2 ms and the zero form from 1.1 to
-0.28 ms (``format_floats``, timeit minima, 2-core x86_64).
+:func:`instance_sha256` hashes the header text and ζ's binary64 bytes, not
+ζ's text: on a general (16, 32) form, formatting takes about 3 ms and
+hashing the bytes about 0.06 ms (timeit minima, 2-core x86_64).
 """
 
 from __future__ import annotations
@@ -69,11 +67,6 @@ class Instance:
 # integer digits, with no exponent; "%.1f" writes the same digits plus ".0".
 _FIXED_LIMIT = 1e17
 
-# From this size on, format_floats formats each distinct value once.  On a form
-# that breaks even near 256 elements and gains 19-23% at 1024; an array of
-# distinct values pays 25-50% more, and all report arrays but zeta are <= n^2.
-_DISTINCT_FLOOR = 1024
-
 
 def _non_finite(x: float) -> ValidationError:
     return ValidationError(f"non-finite number {x!r} cannot be serialized")
@@ -98,10 +91,6 @@ def format_floats(values: np.ndarray, indent: int = 0) -> str:
     per element, and filled from ``values.ravel().tolist()``.  Finiteness is
     checked once for the array; the error names the first non-finite value
     in row-major order.
-
-    From :data:`_DISTINCT_FLOOR` elements up, ``np.unique`` sorts the int64
-    view once, one ``%`` call formats each distinct value, and each row is
-    joined from their texts through the inverse index.
     """
     flat = values.ravel().astype(float, copy=False)
     finite = np.isfinite(flat)
@@ -110,27 +99,14 @@ def format_floats(values: np.ndarray, indent: int = 0) -> str:
     width = values.shape[-1]
     count = math.prod(values.shape[:-1])
     layout = _layout(values.shape[:-1], indent)
-    if flat.size >= _DISTINCT_FLOOR:
-        bits, index = np.unique(flat.view(np.int64), return_inverse=True)
-        distinct = bits.view(float)
-        template = "\n".join(np.where(_fixed(distinct), "%.1f", "%.17g").tolist())
-        texts = np.array((template % tuple(distinct.tolist())).split("\n"), object)
-        rows = texts[index].reshape(count, width).tolist()
-        del bits, index, distinct, template, texts  # the rows hold every text
-        rows = tuple(map(", ".join, rows))
-        return layout % rows
-    fixed = _fixed(flat)
+    # The rule writes "%.1f" for the integral values below 1e17.
+    fixed = (np.abs(flat) < _FIXED_LIMIT) & (np.trunc(flat) == flat)
     if fixed.all() or not fixed.any():  # one code for every element
         rows = [", ".join(["%.1f" if fixed.any() else "%.17g"] * width)] * count
     else:
         codes = np.where(fixed, "%.1f", "%.17g").reshape(count, width)
         rows = [", ".join(row) for row in codes.tolist()]
     return (layout % tuple(rows)) % tuple(flat.tolist())
-
-
-def _fixed(flat: np.ndarray) -> np.ndarray:
-    """Where the rule writes ``%.1f``: the integral values below 1e17."""
-    return (np.abs(flat) < _FIXED_LIMIT) & (np.trunc(flat) == flat)
 
 
 def _layout(shape: tuple[int, ...], indent: int) -> str:
@@ -273,9 +249,15 @@ def _number(value, field: str) -> float:
 
 
 def _require_numbers(zeta) -> None:
-    """Refuse the first component of a nested (m', n, n) ``zeta`` that
-    :func:`_number` refuses; one type scan passes a form of JSON numbers."""
-    if set(map(type, chain.from_iterable(chain.from_iterable(zeta)))) <= {int, float}:
+    """Refuse the first component of ``zeta`` that :func:`_number` refuses,
+    when ``zeta`` nests three lists deep; one type scan passes a form of JSON
+    numbers.  A ``zeta`` of another nesting is left to the shape check."""
+    if type(zeta) is not list or not set(map(type, zeta)) <= {list}:
+        return
+    rows = list(chain.from_iterable(zeta))
+    if not set(map(type, rows)) <= {list}:
+        return
+    if set(map(type, chain.from_iterable(rows))) <= {int, float}:
         return
     for r, slot in enumerate(zeta):
         for i, row in enumerate(slot):
@@ -338,6 +320,7 @@ def instance_from_dict(doc) -> Instance:
     bundle_dim = _require_int(doc, "bundle_dim", check_bundle_dim)
     if "zeta" not in doc:
         raise ValidationError("field 'zeta' is required")
+    _require_numbers(doc["zeta"])
     try:
         zeta_arr = np.asarray(doc["zeta"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -347,7 +330,6 @@ def instance_from_dict(doc) -> Instance:
             f"field 'zeta' must have shape ({bundle_dim}, {n}, {n}), "
             f"got {zeta_arr.shape}"
         )
-    _require_numbers(doc["zeta"])
     try:
         zeta = BundleValuedForm(zeta_arr)
     except CurvlikeError as exc:
@@ -398,7 +380,13 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def instance_sha256(instance: Instance) -> str:
-    """Hash of the canonical serialized bytes; stable across load/save cycles."""
-    return hashlib.sha256(
-        dump_json(instance_to_dict(instance)).encode("utf-8")
-    ).hexdigest()
+    """SHA-256 of the canonical text of the instance document without
+    ``zeta``, then ζ's components as little-endian binary64 in C order
+    ``[r][i][j]``.  The header fixes the shape, so the stream decodes one way.
+    The writer's 17 digits round-trip binary64, so the hash is stable across
+    load/save cycles, and it keeps ``-0.0`` apart from ``0.0``."""
+    header = instance_to_dict(instance)
+    components = header.pop("zeta")
+    digest = hashlib.sha256(dump_json(header).encode("utf-8"))
+    digest.update(np.ascontiguousarray(components, dtype="<f8").tobytes())
+    return digest.hexdigest()

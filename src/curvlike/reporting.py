@@ -64,9 +64,12 @@ _UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
 
 
 def report_envelope(kind: str) -> dict:
-    """The leading {version, kind, tool} fields every report kind starts with."""
+    """The leading {version, kind, tool} fields every report kind starts with.
+
+    Version 2: ``instance.sha256`` hashes ζ's binary64 bytes, not its text.
+    """
     return {
-        "version": 1,
+        "version": 2,
         "kind": kind,
         "tool": {"name": TOOL_NAME, "version": __version__},
     }

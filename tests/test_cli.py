@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -424,6 +425,25 @@ class TestCheckAndNullspace:
         code, out, _ = run_cli(capsys, "nullspace", path)
         assert code == 0
         assert "basis_dim: 2" in out
+
+
+class TestReportEnvelope:
+    def test_file_reports_print_version_2_and_a_hash(self, tmp_path, capsys):
+        """Report version 2 marks the instance hash over ζ's binary64 bytes."""
+        path = str(tmp_path / "g.json")
+        save_instance(Instance(zeta=sample_general(np.random.default_rng(2), 3, 4)), path)
+        for argv in (
+            ("report", path, "--format", "text"),
+            ("bound", path, "--mode", "general"),
+            ("check", path),
+            ("nullspace", path),
+        ):
+            _, out, _ = run_cli(capsys, *argv)
+            lines = out.splitlines()
+            assert lines[0] == "version: 2"
+            hashes = [line for line in lines if line.startswith("  sha256: ")]
+            assert len(hashes) == 1
+            assert re.fullmatch("  sha256: [0-9a-f]{64}", hashes[0])
 
 
 class TestSample:

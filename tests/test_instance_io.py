@@ -67,10 +67,10 @@ class TestLoad:
         with pytest.raises(ValidationError, match=r"zeta\[0\]\[0\]\[1\]"):
             loads_instance(text)
 
-    @pytest.mark.parametrize("bad", ["1.5", " 2 ", True, False, None])
+    @pytest.mark.parametrize("bad", ["1.5", " 2 ", "abc", True, False, None, {}, [2]])
     def test_zeta_components_must_be_json_numbers(self, bad):
-        """A string, a bool or null is refused by the first entry it sits
-        at, not read as a number or reported as non-finite."""
+        """A string, a bool, null, an object or a list is refused by the first
+        entry it sits at, not read as a number or reported as non-finite."""
         zeta = [[[0.5, 1], [1, bad]], [[bad, 0.0], [0.0, 2]]]
         text = json.dumps({"version": 1, "n": 2, "bundle_dim": 2, "zeta": zeta})
         expected = f"field 'zeta[0][1][1]' must be a number, got {bad!r}"
@@ -88,6 +88,24 @@ class TestLoad:
         zeta[20][7][3] = zeta[20][3][7] = 1
         loaded = loads_instance(json.dumps({**json.loads(text), "zeta": zeta}))
         assert loaded.zeta.components[20, 3, 7] == 1.0
+
+    @pytest.mark.parametrize(
+        "zeta, message",
+        [
+            ([0.5, 1.0], "field 'zeta' must have shape (1, 2, 2), got (2,)"),
+            ([[0.5, 1.0], [1.0, 2.0]], "field 'zeta' must have shape (1, 2, 2), got (2, 2)"),
+            ([[[0.5, 1.0], [1.0]]], "field 'zeta' is not a numeric array: "),
+            ([[[0.5, 1.0], 1.0]], "field 'zeta' is not a numeric array: "),
+            ({}, "field 'zeta' is not a numeric array: "),
+        ],
+    )
+    def test_zeta_not_three_lists_deep_gets_the_shape_rules(self, zeta, message):
+        """The number rule names entries of a ζ nested three lists deep; a
+        flat, shallow, ragged or non-list ζ is refused as an array."""
+        text = json.dumps({"version": 1, "n": 2, "bundle_dim": 1, "zeta": zeta})
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(text)
+        assert str(caught.value).startswith(f"<string>: {message}")
 
     def test_malformed_json_reports_position(self):
         with pytest.raises(ValidationError, match=r"^<string>:1:2: Expecting property name"):

@@ -1,6 +1,7 @@
-"""The deterministic writers against the one-float-at-a-time reference.
+"""The deterministic writers against the one-float-at-a-time reference, and
+the instance hash against a route that shares no code with the library's.
 
-Golden bytes and hashes were recorded with the per-float writer (now
+Golden bytes were recorded with the per-float writer (now
 ``tests/json_oracle.py``) before the array emitter replaced it; the property
 tests compare the two writers on random documents and on real reports.
 """
@@ -8,6 +9,7 @@ tests compare the two writers on random documents and on real reports.
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -27,6 +29,7 @@ from curvlike.instance_io import (
     format_floats,
     instance_sha256,
     instance_to_dict,
+    load_instance,
     loads_instance,
     save_instance,
 )
@@ -95,7 +98,7 @@ class TestGoldenBytes:
         text = dump_json(instance_to_dict(instance))
         assert text == (GOLDEN / "general_4x6.json").read_text()
         assert instance_sha256(instance) == (
-            "b7f807cab0ccf7973aeb4820fae111a714e7d67ba3824cdb6ffa92353442b953"
+            "1aff572d2e6cfcb02a09a55d5447916400538196b93377ca27cc3dffd424ae81"
         )
         save_instance(instance, tmp_path / "general_4x6.json")
         saved = (tmp_path / "general_4x6.json").read_bytes()
@@ -115,7 +118,9 @@ class TestGoldenBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "31b168aa880cf1d48fd6ce8a296e272f1e6559821687acb0283d3f7de698a69d"
         )
-        assert instance_sha256(instance) == hashlib.sha256(text.encode()).hexdigest()
+        assert instance_sha256(instance) == (
+            "70bd73d5fd2d52fae192e2c156ca112d524c0f9e1523be40091357f62d75b321"
+        )
 
     def test_special_values_round_trip(self):
         """The decoder the loader uses restores every value bit for bit,
@@ -245,9 +250,6 @@ class TestAgainstReference:
             assert render_text(doc) == render_text(as_lists(doc))
 
 
-# Arrays of this many elements or more take the emitter's distinct-value path.
-DISTINCT_FLOOR = 1024
-
 # Pool entries for the large arrays, binary64 and binary32: signed zeros,
 # integral values just below, at and above 1e17, subnormals and the largest
 # finite values.
@@ -308,34 +310,15 @@ def h_umbilical(n: int, m_prime: int) -> BundleValuedForm:
     return BundleValuedForm(comps)
 
 
-class TestDistinctPath:
-    """The emitter's distinct-value path, which only arrays of at least
-    :data:`DISTINCT_FLOOR` elements reach, against the reference writer."""
+class TestLargeArrays:
+    """Arrays of 500-9000 elements, most of them repeated values, against the
+    reference writer."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(pooled_arrays(), pooled_arrays(np.float32)))
     def test_pooled_arrays_match_reference(self, values):
         expected = reference_dump_json({"a": values.tolist()})
         assert_same_text(dump_json({"a": values}), expected)
-
-    @pytest.mark.parametrize(
-        "size", [DISTINCT_FLOOR - 1, DISTINCT_FLOOR, DISTINCT_FLOOR + 1]
-    )
-    def test_floor(self, size, monkeypatch):
-        """Arrays of the floor's size and up take the distinct path, smaller
-        ones the one-template path; both give the reference's bytes."""
-        calls = []
-        unique = np.unique
-
-        def counted_unique(*args, **kwargs):
-            calls.append(args)
-            return unique(*args, **kwargs)
-
-        monkeypatch.setattr(np, "unique", counted_unique)
-        values = np.resize(np.array([0.0, -0.0, 1.5, 1e17, -3.0, 0.1]), size)
-        expected = "[" + ", ".join(map(reference_format_float, values.tolist())) + "]"
-        assert_same_text(format_floats(values), expected)
-        assert bool(calls) == (size >= DISTINCT_FLOOR)
 
     def test_signed_zeros_stay_apart(self):
         values = np.resize(np.array([0.0, -0.0, -0.0, 0.0, 2.0, -2.0]), (2, 600))
@@ -344,9 +327,30 @@ class TestDistinctPath:
         expected = reference_dump_json({"z": values.tolist()})
         assert_same_text(dump_json({"z": values}), expected)
 
+
+def reference_sha256(instance: Instance) -> str:
+    """The instance hash by a route that shares no code with the library's:
+    the reference writer's text of a header built here, then the components
+    packed one by one as little-endian binary64."""
+    zeta, ambient, structure = instance.zeta, instance.ambient, instance.structure
+    header: dict = {"version": 1, "n": zeta.n, "bundle_dim": zeta.m_prime}
+    if ambient is not None:
+        header["ambient"] = {"kind": ambient.kind.value, "c": ambient.c}
+        if ambient.theta is not None:
+            header["ambient"]["theta"] = ambient.theta
+    if structure is not None:
+        header["structure"] = {"kind": structure.kind}
+        if structure.theta is not None:
+            header["structure"]["theta"] = structure.theta
+    flat = [x for slot in zeta.components.tolist() for row in slot for x in row]
+    stream = reference_dump_json(header).encode() + struct.pack(f"<{len(flat)}d", *flat)
+    return hashlib.sha256(stream).hexdigest()
+
+
+class TestInstanceHash:
     @pytest.mark.parametrize("shape", [(16, 32), (16, 16), (8, 8)])
     @pytest.mark.parametrize("kind", ["general", "symmetric", "zero", "h-umbilical"])
-    def test_instance_hash_matches_reference(self, kind, shape):
+    def test_matches_reference_and_survives_save_load(self, kind, shape, tmp_path):
         n, m_prime = shape
         rng = np.random.default_rng([n, m_prime])
         zeta = {
@@ -360,5 +364,51 @@ class TestDistinctPath:
             instance = Instance(
                 zeta=form, ambient=AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 2.0)
             )
-            text = reference_dump_json(as_lists(instance_to_dict(instance)))
-            assert instance_sha256(instance) == hashlib.sha256(text.encode()).hexdigest()
+            digest = instance_sha256(instance)
+            assert digest == reference_sha256(instance)
+            save_instance(instance, tmp_path / "i.json")
+            assert instance_sha256(load_instance(tmp_path / "i.json")) == digest
+
+    def test_signed_zero_changes_the_hash(self, tmp_path):
+        comps = np.zeros((2, 3, 3))
+        negative = comps.copy()
+        negative[1, 2, 2] = -0.0
+        digests = set()
+        for values in (comps, negative):
+            instance = Instance(zeta=BundleValuedForm(values))
+            digest = instance_sha256(instance)
+            assert digest == reference_sha256(instance)
+            save_instance(instance, tmp_path / "z.json")
+            assert instance_sha256(load_instance(tmp_path / "z.json")) == digest
+            digests.add(digest)
+        assert len(digests) == 2
+
+    def test_ambient_c_and_structure_theta_change_the_hash(self):
+        instance = general_instance()
+        ambient, structure = instance.ambient, instance.structure
+        variants = [
+            instance,
+            Instance(
+                zeta=instance.zeta,
+                ambient=AmbientModel(
+                    ambient.kind, math.nextafter(ambient.c, 0.0), ambient.theta
+                ),
+                structure=structure,
+            ),
+            Instance(
+                zeta=instance.zeta,
+                ambient=ambient,
+                structure=StructureInfo(kind="slant", theta=math.nextafter(SLANT, 0.0)),
+            ),
+        ]
+        digests = [instance_sha256(v) for v in variants]
+        assert digests == [reference_sha256(v) for v in variants]
+        assert len(set(digests)) == 3
+
+    def test_list_and_array_forms_hash_alike(self):
+        comps = sample_general(np.random.default_rng(8), 4, 6).components
+        digests = {
+            instance_sha256(Instance(zeta=BundleValuedForm(values)))
+            for values in (comps.tolist(), comps, np.asfortranarray(comps))
+        }
+        assert len(digests) == 1
