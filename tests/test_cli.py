@@ -647,6 +647,49 @@ class TestReport:
         assert "ambient" in err and "c must be finite" in err
 
     @pytest.mark.parametrize(
+        "field, old, new",
+        [
+            ("zeta[0][1][1]", "[0.5, -1.0]]]", "[0.5, {}]]]"),
+            ("ambient.c", '"c": 1.0', '"c": {}'),
+            ("ambient.theta", '"theta": 0.7},', '"theta": {}}},'),
+            ("structure.theta", '"theta": 0.7}}', '"theta": {}}}}}'),
+        ],
+    )
+    def test_integer_beyond_binary64_in_file_is_exit_2(self, tmp_path, capsys, field, old, new):
+        """A JSON integer of 401 digits overflows binary64; the loader names
+        its field instead of crashing in the float conversion."""
+        doc = {
+            "version": 1, "n": 2, "bundle_dim": 1, "zeta": [[[1.0, 0.5], [0.5, -1.0]]],
+            "ambient": {"kind": "complex_slant", "c": 1.0, "theta": 0.7},
+            "structure": {"kind": "slant", "theta": 0.7},
+        }
+        text = json.dumps(doc)
+        assert text.count(old) == 1
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace(old, new.format(10**400)))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: field '{field}' is an integer too large for binary64\n"
+
+    def test_file_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not valid UTF-8: invalid start byte at byte 0\n"
+
+    def test_utf8_byte_order_mark_is_refused(self, tmp_path, capsys):
+        """The standard decoder takes a BOM at the head of bytes, but the
+        loader decodes the file first and refuses the BOM in the text."""
+        zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))
+        path = tmp_path / "bom.json"
+        save_instance(Instance(zeta=zeta), str(path))
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["report", "--format", "json"],

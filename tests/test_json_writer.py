@@ -7,13 +7,13 @@ tests compare the two writers on random documents and on real reports.
 """
 
 import hashlib
-import json
 import math
 import struct
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,7 +127,7 @@ class TestGoldenBytes:
         signed zeros included; the loader itself refuses the file."""
         text = (GOLDEN / "special_values.json").read_text()
         comps = special_values_document()["zeta"]
-        decoded = np.asarray(json.loads(text)["zeta"], dtype=float)
+        decoded = np.asarray(orjson.loads(text)["zeta"], dtype=float)
         assert np.array_equal(np.signbit(decoded), np.signbit(comps))
         assert np.array_equal(decoded, comps)
         with pytest.raises(ValidationError, match="^<string>: field 'zeta': zeta is too large"):
