@@ -11,7 +11,9 @@ __version__ = "0.1.0"
 from .ambient_models import (
     AmbientKind,
     AmbientModel,
+    SlantStructure,
     application_bounds,
+    build_slant_structure,
     intrinsic_ricci,
     ricci_offset,
 )
@@ -51,8 +53,6 @@ from .structures import (
     Family,
     FamilyParams,
     RigidityVerdict,
-    SlantStructure,
-    build_slant_structure,
     construct_family,
     umbilical_rigidity_witness,
 )
@@ -123,9 +123,9 @@ __all__ = [
     "ricci_offset",
     "application_bounds",
     "intrinsic_ricci",
-    # structures
     "SlantStructure",
     "build_slant_structure",
+    # structures
     "Family",
     "FamilyParams",
     "construct_family",

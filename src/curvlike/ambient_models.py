@@ -6,7 +6,7 @@ full ambient curvature tensors are folded into these constants: for a slant
 submanifold the tangential-structure terms contribute exactly
 -3c cos^2(theta)/4 to the Ricci contraction (skewness of P kills the mixed
 terms and sum_j <P e_j, X>^2 = cos^2(theta) for unit X), so only the offset
-survives at the pointwise level.
+survives at the pointwise level.  The slant structure P is built here too.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ValidationError
 from .gauss_bounds import BoundMode, ricci_forms
@@ -58,10 +60,51 @@ def slant_cos(theta: float) -> float:
     return 0.0 if abs(cos_t) < 1e-12 else cos_t
 
 
+@dataclass(frozen=True)
+class SlantStructure:
+    """Tangential part P of the ambient complex structure for slant angle theta.
+
+    ``adapted_normal_gram`` is the Gram matrix of the adapted normal frame
+    csc(theta) F e_i, computed from P through <F X, F Y> = <X, Y> - <P X, P Y>;
+    it equals the identity exactly when the slant identities hold, which is the
+    certification that the adapted frame is orthonormal.
+    """
+
+    n: int
+    theta: float
+    p: np.ndarray
+    adapted_normal_gram: np.ndarray
+
+
+def build_slant_structure(n: int, theta: float) -> SlantStructure:
+    """Canonical block model: P e_{2a} = cos(theta) e_{2a+1} and
+    P e_{2a+1} = -cos(theta) e_{2a}.
+
+    theta = pi/2 gives P = 0 (the Lagrangian case) and accepts any n; a proper
+    slant angle forces even n, since P^2 = -cos^2(theta) I is then a scaled
+    complex structure.  This is the one owner of that parity rule.
+    """
+    check_tangent_dim(n)
+    cos_t = slant_cos(theta)
+    if cos_t != 0.0 and n % 2 != 0:
+        raise ValidationError(
+            f"proper slant angle {theta!r} requires even tangent dimension, got {n}"
+        )
+    p = np.zeros((n, n))
+    if cos_t != 0.0:
+        for a in range(0, n, 2):
+            p[a + 1, a] = cos_t
+            p[a, a + 1] = -cos_t
+    sin_sq = math.sin(theta) ** 2
+    gram = (np.eye(n) - p.T @ p) / sin_sq
+    return SlantStructure(n=n, theta=theta, p=p, adapted_normal_gram=gram)
+
+
 def ricci_offset(model: AmbientModel, n: int) -> float:
     """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X.  The one check
     of a model at dimension n: ValidationError, naming c, if the offset or the
-    c-part of the application bound (the slant kind's (n - 1) c) overflows."""
+    c-part of the application bound (the slant kind's (n - 1) c) overflows,
+    then the slant structure's parity rule."""
     check_tangent_dim(n, 2)
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         offset = (n - 1) * model.c
@@ -78,6 +121,8 @@ def ricci_offset(model: AmbientModel, n: int) -> float:
         raise ValidationError(
             f"c = {model.c!r} overflows the application bound at n = {n}"
         )
+    if model.theta is not None:
+        build_slant_structure(n, model.theta)
     return offset
 
 

@@ -1,4 +1,6 @@
-"""Command-line interface.
+"""Command-line interface: argument syntax, the refusal of the CLI's own
+flags and dispatch; every report and its gates are built in
+:mod:`curvlike.reporting`.
 
 Subcommands: construct, check, bound, lemma, sample, nullspace, report.
 Exit codes: 0 all checks pass, 1 a bound violation or failed certification
@@ -19,27 +21,19 @@ from .ambient_models import AmbientKind, AmbientModel
 from .errors import CurvlikeError
 from .gauss_bounds import BoundMode
 from .instance_io import Instance, StructureInfo, load_instance, save_instance
-from .optim_lemmas import (
-    ConstrainedQuadratic,
-    Objective,
-    brute_force_max,
-    f1_max_closed,
-    f2_max_closed,
-    f_value,
-)
+from .optim_lemmas import Objective
 from .reporting import (
     build_bound_report,
     build_check_report,
     build_instance_report,
+    build_lemma_report,
     build_nullspace_report,
     render_report,
-    report_envelope,
     run_sample,
 )
 from .structures import FAMILIES, Family, FamilyParams, construct_family
 from .tensor_core import DEFAULT_TOL
 
-LEMMA_AGREEMENT_TOL = 1e-8
 # S^2 and the oracle's sampled products overflow from |S| ~ 1e153 at n <= 16.
 LEMMA_MAX_SUM = 1e150
 
@@ -87,18 +81,19 @@ def _cmd_construct(args: argparse.Namespace, tol: float) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, tol: float) -> int:
-    instance = load_instance(args.file)
-    doc, code = build_check_report(instance, tol, source=args.file)
-    sys.stdout.write(render_report(doc, "text"))
-    return code
+# The report of each file command, from (args, instance, tol).
+_FILE_REPORTS = {
+    "check": lambda a, inst, tol: build_check_report(inst, tol, a.file),
+    "bound": lambda a, inst, tol: build_bound_report(inst, BoundMode(a.mode), tol, a.file),
+    "nullspace": lambda a, inst, tol: build_nullspace_report(inst, tol, a.file),
+    "report": lambda a, inst, tol: build_instance_report(inst, tol, a.file),
+}
 
 
-def _cmd_bound(args: argparse.Namespace, tol: float) -> int:
-    instance = load_instance(args.file)
-    mode = BoundMode.GENERAL if args.mode == "general" else BoundMode.IMPROVED
-    doc, code = build_bound_report(instance, mode, tol, source=args.file)
-    sys.stdout.write(render_report(doc, "text"))
+def _cmd_file(args: argparse.Namespace, tol: float) -> int:
+    """check, bound, nullspace and report: load the file, print its report."""
+    doc, code = _FILE_REPORTS[args.command](args, load_instance(args.file), tol)
+    sys.stdout.write(render_report(doc, getattr(args, "format", "text")))
     return code
 
 
@@ -107,62 +102,12 @@ def _cmd_lemma(args: argparse.Namespace, tol: float) -> int:
         raise CurvlikeError(f"--sum must be finite, got {args.sum!r}")
     if abs(args.sum) > LEMMA_MAX_SUM:
         raise CurvlikeError(f"--sum must be within +-{LEMMA_MAX_SUM:g}, got {args.sum!r}")
-    which = Objective.F1 if args.which == "f1" else Objective.F2
-    problem = ConstrainedQuadratic(which=which, n=args.n, constraint_sum=args.sum)
-    if which is Objective.F1:
-        closed = f1_max_closed(args.n, args.sum)
-        closed_doc = {"max": closed.max_value, "argmax": closed.argmax}
-        closed_max = closed.max_value
-    else:
-        family = f2_max_closed(args.n, args.sum)
-        closed_doc = {
-            "max": family.max_value,
-            "a1": family.a1,
-            "tail_sum": family.tail_sum,
-            "representative": family.representative,
-        }
-        closed_max = family.max_value
-    oracle = brute_force_max(problem)
-    agreement = abs(closed_max - oracle.max_value)
-    # Each gate is relative to the size of what it judges, floored at 1.
-    scale = max(1.0, abs(closed_max))
-    failures = []
-    if agreement > LEMMA_AGREEMENT_TOL * scale:
-        failures.append(
-            f"closed form and oracle disagree by {agreement!r} "
-            f"(> {LEMMA_AGREEMENT_TOL * scale})"
-        )
-    doc = {
-        **report_envelope("lemma-report"),
-        "which": args.which,
-        "n": args.n,
-        "sum": args.sum,
-        "closed_form": closed_doc,
-        "oracle": {"max": oracle.max_value, "argmax": oracle.argmax},
-        "agreement": agreement,
-    }
-    if args.values is not None:
-        point = _parse_floats(args.values)
-        if not np.isfinite(point).all():
-            raise CurvlikeError(f"--values must be finite, got {args.values!r}")
-        value = f_value(problem, point)
-        feasibility = abs(float(point.sum()) - args.sum)
-        feasible = feasibility <= tol * max(1.0, abs(args.sum))
-        within = value <= closed_max + tol * scale
-        doc["values"] = {
-            "point": point,
-            "value": value,
-            "feasibility_residual": feasibility,
-            "feasible": feasible,
-            "within_bound": within,
-        }
-        if feasible and not within:
-            failures.append(
-                f"feasible point value {value!r} exceeds the maximum {closed_max!r}"
-            )
-    doc["failures"] = failures
+    point = _parse_floats(args.values) if args.values is not None else None
+    if point is not None and not np.isfinite(point).all():
+        raise CurvlikeError(f"--values must be finite, got {args.values!r}")
+    doc, code = build_lemma_report(Objective(args.which), args.n, args.sum, point, tol)
     sys.stdout.write(render_report(doc, "text"))
-    return 1 if failures else 0
+    return code
 
 
 def _ambient_from_args(args: argparse.Namespace) -> AmbientModel | None:
@@ -170,9 +115,8 @@ def _ambient_from_args(args: argparse.Namespace) -> AmbientModel | None:
         if args.c is not None or args.theta is not None:
             raise CurvlikeError("--c/--theta require --ambient")
         return None
-    kind = {k.value: k for k in AmbientKind}[args.ambient]
     c = args.c if args.c is not None else 0.0
-    return AmbientModel(kind=kind, c=c, theta=args.theta)
+    return AmbientModel(kind=AmbientKind(args.ambient), c=c, theta=args.theta)
 
 
 def _cmd_sample(args: argparse.Namespace, tol: float) -> int:
@@ -189,20 +133,6 @@ def _cmd_sample(args: argparse.Namespace, tol: float) -> int:
         tol=tol,
     )
     sys.stdout.write(render_report(doc, "json"))
-    return code
-
-
-def _cmd_nullspace(args: argparse.Namespace, tol: float) -> int:
-    instance = load_instance(args.file)
-    doc, code = build_nullspace_report(instance, tol, source=args.file)
-    sys.stdout.write(render_report(doc, "text"))
-    return code
-
-
-def _cmd_report(args: argparse.Namespace, tol: float) -> int:
-    instance = load_instance(args.file)
-    doc, code = build_instance_report(instance, tol, source=args.file)
-    sys.stdout.write(render_report(doc, args.format))
     return code
 
 
@@ -228,15 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="symmetry and Gauss-residual gate for a file")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_file)
 
     p = sub.add_parser("bound", help="evaluate one Ricci bound on a file")
     p.add_argument("file")
-    p.add_argument("--mode", required=True, choices=["general", "improved"])
-    p.set_defaults(func=_cmd_bound)
+    p.add_argument("--mode", required=True, choices=[m.value for m in BoundMode])
+    p.set_defaults(func=_cmd_file)
 
     p = sub.add_parser("lemma", help="closed-form quadratic maxima vs the oracle")
-    p.add_argument("--which", required=True, choices=["f1", "f2"])
+    p.add_argument("--which", required=True, choices=[o.value for o in Objective])
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--sum", required=True, type=float)
     p.add_argument("--values", type=str, default=None, help="comma-separated point")
@@ -255,12 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nullspace", help="orthonormal basis of the relative null space")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_nullspace)
+    p.set_defaults(func=_cmd_file)
 
     p = sub.add_parser("report", help="full diagnostic report for a file")
     p.add_argument("file")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_file)
 
     return parser
 

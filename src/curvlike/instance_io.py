@@ -41,6 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -48,9 +49,8 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .ambient_models import AmbientKind, AmbientModel, ricci_offset
+from .ambient_models import AmbientKind, AmbientModel, build_slant_structure, ricci_offset
 from .errors import CurvlikeError, ValidationError
-from .structures import build_slant_structure
 from .tensor_core import BundleValuedForm, check_bundle_dim, check_tangent_dim
 
 SCHEMA_VERSION = 1
@@ -255,8 +255,10 @@ def _object(raw, allowed: set[str], field: str = "") -> dict:
 
 
 def _number(value, field: str) -> float:
+    """``value`` as a float; a refusal shows it through ``reprlib``, so a
+    deeply nested list is cut short instead of overflowing the stack."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"field '{field}' must be a number, got {value!r}")
+        raise ValidationError(f"field '{field}' must be a number, got {reprlib.repr(value)}")
     try:
         return float(value)
     except OverflowError as exc:
@@ -295,8 +297,6 @@ def _parse_ambient(raw, n: int) -> AmbientModel:
     try:
         model = AmbientModel(kind=kinds[kind_raw], c=c, theta=theta)
         ricci_offset(model, n)
-        if theta is not None:
-            build_slant_structure(n, theta)
     except ValidationError as exc:
         raise ValidationError(f"field 'ambient': {exc}") from exc
     return model

@@ -1,4 +1,4 @@
-"""Report assembly and rendering for the CLI.
+"""Report assembly and rendering: every report the CLI prints, and its gates.
 
 Reports are plain nested dicts with a fixed field order, serialized through
 the deterministic writer in :mod:`curvlike.instance_io`; the text rendering
@@ -40,8 +40,15 @@ from .instance_io import (
     is_float_array,
     structure_to_dict,
 )
+from .optim_lemmas import (
+    ConstrainedQuadratic,
+    Objective,
+    brute_force_max,
+    f1_max_closed,
+    f2_max_closed,
+    f_value,
+)
 from .sampling import PRNG_NAME, draw_general, draw_symmetric
-from .structures import build_slant_structure
 from .tensor_core import (
     BundleValuedForm,
     Dimensions,
@@ -55,6 +62,8 @@ from .tensor_core import (
 
 TOOL_NAME = "curvlike"
 
+LEMMA_AGREEMENT_TOL = 1e-8
+
 # Form components a sampling campaign draws and evaluates in one stacked
 # pass: eight n = 16, m' = 32 forms (512 KiB).
 _CHUNK_ZETA_BYTES = 512 * 1024
@@ -65,23 +74,28 @@ _UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
 
 def report_envelope(kind: str) -> dict:
     """The leading {version, kind, tool} fields every report kind starts with.
+    Version 2: ``instance.sha256`` hashes ζ's binary64 bytes, not its text."""
+    return {"version": 2, "kind": kind, "tool": {"name": TOOL_NAME, "version": __version__}}
 
-    Version 2: ``instance.sha256`` hashes ζ's binary64 bytes, not its text.
-    """
-    return {
-        "version": 2,
-        "kind": kind,
-        "tool": {"name": TOOL_NAME, "version": __version__},
+
+def _file_report(
+    kind: str, instance: Instance, source: str, body: dict, failures=None
+) -> tuple[dict, int]:
+    """Envelope, instance block, ``body`` and ``failures`` (exit 1 if any;
+    a report without the list exits 0) of every report on one instance."""
+    doc = {
+        **report_envelope(kind),
+        "instance": {
+            "source": source,
+            "sha256": instance_sha256(instance),
+            "n": instance.zeta.n,
+            "bundle_dim": instance.zeta.m_prime,
+        },
+        **body,
     }
-
-
-def _instance_block(instance: Instance, source: str) -> dict:
-    return {
-        "source": source,
-        "sha256": instance_sha256(instance),
-        "n": instance.zeta.n,
-        "bundle_dim": instance.zeta.m_prime,
-    }
+    if failures is not None:
+        doc["failures"] = failures
+    return doc, (1 if failures else 0)
 
 
 def equality_class_to_dict(eq) -> dict:
@@ -221,9 +235,7 @@ def build_instance_report(
         hit, gap = kinds[f"{mode.value}-bound"]
         if hit:
             failures.append(f"{mode.value} bound violated: gap {float(gap)!r}")
-    doc = {
-        **report_envelope("instance-report"),
-        "instance": _instance_block(instance, source),
+    body = {
         "tolerance": tol,
         "symmetry": symmetry,
         "zeta": _zeta_block(zeta, evaluation, kinds, tol),
@@ -233,17 +245,16 @@ def build_instance_report(
         ambient_doc, ambient_failures = _ambient_block(
             instance.ambient, evaluation, bounds[base_mode(instance.ambient)], kinds
         )
-        doc["ambient"] = ambient_doc
+        body["ambient"] = ambient_doc
         failures.extend(ambient_failures)
     if instance.structure is not None:
-        doc["structure"] = structure_to_dict(instance.structure)
-    doc["corollary"] = _corollary_block(
+        body["structure"] = structure_to_dict(instance.structure)
+    body["corollary"] = _corollary_block(
         zeta, bounds[BoundMode.GENERAL].argmax_direction, tol
     )
-    if not doc["corollary"]["all_verified"]:
+    if not body["corollary"]["all_verified"]:
         failures.append("corollary truth table shows exactly two statements true")
-    doc["failures"] = failures
-    return doc, (1 if failures else 0)
+    return _file_report("instance-report", instance, source, body, failures)
 
 
 def build_check_report(
@@ -254,14 +265,8 @@ def build_check_report(
     failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
     if symmetry["gauss_residual"] > tol:
         failures.append(f"Gauss residual {symmetry['gauss_residual']!r} exceeds tol")
-    doc = {
-        **report_envelope("check-report"),
-        "instance": _instance_block(instance, source),
-        "tolerance": tol,
-        "symmetry": symmetry,
-        "failures": failures,
-    }
-    return doc, (1 if failures else 0)
+    body = {"tolerance": tol, "symmetry": symmetry}
+    return _file_report("check-report", instance, source, body, failures)
 
 
 def build_bound_report(
@@ -274,28 +279,66 @@ def build_bound_report(
     failures = [f"{mode.value} bound violated: gap {report.gap!r}"] if hit else []
     if not report.symmetry_certified:
         failures.append(f"improved bound {_UNCERTIFIED}")
-    doc = {
-        **report_envelope("bound-report"),
-        "instance": _instance_block(instance, source),
-        "tolerance": tol,
-        "bound": bound_report_to_dict(report),
-        "failures": failures,
-    }
-    return doc, (1 if failures else 0)
+    body = {"tolerance": tol, "bound": bound_report_to_dict(report)}
+    return _file_report("bound-report", instance, source, body, failures)
 
 
 def build_nullspace_report(
     instance: Instance, rank_tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
     kernel = null_space(instance.zeta, rank_tol)
+    body = {"rank_tol": rank_tol, "basis_dim": int(kernel.shape[0]), "basis": kernel}
+    return _file_report("nullspace-report", instance, source, body)
+
+
+def build_lemma_report(
+    which: Objective, n: int, constraint_sum: float, point: np.ndarray | None, tol: float
+) -> tuple[dict, int]:
+    """Closed-form maximum of one constrained quadratic against its oracle,
+    and, given a finite ``point``, its value against that maximum; exit 1 when
+    the two maxima disagree or a feasible point exceeds the maximum."""
+    problem = ConstrainedQuadratic(which=which, n=n, constraint_sum=constraint_sum)
+    closed = (f1_max_closed if which is Objective.F1 else f2_max_closed)(n, constraint_sum)
+    # The closed form's fields in order, max_value printed as "max".
+    closed_doc = {"max" if k == "max_value" else k: v for k, v in vars(closed).items()}
+    closed_max = closed.max_value
+    oracle = brute_force_max(problem)
+    agreement = abs(closed_max - oracle.max_value)
+    # Each gate is relative to the size of what it judges, floored at 1.
+    scale = max(1.0, abs(closed_max))
+    failures = []
+    if agreement > LEMMA_AGREEMENT_TOL * scale:
+        failures.append(
+            f"closed form and oracle disagree by {agreement!r} "
+            f"(> {LEMMA_AGREEMENT_TOL * scale})"
+        )
     doc = {
-        **report_envelope("nullspace-report"),
-        "instance": _instance_block(instance, source),
-        "rank_tol": rank_tol,
-        "basis_dim": int(kernel.shape[0]),
-        "basis": kernel,
+        **report_envelope("lemma-report"),
+        "which": which.value,
+        "n": n,
+        "sum": constraint_sum,
+        "closed_form": closed_doc,
+        "oracle": {"max": oracle.max_value, "argmax": oracle.argmax},
+        "agreement": agreement,
     }
-    return doc, 0
+    if point is not None:
+        value = f_value(problem, point)
+        feasibility = abs(float(point.sum()) - constraint_sum)
+        feasible = feasibility <= tol * max(1.0, abs(constraint_sum))
+        within = value <= closed_max + tol * scale
+        doc["values"] = {
+            "point": point,
+            "value": value,
+            "feasibility_residual": feasibility,
+            "feasible": feasible,
+            "within_bound": within,
+        }
+        if feasible and not within:
+            failures.append(
+                f"feasible point value {value!r} exceeds the maximum {closed_max!r}"
+            )
+    doc["failures"] = failures
+    return doc, (1 if failures else 0)
 
 
 def run_sample(
@@ -346,8 +389,6 @@ def run_sample(
                 f"ambient kind {ambient.kind.value!r} requires --family symmetric"
             )
         ricci_offset(ambient, n)
-        if ambient.theta is not None:
-            build_slant_structure(n, ambient.theta)
     rng = np.random.default_rng(seed)
     draw = draw_general if family == "general" else draw_symmetric
     chunk = max(1, _CHUNK_ZETA_BYTES // (8 * bundle_dim * n * n))

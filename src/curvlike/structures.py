@@ -1,11 +1,11 @@
-"""Slant structure models and constructors for the named second-fundamental-
-form families.
+"""Constructors for the named second-fundamental-form families.
 
 All adapted-frame families (H-umbilical, slumbilical, H-slumbilical, and the
 C-totally real variant) share one component pattern: the geometric meaning of
 the normal frame (J e_i, csc(theta) F e_i, or phi e_i) differs, but each frame
 is orthonormal, so the pointwise algebra cannot tell them apart.  The ambient
-model tag carries the distinction.
+model tag carries the distinction.  Slant structures are built in
+:mod:`curvlike.ambient_models`.
 """
 
 from __future__ import annotations
@@ -16,50 +16,10 @@ from enum import Enum
 
 import numpy as np
 
-from .ambient_models import slant_cos
+from .ambient_models import build_slant_structure
 from .errors import ValidationError
 from .gauss_bounds import is_totally_symmetric
 from .tensor_core import BundleValuedForm, check_tangent_dim
-
-
-@dataclass(frozen=True)
-class SlantStructure:
-    """Tangential part P of the ambient complex structure for slant angle theta.
-
-    ``adapted_normal_gram`` is the Gram matrix of the adapted normal frame
-    csc(theta) F e_i, computed from P through <F X, F Y> = <X, Y> - <P X, P Y>;
-    it equals the identity exactly when the slant identities hold, which is the
-    certification that the adapted frame is orthonormal.
-    """
-
-    n: int
-    theta: float
-    p: np.ndarray
-    adapted_normal_gram: np.ndarray
-
-
-def build_slant_structure(n: int, theta: float) -> SlantStructure:
-    """Canonical block model: P e_{2a} = cos(theta) e_{2a+1} and
-    P e_{2a+1} = -cos(theta) e_{2a}.
-
-    theta = pi/2 gives P = 0 (the Lagrangian case) and accepts any n; a proper
-    slant angle forces even n, since P^2 = -cos^2(theta) I is then a scaled
-    complex structure.  This is the one owner of that parity rule.
-    """
-    check_tangent_dim(n)
-    cos_t = slant_cos(theta)
-    if cos_t != 0.0 and n % 2 != 0:
-        raise ValidationError(
-            f"proper slant angle {theta!r} requires even tangent dimension, got {n}"
-        )
-    p = np.zeros((n, n))
-    if cos_t != 0.0:
-        for a in range(0, n, 2):
-            p[a + 1, a] = cos_t
-            p[a, a + 1] = -cos_t
-    sin_sq = math.sin(theta) ** 2
-    gram = (np.eye(n) - p.T @ p) / sin_sq
-    return SlantStructure(n=n, theta=theta, p=p, adapted_normal_gram=gram)
 
 
 class Family(Enum):

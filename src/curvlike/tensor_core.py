@@ -131,7 +131,7 @@ class BundleValuedForm:
     is asymmetric beyond 1e-12 is rejected.
     """
 
-    __slots__ = ("dims", "components")
+    __slots__ = ("n", "m_prime", "components")
 
     def __init__(self, components) -> None:
         arr = np.asarray(components, dtype=float)
@@ -140,20 +140,12 @@ class BundleValuedForm:
                 f"expected components of shape (m', n, n), got {arr.shape}"
             )
         self.components = checked_components(arr)
-        self.dims = Dimensions(n=arr.shape[1], m_prime=arr.shape[0])
+        self.m_prime, self.n = self.components.shape[:2]
 
     @classmethod
     def zeros(cls, n: int, m_prime: int) -> "BundleValuedForm":
         Dimensions(n=n, m_prime=m_prime)
         return cls(np.zeros((m_prime, n, n)))
-
-    @property
-    def n(self) -> int:
-        return self.dims.n
-
-    @property
-    def m_prime(self) -> int:
-        return self.dims.m_prime
 
     def value(self, x, y) -> np.ndarray:
         """Bundle vector zeta(X, Y) of two finite tangent vectors of shape (n,)."""
@@ -353,7 +345,7 @@ def rotate_frame(zeta: BundleValuedForm, q_tangent, q_bundle) -> BundleValuedFor
     the mean of the product and its transpose, which is bitwise symmetric."""
     qt = _require_orthogonal(q_tangent, zeta.n, "tangent")
     qb = _require_orthogonal(q_bundle, zeta.m_prime, "bundle")
-    rotated = np.einsum("sr,ai,bj,rij->sab", qb, qt, qt, zeta.components)
+    rotated = np.tensordot(qb, qt @ zeta.components @ qt.T, axes=1)
     return BundleValuedForm(0.5 * (rotated + np.swapaxes(rotated, -1, -2)))
 
 

@@ -23,11 +23,13 @@ from random_forms import random_unit, sample_general, sample_symmetric
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2)
 
 
-def _models(rng):
+def _models(rng, n):
+    """One model of each improved-bound kind, valid at dimension n: a proper
+    slant angle needs even n, and theta = pi/2 is valid at any n."""
     c = float(rng.uniform(-5.0, 5.0))
     theta = float(rng.uniform(0.1, math.pi / 2))
     yield AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, c)
-    yield AmbientModel(AmbientKind.COMPLEX_SLANT, c, theta)
+    yield AmbientModel(AmbientKind.COMPLEX_SLANT, c, theta if n % 2 == 0 else math.pi / 2)
     yield AmbientModel(AmbientKind.SASAKIAN_C_TOTALLY_REAL, c)
 
 
@@ -94,19 +96,30 @@ class TestRicciOffset:
         assert math.isfinite(ricci_offset(AmbientModel(kind, 1e300, theta), 16))
 
     def test_slant_application_bound_overflow_names_c(self):
-        """At n = 3 the slant offset scales (n - 1) c by 1/4 and stays
+        """At n = 4 the slant offset scales (n - 1) c by 1/4 and stays
         finite at c = 1e308, but the application bound forms (n - 1) c
         unscaled; the one model check refuses c for it."""
         model = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e308, 0.5)
-        assert math.isfinite(0.25 * 2 * model.c + 0.75 * model.c * math.cos(0.5) ** 2)
+        assert math.isfinite(0.25 * 3 * model.c + 0.75 * model.c * math.cos(0.5) ** 2)
         with pytest.raises(
             ValidationError,
-            match=r"^c = 1e\+308 overflows the application bound at n = 3$",
+            match=r"^c = 1e\+308 overflows the application bound at n = 4$",
         ):
-            ricci_offset(model, 3)
+            ricci_offset(model, 4)
         finite = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e307, 0.5)
-        assert math.isfinite(application_bounds(finite, 3, 0.0))
-        assert math.isfinite(ricci_offset(finite, 3))
+        assert math.isfinite(application_bounds(finite, 4, 0.0))
+        assert math.isfinite(ricci_offset(finite, 4))
+
+    def test_proper_slant_angle_at_odd_n_is_refused(self):
+        """The one model check applies the slant structure's parity rule, so
+        the offset and the intrinsic Ricci curvature refuse an odd n."""
+        model = AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=0.5)
+        message = r"^proper slant angle 0\.5 requires even tangent dimension, got 3$"
+        with pytest.raises(ValidationError, match=message):
+            ricci_offset(model, 3)
+        with pytest.raises(ValidationError, match=message):
+            intrinsic_ricci(model, BundleValuedForm.zeros(3, 3), [1.0, 0.0, 0.0])
+        assert math.isfinite(ricci_offset(model, 4))
 
     def test_dimension_guard(self):
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0)
@@ -152,7 +165,7 @@ class TestApplicationBound:
             zeta = sample_symmetric(rng, n, n)
             trace_sq = trace_norms_sq(zeta.components)
             improved = check_bound(zeta, BoundMode.IMPROVED).bound_value
-            for model in _models(rng):
+            for model in _models(rng, n):
                 lhs = float(application_bounds(model, zeta.n, trace_sq))
                 rhs = improved + ricci_offset(model, n)
                 assert abs(lhs - rhs) <= 1e-12
@@ -189,7 +202,7 @@ class TestIntrinsicRicci:
             zeta = sample_symmetric(rng, n, n)
             x = random_unit(rng, n)
             trace_sq = trace_norms_sq(zeta.components)
-            for model in _models(rng):
+            for model in _models(rng, n):
                 assert intrinsic_ricci(model, zeta, x) <= (
                     float(application_bounds(model, zeta.n, trace_sq)) + 1e-9
                 )

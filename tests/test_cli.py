@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvlike import cli, gauss_bounds, reporting
+from curvlike import gauss_bounds, reporting
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
 from curvlike.errors import ValidationError
@@ -387,13 +387,13 @@ class TestLemma:
     @pytest.mark.parametrize("which", ["f1", "f2"])
     def test_closed_form_off_by_1e6_relative_still_fails(self, capsys, monkeypatch, which):
         """The relative gate keeps catching a real error at large scale."""
-        real = cli.f1_max_closed if which == "f1" else cli.f2_max_closed
+        real = reporting.f1_max_closed if which == "f1" else reporting.f2_max_closed
 
         def skewed(n, s):
             exact = real(n, s)
             return dataclasses.replace(exact, max_value=exact.max_value * (1 + 1e-6))
 
-        monkeypatch.setattr(cli, f"{which}_max_closed", skewed)
+        monkeypatch.setattr(reporting, f"{which}_max_closed", skewed)
         code, out, err = run_cli(capsys, "lemma", "--which", which, "--n", "3", "--sum", "1e6")
         assert (code, err) == (1, "")
         assert "closed form and oracle disagree by" in out
@@ -688,6 +688,21 @@ class TestReport:
         code, out, err = run_cli(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
+    @pytest.mark.parametrize(
+        "depth, shown", [(5, "[[]]"), (900, "[[[[[[[...]]]]]]]"), (2000, "[[[[[[[...]]]]]]]")]
+    )
+    def test_deeply_nested_zeta_is_exit_2_with_a_bounded_message(
+        self, tmp_path, capsys, depth, shown
+    ):
+        """The refusal shows a nested entry cut short, so no depth overflows
+        the stack while the message is formatted."""
+        path = tmp_path / "deep.json"
+        head = '{"version": 1, "n": 2, "bundle_dim": 1, "zeta": '
+        path.write_text(head + "[" * depth + "]" * depth + "}")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: field 'zeta[0][0][0]' must be a number, got {shown}\n"
 
     @pytest.mark.parametrize(
         "argv",

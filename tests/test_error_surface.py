@@ -15,7 +15,8 @@ pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
 where ``check`` and ``report`` still print it, and no kernel takes a caller's
 work buffer.  S_T's top eigenvalue comes from one owner, and its
 eigenvectors only where a direction is printed or certified.  Every
-module-level definition is read somewhere in the package or exported.
+module-level definition is read somewhere in the package or exported.  The
+CLI parses and dispatches; every report is built in ``reporting``.
 """
 
 import ast
@@ -45,9 +46,9 @@ PUBLIC_NAMES = {
     "brute_force_max", "max_ricci",
     # ambient_models
     "AmbientKind", "AmbientModel", "ricci_offset", "application_bounds",
-    "intrinsic_ricci",
+    "intrinsic_ricci", "SlantStructure", "build_slant_structure",
     # structures
-    "SlantStructure", "build_slant_structure", "Family", "FamilyParams",
+    "Family", "FamilyParams",
     "construct_family", "RigidityVerdict", "umbilical_rigidity_witness",
     # instance_io
     "Instance", "StructureInfo", "load_instance", "loads_instance", "save_instance",
@@ -282,7 +283,7 @@ def test_even_dimension_rule_has_one_owner():
         and isinstance(node.op, ast.Mod)
         and _is_constant(node.right, 2)
     )
-    assert parity == {"structures.build_slant_structure"}
+    assert parity == {"ambient_models.build_slant_structure"}
 
 
 def test_symmetric_bundle_rule_has_one_owner():
@@ -357,6 +358,24 @@ def test_every_cli_verdict_comes_from_the_one_pass():
         "reporting.run_sample",
         "reporting.audit",
     }
+
+
+def test_cli_builds_no_report():
+    """Report envelopes are made only in ``reporting``, and ``cli`` binds
+    neither the envelope nor the lemma's closed forms and oracle; its four
+    file commands share one runner."""
+    assert {owner.split(".")[0] for owner in _callers("report_envelope")} == {"reporting"}
+    tree = MODULES["cli"]
+    bound = _module_definitions(tree) | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    report_names = {"report_envelope", "f1_max_closed", "f2_max_closed", "brute_force_max"}
+    assert bound & report_names == set()
+    commands = {name for name in _module_definitions(tree) if name.startswith("_cmd_")}
+    assert commands == {"_cmd_construct", "_cmd_file", "_cmd_lemma", "_cmd_sample"}
 
 
 def test_gauss_rebuild_is_called_only_by_check_and_report():
