@@ -102,9 +102,10 @@ def build_slant_structure(n: int, theta: float) -> SlantStructure:
 
 def ricci_offset(model: AmbientModel, n: int) -> float:
     """Constant Delta in Ric(X) = Ric_T(X) + Delta for unit X.  The one check
-    of a model at dimension n: ValidationError, naming c, if the offset or the
-    c-part of the application bound (the slant kind's (n - 1) c) overflows,
-    then the slant structure's parity rule."""
+    of a model at dimension n, which :func:`application_bounds` runs too:
+    ValidationError, naming c, if the offset or the c-part of the application
+    bound (the slant kind's (n - 1) c) overflows, then the slant structure's
+    parity rule."""
     check_tangent_dim(n, 2)
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         offset = (n - 1) * model.c
@@ -117,7 +118,7 @@ def ricci_offset(model: AmbientModel, n: int) -> float:
         offset = 0.25 * (n - 1) * (model.c + 3.0)
     if not math.isfinite(offset):
         raise ValidationError(f"c = {model.c!r} overflows the Ricci offset at n = {n}")
-    if not math.isfinite(application_bounds(model, n, 0.0)):
+    if not math.isfinite(_application_bound(model, n, 0.0)):
         raise ValidationError(
             f"c = {model.c!r} overflows the application bound at n = {n}"
         )
@@ -138,8 +139,16 @@ def application_bounds(model: AmbientModel, n: int, trace_sq):
         complex Lagrangian:     (n-1)/4 * (c + n ||H||^2)
         complex slant:          1/4 * ((n-1) n ||H||^2 + (n-1) c + 3 c cos^2 theta)
         Sasakian C-totally real:(n-1)/4 * (c + 3 + n ||H||^2)
+
+    The model is first checked at n by :func:`ricci_offset`, so a model the
+    offset refuses has no application bound either.
     """
-    check_tangent_dim(n, 2)
+    ricci_offset(model, n)
+    return _application_bound(model, n, trace_sq)
+
+
+def _application_bound(model: AmbientModel, n: int, trace_sq):
+    """:func:`application_bounds` of a model already checked at n."""
     h_sq = trace_sq / float(n) ** 2
     if model.kind is AmbientKind.REAL_SPACE_FORM:
         return n * n * h_sq / 4.0 + (n - 1) * model.c

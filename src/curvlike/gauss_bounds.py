@@ -272,16 +272,20 @@ def total_symmetry_residuals(components: np.ndarray) -> np.ndarray:
     """Residual of the cubic-symmetry hypothesis for each form in a stack
     zeta[..., r, i, j]; see :func:`is_totally_symmetric`.  +inf where m' < n,
     which leaves no room for the adapted frame, so no tolerance certifies it.
-    On forms bitwise symmetric in (i, j), as :func:`checked_components` gives
-    them, C[r, i, j] - C[i, r, j] meets every difference the permutations make."""
+    On forms bitwise symmetric in (i, j), as :func:`checked_components` and
+    the draws of :mod:`curvlike.sampling` give them, C[r, i, j] - C[i, r, j]
+    meets every difference the permutations make."""
     comps = np.asarray(components)
     n = comps.shape[-1]
     if comps.shape[-3] < n:
         return np.full(comps.shape[:-3], np.inf)
+    within = (-3, -2, -1)
     cubic, tail = comps[..., :n, :, :], comps[..., n:, :, :]
     swapped = cubic - np.swapaxes(cubic, -3, -2)
-    residual = np.abs(swapped, out=swapped).max(axis=(-3, -2, -1))
-    return np.maximum(residual, np.abs(tail).max(axis=(-3, -2, -1), initial=0.0))
+    residual = np.abs(swapped, out=swapped).max(axis=within)
+    # max |tail| without an |tail| array; abs turns a -0.0 maximum into +0.0.
+    top, bottom = tail.max(axis=within, initial=0.0), tail.min(axis=within, initial=0.0)
+    return np.maximum(residual, np.abs(np.maximum(top, -bottom)))
 
 
 def is_totally_symmetric(

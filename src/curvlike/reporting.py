@@ -53,7 +53,6 @@ from .tensor_core import (
     BundleValuedForm,
     Dimensions,
     _symmetries_hold,
-    checked_components,
     curvature_residuals,
     null_space,
     pair_exchange_residual,
@@ -352,16 +351,19 @@ def run_sample(
 ) -> tuple[dict, int]:
     """Seeded sampling campaign; aggregation order is fixed by instance index.
 
-    The campaign runs as array passes over chunks of instances: draw, form
-    checks, one stacked :func:`evaluate`, then :func:`_verdicts`, the pass
-    that ``report``, ``bound`` and ``check`` run on one form.  It flags a gap
-    below -tol (the improved one only where a total-symmetry residual <= tol
-    certifies it) and an ambient margin app - (max Ric_T + offset) below
-    -tol; the offset is checked before the first draw.  A chunk holds at
-    most :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat
-    in ``count``.  Each stage allocates only its result, and the last chunk
-    is held until the tightest instance's audit has run, so a call reuses
-    the heap pages it faulted in rather than returning and refaulting them.
+    The campaign runs as array passes over chunks of instances: draw, one
+    stacked :func:`evaluate`, then :func:`_verdicts`, the pass that
+    ``report``, ``bound`` and ``check`` run on one form.  A draw is already
+    what :func:`~curvlike.tensor_core.checked_components` would return (see
+    :mod:`curvlike.sampling`), so it is evaluated as drawn, without that copy
+    and its checks.  The campaign flags a gap below -tol (the improved one
+    only where a total-symmetry residual <= tol certifies it) and an ambient
+    margin app - (max Ric_T + offset) below -tol; the offset is checked
+    before the first draw.  A chunk holds at most :data:`_CHUNK_ZETA_BYTES`
+    of form components, so memory stays flat in ``count``.  Each stage
+    allocates only its result, and the last chunk is held until the tightest
+    instance's audit has run, so a call reuses the heap pages it faulted in
+    rather than returning and refaulting them.
 
     Every instance's S_T, which every verdict reads, is checked straight from
     zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4
@@ -411,7 +413,7 @@ def run_sample(
             violations.append({"index": index, "kind": "symmetry", "detail": float(worst)})
 
     for start in range(0, count, chunk):
-        comps = checked_components(draw(rng, n, bundle_dim, min(chunk, count - start)))
+        comps = draw(rng, n, bundle_dim, min(chunk, count - start))
         evaluation = evaluate(comps)
         kinds = _verdicts(evaluation, None, tol, ambient)
         probed = ricci_probe_residuals(comps, evaluation.ricci_form)

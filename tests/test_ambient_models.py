@@ -121,6 +121,24 @@ class TestRicciOffset:
             intrinsic_ricci(model, BundleValuedForm.zeros(3, 3), [1.0, 0.0, 0.0])
         assert math.isfinite(ricci_offset(model, 4))
 
+    def test_application_bound_runs_the_same_model_check(self):
+        """application_bounds refuses what ricci_offset refuses, with the same
+        message: the parity rule and the overflow of c each have one path."""
+        model = AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=0.5)
+        message = r"^proper slant angle 0\.5 requires even tangent dimension, got 3$"
+        for trace_sq in (0.0, np.ones(4)):
+            with pytest.raises(ValidationError, match=message):
+                application_bounds(model, 3, trace_sq)
+        assert math.isfinite(application_bounds(model, 4, 0.0))
+        lagrangian = AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=math.pi / 2)
+        assert math.isfinite(application_bounds(lagrangian, 3, 0.0))
+        huge = AmbientModel(AmbientKind.COMPLEX_SLANT, 1e308, 0.5)
+        with pytest.raises(
+            ValidationError,
+            match=r"^c = 1e\+308 overflows the application bound at n = 3$",
+        ):
+            application_bounds(huge, 3, 0.0)
+
     def test_dimension_guard(self):
         model = AmbientModel(AmbientKind.REAL_SPACE_FORM, 1.0)
         message = r"^tangent dimension must be in 2\.\.16, got 1$"
@@ -146,8 +164,9 @@ class TestApplicationBound:
 
     def test_flat_zero_form(self):
         # The flat parameter is c = 0 except for the Sasakian kind, whose
-        # curvature enters as c + 3.
-        zeta = BundleValuedForm.zeros(3, 2)
+        # curvature enters as c + 3.  n is even, as the proper slant angle
+        # needs.
+        zeta = BundleValuedForm.zeros(4, 2)
         flat = [
             AmbientModel(AmbientKind.REAL_SPACE_FORM, 0.0),
             AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 0.0),

@@ -1,7 +1,9 @@
 """The chunked sampling campaign against a per-instance reference loop built
-from the public one-form functions, and its per-instance check of S_T against
-mutations off the audited set."""
+from the public one-form functions, its per-instance check of S_T against
+mutations off the audited set, and the draws it evaluates without a form
+check."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlike import gauss_bounds, reporting
+from curvlike import gauss_bounds, reporting, tensor_core
 from curvlike.ambient_models import (
     AmbientKind,
     AmbientModel,
@@ -281,3 +283,85 @@ def test_report_bytes_do_not_depend_on_chunk_size(case, count, seed, tol):
             doc, code = run_sample(*args)
         reports.add((reporting.render_report(doc, "json"), code))
     assert len(reports) == 1
+
+
+class TestDrawsAreReadyToUse:
+    """Each draw is what :func:`checked_components` would make of it, so a
+    campaign evaluates it as drawn: the same report bytes, no form check,
+    and no second stack-sized buffer."""
+
+    @staticmethod
+    def grid():
+        for n in range(1, 17):
+            for m_prime in sorted({1, n, min(2 * n, 32), 32}):
+                for family, draw in (("general", draw_general), ("symmetric", draw_symmetric)):
+                    if family == "general" or m_prime >= n:
+                        yield n, m_prime, family, draw
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_draw_is_its_checked_components(self, seed):
+        for n, m_prime, family, draw in self.grid():
+            for count in (0, 1, 5, 300):
+                drawn = draw(np.random.default_rng(seed), n, m_prime, count)
+                checked = checked_components(drawn)
+                case = (n, m_prime, family, count)
+                assert drawn.shape == checked.shape == (count, m_prime, n, n), case
+                assert drawn.tobytes() == checked.tobytes(), case
+                assert drawn.flags.writeable, case
+
+    CAMPAIGNS = [
+        (4, 6, 30, 3, "general", None),
+        (16, 32, 17, 5, "general", REAL),
+        (3, 3, 150, 7, "symmetric", LAGRANGIAN),
+        (2, 2, 40, 11, "symmetric", SLANT),
+        (4, 5, 30, 13, "symmetric", SASAKIAN),
+        (3, 3, 0, 17, "symmetric", None),
+    ]
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300, -2.0])
+    @pytest.mark.parametrize("case", CAMPAIGNS)
+    def test_report_bytes_match_checked_draws(self, monkeypatch, case, tol):
+        n, bundle_dim, count, seed, family, ambient = case
+        args = (n, bundle_dim, count, seed, family, ambient, tol)
+        drawn = run_sample(*args)
+        for name in ("draw_general", "draw_symmetric"):
+            draw = getattr(reporting, name)
+            monkeypatch.setattr(
+                reporting, name, lambda *a, draw=draw: checked_components(draw(*a))
+            )
+        checked = run_sample(*args)
+        for fmt in ("json", "text"):
+            assert reporting.render_report(drawn[0], fmt) == reporting.render_report(
+                checked[0], fmt
+            )
+        assert drawn[1] == checked[1]
+
+    @pytest.mark.parametrize("case", CAMPAIGNS)
+    def test_campaign_runs_no_form_check(self, monkeypatch, case):
+        n, bundle_dim, count, seed, family, ambient = case
+        calls = []
+        check = tensor_core.checked_components
+
+        def counting(components):
+            calls.append(np.shape(components))
+            return check(components)
+
+        monkeypatch.setattr(tensor_core, "checked_components", counting)
+        monkeypatch.setattr(reporting, "checked_components", counting, raising=False)
+        run_sample(n, bundle_dim, count, seed, family, ambient, DEFAULT_TOL)
+        assert calls == []
+
+    def test_general_draw_peak_is_the_result(self):
+        """The draw is symmetrized in place: beyond the (8, 32, 16, 16) result
+        only a bounded scratch block is allocated."""
+        rng = np.random.default_rng(192)
+        draw_general(rng, 16, 32, 8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = draw_general(rng, 16, 32, 8)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert result.shape == (8, 32, 16, 16)
+        assert peak <= result.nbytes + 64 * 1024

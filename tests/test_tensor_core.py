@@ -391,9 +391,10 @@ class TestRotateFrame:
         assert_allclose(rotated.components[:, 1, 1], [3.0, 0.0])
 
     # Largest |rotate_frame - upper-triangle mirror| / max|zeta| over these
-    # draws, up to (16, 16): 4.6 eps (7.6 eps over 80 draws up to (16, 32)).
-    # The pin leaves a margin of 4.2x over the larger.  rotate_frame's einsum
-    # costs m'^2 n^4, so the draws stop at m' = 16.
+    # draws, up to (16, 32): 2.1 eps (3.2 eps over 300 draws up to (16, 32)).
+    # The pin leaves a margin of 10x over the larger.  The reference product
+    # is contracted pairwise (optimize=True); the plain four-operand einsum
+    # costs m'^2 n^4 and takes about 87 ms at (16, 16).
     MIRROR_DRIFT = 32 * np.finfo(float).eps
 
     def test_result_is_bitwise_symmetric_and_near_the_mirror(self):
@@ -403,10 +404,10 @@ class TestRotateFrame:
         product exactly, so the mirror is computed once per draw."""
         rng = np.random.default_rng(34)
         for _ in range(30):
-            n, mp = int(rng.integers(1, 17)), int(rng.integers(1, 17))
+            n, mp = int(rng.integers(1, 17)), int(rng.integers(1, 33))
             comps = draw_general(rng, n, mp, 1)[0]
             qt, qb = random_orthogonal(rng, n), random_orthogonal(rng, mp)
-            product = np.einsum("sr,ai,bj,rij->sab", qb, qt, qt, comps)
+            product = np.einsum("sr,ai,bj,rij->sab", qb, qt, qt, comps, optimize=True)
             upper = np.tri(n, dtype=bool).T
             mirror = np.where(upper, product, np.swapaxes(product, -1, -2))
             for scale in (2.0**-40, 1.0, 2.0**40):
