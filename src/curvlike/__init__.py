@@ -30,7 +30,6 @@ from .gauss_bounds import (
     corollary_triple,
     equality_directions,
     is_totally_symmetric,
-    verify_gauss,
 )
 from .instance_io import (
     Instance,
@@ -103,7 +102,6 @@ __all__ = [
     "BoundReport",
     "CorollaryTriple",
     "build_T_from_zeta",
-    "verify_gauss",
     "bound_coefficient",
     "is_totally_symmetric",
     "check_bound",

@@ -20,9 +20,10 @@ stack independent forms; the functions on single forms are their one-form
 case, so a sampling campaign and a single report agree bitwise.  Every kernel
 allocates its own result.
 
-A sampling campaign checks each form's S_T against zeta with
-:func:`ricci_probe_residuals`, with no n^4 tensor; it builds T and audits it
-with :func:`gauss_probe_residuals` only for its audited instances.
+``check`` and ``report`` build T once and check it against zeta and S_T
+with :func:`gauss_probe_residuals`.  A sampling campaign checks each form's
+S_T against zeta with :func:`ricci_probe_residuals`, with no n^4 tensor; it
+builds and checks T only for its audited instances.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
 from .optim_lemmas import positive_lead, top_eigenvalues, top_eigenvector
 from .tensor_core import (
     DEFAULT_TOL,
@@ -41,6 +41,7 @@ from .tensor_core import (
     BundleValuedForm,
     CurvatureLikeTensor,
     as_unit_vector,
+    norm_sqs,
     orthonormal_complement,
     rotate_frame,
     rotation_to_first_axis,
@@ -243,24 +244,6 @@ def gauss_probe_residuals(
     return np.maximum(residual, probed)
 
 
-def verify_gauss(tensor: CurvatureLikeTensor, zeta: BundleValuedForm) -> float:
-    """Max absolute difference between ``tensor`` and the Gauss tensor that
-    :func:`gauss_components` rebuilds from ``zeta``.
-
-    The rebuild runs the same deterministic kernel, so on a tensor that
-    :func:`build_T_from_zeta` returned the result is exactly 0.0: this
-    detects a tensor changed after its build, not an error in the build.
-    ``check`` and ``report`` read it.  Campaigns never rebuild T: they check
-    every S_T with :func:`ricci_probe_residuals` and each audited T with the
-    independent :func:`gauss_probe_residuals`.
-    """
-    if tensor.n != zeta.n:
-        raise ValidationError(
-            f"tensor dimension {tensor.n} != form dimension {zeta.n}"
-        )
-    return float(np.abs(tensor.components - gauss_components(zeta.components)).max())
-
-
 def bound_coefficient(mode: BoundMode, n: int) -> float:
     """Factor c of a bound c * ||trace zeta||^2 in tangent dimension n: 1/4
     for the general bound, valid for every Gauss pair, and (n - 1)/(4n) for
@@ -295,16 +278,17 @@ def is_totally_symmetric(
 
     Reading bundle slots 0..n-1 as the adapted frame, C[i][j][k] :=
     zeta[i][j][k] must be invariant under all permutations of (i, j, k), and
-    every slot past n-1 must vanish.  Returns (verdict, max residual), which
-    is (False, inf) when the bundle has fewer than n slots.
+    every slot past n-1 must vanish, to tol * ||zeta||.  Returns (verdict,
+    max residual), (False, inf) when the bundle has fewer than n slots.
     """
     residual = float(total_symmetry_residuals(zeta.components))
-    return _certified(residual, tol), residual
+    return bool(_certified(residual, norm_sqs(zeta.components), tol)), residual
 
 
-def _certified(residual, tol: float):
-    """The improved bound's certificate: total-symmetry residual <= tol."""
-    return residual <= tol
+def _certified(residual, norm_sq, tol: float):
+    """The improved bound's certificate: total-symmetry residual, linear in
+    zeta, <= tol * ||zeta||, so it is invariant under zeta -> 2^k zeta."""
+    return residual <= tol * np.sqrt(norm_sq)
 
 
 @dataclass(frozen=True)
@@ -314,8 +298,10 @@ class FormEvaluation:
     unit vectors, is the top eigenvalue of ``ricci_form`` from
     :func:`top_eigenvalues`: the verdicts compare values only, and the one
     maximizing direction a report prints is :func:`check_evaluated`'s.
-    :func:`_certified` reads ``symmetry_residual``."""
+    :func:`_certified` reads ``symmetry_residual``.  ``norm_sq``, ||zeta||^2,
+    scales every gate on a quantity of zeta's size."""
 
+    norm_sq: np.ndarray
     trace: np.ndarray
     trace_norm_sq: np.ndarray
     ricci_form: np.ndarray
@@ -324,16 +310,14 @@ class FormEvaluation:
 
 
 def evaluate(components: np.ndarray) -> FormEvaluation:
-    """trace zeta, ||trace zeta||^2, S_T with its top eigenvalue and the
-    total-symmetry residual of a form or a stack zeta[..., r, i, j], bitwise
-    symmetric in (i, j).  The spectrum of the whole stack is one
+    """||zeta||^2, trace zeta, ||trace zeta||^2, S_T with its top eigenvalue
+    and the total-symmetry residual of a form or a stack zeta[..., r, i, j],
+    bitwise symmetric in (i, j).  The spectrum of the whole stack is one
     ``eigvalsh``, with no eigenvectors."""
     comps = np.asarray(components)
-    s_form = ricci_forms(comps)
-    residual = total_symmetry_residuals(comps)
-    return FormEvaluation(
-        traces(comps), trace_norms_sq(comps), s_form, top_eigenvalues(s_form), residual
-    )
+    s_form, norm_sq = ricci_forms(comps), norm_sqs(comps)
+    top, residual = top_eigenvalues(s_form), total_symmetry_residuals(comps)
+    return FormEvaluation(norm_sq, traces(comps), trace_norms_sq(comps), s_form, top, residual)
 
 
 def _gaps(evaluation: FormEvaluation, mode: BoundMode) -> np.ndarray:
@@ -362,11 +346,10 @@ def check_evaluated(
     :func:`evaluate` is in hand.  The maximizing direction is the same in
     every mode: one ``eigh`` of S_T, by :func:`top_eigenvector`."""
     direction = top_eigenvector(evaluation.ricci_form)
-    residual = evaluation.symmetry_residual
+    symmetric = bool(_certified(evaluation.symmetry_residual, evaluation.norm_sq, tol))
     reports = []
     for mode in modes:
         bound = bound_coefficient(mode, zeta.n) * float(evaluation.trace_norm_sq)
-        certified = mode is BoundMode.GENERAL or bool(_certified(residual, tol))
         reports.append(
             BoundReport(
                 mode=mode,
@@ -374,7 +357,7 @@ def check_evaluated(
                 ricci_max=float(evaluation.ricci_max),
                 argmax_direction=direction,
                 gap=float(_gaps(evaluation, mode)),
-                symmetry_certified=certified,
+                symmetry_certified=mode is BoundMode.GENERAL or symmetric,
                 equality_class=_classify(zeta, evaluation, mode, bound, tol),
             )
         )
@@ -412,7 +395,8 @@ def _classify(
     """Classify equality of the bound across ALL unit directions.
 
     Equality for every unit X is equivalent to S_T equaling the bound times
-    the identity form, which is tested first.  Beyond the zero form, equality
+    the identity form, which is tested first, within tol * ||zeta||^2 like
+    every quantity quadratic in zeta.  Beyond the zero form, equality
     can only happen on surfaces.  General bound: at the unit X at angle t,
     :func:`corollary_triple` tests cos 2t delta + sin 2t e and -sin 2t delta
     + cos 2t e, with delta = (zeta_00 - zeta_11)/2 and e = zeta_01; the
@@ -425,7 +409,7 @@ def _classify(
     pins mu >= 0.
     """
     n = zeta.n
-    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol:
+    if np.abs(evaluation.ricci_form - bound * np.eye(n)).max() > tol * evaluation.norm_sq:
         return EqualityClass(EqualityTag.NO_EQUALITY)
     if zeta.max_abs() <= tol:
         return EqualityClass(EqualityTag.ZERO_FORM)

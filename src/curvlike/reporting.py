@@ -28,7 +28,6 @@ from .gauss_bounds import (
     gauss_components,
     gauss_probe_residuals,
     ricci_probe_residuals,
-    verify_gauss,
 )
 from .instance_io import (
     Instance,
@@ -56,7 +55,6 @@ from .tensor_core import (
     curvature_residuals,
     null_space,
     pair_exchange_residual,
-    zeta_norm_sq,
 )
 
 TOOL_NAME = "curvlike"
@@ -67,7 +65,6 @@ LEMMA_AGREEMENT_TOL = 1e-8
 # pass: eight n = 16, m' = 32 forms (512 KiB).
 _CHUNK_ZETA_BYTES = 512 * 1024
 
-_SYMMETRY_FAILURE = "curvature symmetries failed on the built tensor"
 _UNCERTIFIED = "not certified: form fails the total-symmetry hypothesis"
 
 
@@ -119,27 +116,33 @@ def bound_report_to_dict(report: BoundReport) -> dict:
 
 
 def _verdicts(
-    evaluation: FormEvaluation | None, residuals, tol: float, ambient: AmbientModel | None
+    tol: float, curvature=None, gauss=None, evaluation=None, ambient=None, norm_sq=None
 ) -> dict[str, tuple]:
     """Every verdict on a stack of forms, decided once for ``report``,
     ``bound``, ``check`` and ``sample``: the (hit, detail) arrays of each
     violation kind in report order.  ``symmetry`` needs the tensors'
-    curvature ``residuals``, the other kinds the ``evaluation``; an
-    improved-bound hit needs the certificate.  The ambient margin app -
-    (max Ric_T + offset) is exact near the bound (Sterbenz), so no rounding
-    of app + tol hides a violation."""
+    ``curvature`` residuals, ``gauss`` their Gauss residuals, the other
+    kinds the ``evaluation``; an improved-bound hit needs the certificate.
+    These residuals and both gaps fail beyond tol * ||zeta||^2 (the
+    ``evaluation``'s or an audited form's ``norm_sq``), with no floor, and
+    the certificate is tol * ||zeta||: only the ambient verdict may change
+    under zeta -> 2^k zeta.  Its margin app - (max Ric_T + offset) is exact
+    near the bound (Sterbenz), so no rounding of app + tol hides a violation."""
     kinds: dict[str, tuple] = {}
-    if residuals is not None:
-        worst = np.maximum.reduce(residuals)
-        kinds["symmetry"] = (~_symmetries_hold(worst, tol), worst)
+    scale = evaluation.norm_sq if norm_sq is None else norm_sq
+    if curvature is not None:
+        worst = np.maximum.reduce(curvature)
+        kinds["symmetry"] = (~_symmetries_hold(worst, tol * scale), worst)
+    if gauss is not None:
+        kinds["gauss"] = (gauss > tol * scale, gauss)
     if evaluation is None:
         return kinds
     gap_general = _gaps(evaluation, BoundMode.GENERAL)
     gap_improved = _gaps(evaluation, BoundMode.IMPROVED)
-    certified = _certified(evaluation.symmetry_residual, tol)
-    kinds["general-bound"] = (gap_general < -tol, gap_general)
+    certified = _certified(evaluation.symmetry_residual, evaluation.norm_sq, tol)
+    kinds["general-bound"] = (gap_general < -tol * scale, gap_general)
     kinds["certification"] = (~certified, None)
-    kinds["improved-bound"] = (certified & (gap_improved < -tol), gap_improved)
+    kinds["improved-bound"] = (certified & (gap_improved < -tol * scale), gap_improved)
     if ambient is not None:
         n = evaluation.ricci_form.shape[-1]
         intrinsic = evaluation.ricci_max + ricci_offset(ambient, n)
@@ -148,22 +151,31 @@ def _verdicts(
     return kinds
 
 
+def _tolerances(evaluation: FormEvaluation, tol: float) -> dict:
+    """The gate tol * ||zeta||^2 that a file report prints, and tol."""
+    return {"tolerance": tol * float(evaluation.norm_sq), "relative_tolerance": tol}
+
+
 def _symmetry_block(
-    zeta: BundleValuedForm, tol: float, evaluation=None, ambient=None
-) -> tuple[dict, dict]:
-    """:func:`_verdicts` of one form, and its T's curvature residuals, Gauss
-    residual against the same-kernel :func:`verify_gauss` and verdict."""
+    zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float, ambient=None
+) -> tuple[dict, dict, list[str]]:
+    """:func:`_verdicts` of one form; from one build of T, its curvature and
+    Gauss (:func:`gauss_probe_residuals`) residuals and verdict; the failures."""
     tensor = build_T_from_zeta(zeta)
     residuals = curvature_residuals(tensor.components)
-    kinds = _verdicts(evaluation, residuals, tol, ambient)
+    gauss = gauss_probe_residuals(tensor.components, zeta.components, evaluation.ricci_form)
+    kinds = _verdicts(tol, residuals, gauss, evaluation, ambient)
     names = ("skew_first_pair", "skew_second_pair", "first_bianchi")
     block = {
         **{name: float(r) for name, r in zip(names, residuals)},
         "pair_exchange": pair_exchange_residual(tensor),
-        "gauss_residual": verify_gauss(tensor, zeta),
+        "gauss_residual": float(gauss),
         "passed": not kinds["symmetry"][0],
     }
-    return kinds, block
+    failures = [] if block["passed"] else ["curvature symmetries failed on the built tensor"]
+    if kinds["gauss"][0]:
+        failures.append(f"Gauss residual {float(gauss)!r} exceeds the tolerance")
+    return kinds, block, failures
 
 
 def _zeta_block(
@@ -173,7 +185,7 @@ def _zeta_block(
     residual = float(evaluation.symmetry_residual)
     kernel = null_space(zeta, tol)
     return {
-        "norm_sq": zeta_norm_sq(zeta),
+        "norm_sq": float(evaluation.norm_sq),
         "trace": evaluation.trace,
         "trace_norm_sq": trace_sq,
         # ||H||^2 with H = trace zeta / n.
@@ -227,15 +239,14 @@ def build_instance_report(
     """Full diagnostic report for one instance; returns (report, exit code)."""
     zeta = instance.zeta
     evaluation = evaluate(zeta.components)
-    kinds, symmetry = _symmetry_block(zeta, tol, evaluation, instance.ambient)
+    kinds, symmetry, failures = _symmetry_block(zeta, evaluation, tol, instance.ambient)
     bounds = dict(zip(BoundMode, check_evaluated(zeta, evaluation, BoundMode, tol)))
-    failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
     for mode in BoundMode:
         hit, gap = kinds[f"{mode.value}-bound"]
         if hit:
             failures.append(f"{mode.value} bound violated: gap {float(gap)!r}")
     body = {
-        "tolerance": tol,
+        **_tolerances(evaluation, tol),
         "symmetry": symmetry,
         "zeta": _zeta_block(zeta, evaluation, kinds, tol),
         "bounds": {mode.value: bound_report_to_dict(bounds[mode]) for mode in BoundMode},
@@ -259,12 +270,10 @@ def build_instance_report(
 def build_check_report(
     instance: Instance, tol: float, source: str = "<memory>"
 ) -> tuple[dict, int]:
-    """Symmetry and Gauss-residual gate for one instance."""
-    _, symmetry = _symmetry_block(instance.zeta, tol)
-    failures = [] if symmetry["passed"] else [_SYMMETRY_FAILURE]
-    if symmetry["gauss_residual"] > tol:
-        failures.append(f"Gauss residual {symmetry['gauss_residual']!r} exceeds tol")
-    body = {"tolerance": tol, "symmetry": symmetry}
+    """Symmetry and Gauss-residual gates for one instance."""
+    evaluation = evaluate(instance.zeta.components)
+    _, symmetry, failures = _symmetry_block(instance.zeta, evaluation, tol)
+    body = {**_tolerances(evaluation, tol), "symmetry": symmetry}
     return _file_report("check-report", instance, source, body, failures)
 
 
@@ -274,11 +283,11 @@ def build_bound_report(
     """Single-mode bound evaluation; exit 1 on violation or failed certification."""
     evaluation = evaluate(instance.zeta.components)
     [report] = check_evaluated(instance.zeta, evaluation, (mode,), tol)
-    hit, _ = _verdicts(evaluation, None, tol, None)[f"{mode.value}-bound"]
+    hit, _ = _verdicts(tol, evaluation=evaluation)[f"{mode.value}-bound"]
     failures = [f"{mode.value} bound violated: gap {report.gap!r}"] if hit else []
     if not report.symmetry_certified:
         failures.append(f"improved bound {_UNCERTIFIED}")
-    body = {"tolerance": tol, "bound": bound_report_to_dict(report)}
+    body = {**_tolerances(evaluation, tol), "bound": bound_report_to_dict(report)}
     return _file_report("bound-report", instance, source, body, failures)
 
 
@@ -355,22 +364,23 @@ def run_sample(
     stacked :func:`evaluate`, then :func:`_verdicts`, the pass that
     ``report``, ``bound`` and ``check`` run on one form.  A draw is already
     what :func:`~curvlike.tensor_core.checked_components` would return (see
-    :mod:`curvlike.sampling`), so it is evaluated as drawn, without that copy
-    and its checks.  The campaign flags a gap below -tol (the improved one
-    only where a total-symmetry residual <= tol certifies it) and an ambient
-    margin app - (max Ric_T + offset) below -tol; the offset is checked
-    before the first draw.  A chunk holds at most :data:`_CHUNK_ZETA_BYTES`
-    of form components, so memory stays flat in ``count``.  Each stage
-    allocates only its result, and the last chunk is held until the tightest
-    instance's audit has run, so a call reuses the heap pages it faulted in
-    rather than returning and refaulting them.
+    :mod:`curvlike.sampling`), so it is evaluated as drawn, without that
+    copy and its checks.  The campaign flags a gap below -tol * ||zeta||^2
+    (the improved one only where a total-symmetry residual <= tol * ||zeta||
+    certifies it) and an ambient margin app - (max Ric_T + offset) below
+    -tol; the offset is checked before the first draw.  A chunk holds at most
+    :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat in
+    ``count``.  Each stage allocates only its result, and the last chunk is
+    held until the tightest instance's audit has run, so a call reuses the
+    heap pages it faulted in rather than returning and refaulting them.
 
     Every instance's S_T, which every verdict reads, is checked straight from
     zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4
     Gauss tensor is built, one at a time, only for the audited set: the first
     instance of least general gap in the call, and every instance with a
-    verdict hit.  Its curvature residuals (a ``symmetry`` violation above
-    tol) and :func:`gauss_probe_residuals` against zeta and S_T are audited.
+    verdict hit.  Its curvature residuals (a ``symmetry`` violation) and
+    :func:`gauss_probe_residuals` against zeta and S_T (with the S_T probe,
+    a ``gauss`` violation) are audited, each gated at tol * ||zeta||^2.
     The set is chosen per call, so the report bytes do not depend on the
     chunk size.  ``max_gauss_residual`` is the larger of the two probe
     residuals, ``max_symmetry_residual`` the worst curvature residual over
@@ -398,42 +408,44 @@ def run_sample(
     symmetric_count = audited = 0
     # The largest Gauss and curvature residuals; the least gap or margin of a kind.
     extremes = {"gauss": 0.0, "symmetry": 0.0}
-    # (index, form, S_T) of the first least general gap so far, unless audited.
+    # The audit arguments of the first least general gap so far, unless audited.
     tightest = None
 
-    def audit(index: int, form: np.ndarray, ricci_form: np.ndarray) -> None:
+    def audit(index: int, form, ricci_form, norm_sq, probed) -> None:
         nonlocal audited
         audited += 1
         tensor = gauss_components(form)
-        hit, worst = _verdicts(None, curvature_residuals(tensor), tol, None)["symmetry"]
-        gauss = gauss_probe_residuals(tensor, form, ricci_form)
-        extremes["gauss"] = max(extremes["gauss"], float(gauss))
-        extremes["symmetry"] = max(extremes["symmetry"], float(worst))
-        if hit:
-            violations.append({"index": index, "kind": "symmetry", "detail": float(worst)})
+        gauss = np.maximum(gauss_probe_residuals(tensor, form, ricci_form), probed)
+        kinds = _verdicts(tol, curvature_residuals(tensor), gauss, norm_sq=norm_sq)
+        for kind, (hit, detail) in kinds.items():
+            extremes[kind] = max(extremes[kind], float(detail))
+            if hit:
+                violations.append({"index": index, "kind": kind, "detail": float(detail)})
 
     for start in range(0, count, chunk):
         comps = draw(rng, n, bundle_dim, min(chunk, count - start))
         evaluation = evaluate(comps)
-        kinds = _verdicts(evaluation, None, tol, ambient)
         probed = ricci_probe_residuals(comps, evaluation.ricci_form)
+        kinds = _verdicts(tol, gauss=probed, evaluation=evaluation, ambient=ambient)
         extremes["gauss"] = max(extremes["gauss"], float(probed.max()))
         symmetric_count += int((~kinds["certification"][0]).sum())
         if family != "symmetric":
             del kinds["certification"], kinds["improved-bound"]
-        hits = np.logical_or.reduce([hit for hit, _ in kinds.values()])
+        # A probe hit is audited, and reported there with its T's probe.
+        probe_hits, _ = kinds.pop("gauss")
+        hits = np.logical_or.reduce([probe_hits, *(hit for hit, _ in kinds.values())])
         gaps = kinds["general-bound"][1]
         k = int(gaps.argmin())
         if gaps[k] < extremes.get("general-bound", math.inf):
             # A hit is audited with its chunk below.
-            ricci_form = evaluation.ricci_form[k]
-            tightest = None if hits[k] else (start + k, comps[k].copy(), ricci_form.copy())
+            args = (comps[k], evaluation.ricci_form[k], evaluation.norm_sq[k], probed[k])
+            tightest = None if hits[k] else (start + k, *map(np.copy, args))
         for kind, (_, detail) in kinds.items():
             if detail is not None:
                 extremes[kind] = min(extremes.get(kind, math.inf), float(detail.min()))
         for k in np.flatnonzero(hits):
             index = start + int(k)
-            audit(index, comps[k], evaluation.ricci_form[k])
+            audit(index, comps[k], evaluation.ricci_form[k], evaluation.norm_sq[k], probed[k])
             for kind, (hit, detail) in kinds.items():
                 if hit[k]:
                     value = None if detail is None else float(detail[k])
@@ -442,7 +454,7 @@ def run_sample(
         # The last chunk stays alive through this audit: freeing it first
         # would let malloc trim the heap top that the n^4 build then reuses.
         audit(*tightest)
-        # Its only possible violation, symmetry, goes to its place by index.
+        # Its violations, symmetry or gauss, go to their place by index.
         violations.sort(key=lambda violation: violation["index"])
     params: dict = {
         "n": n,

@@ -310,7 +310,12 @@ def t_scalar(tensor: CurvatureLikeTensor, tol: float = DEFAULT_TOL) -> float:
 
 def zeta_norm_sq(zeta: BundleValuedForm) -> float:
     """Squared norm ||zeta||^2 = sum of all squared components."""
-    return float((zeta.components**2).sum())
+    return float(norm_sqs(zeta.components))
+
+
+def norm_sqs(components: np.ndarray) -> np.ndarray:
+    """||zeta||^2 of each form in a stack ``[..., r, i, j]``."""
+    return np.square(components).sum(axis=(-3, -2, -1))
 
 
 def traces(components: np.ndarray) -> np.ndarray:

@@ -26,7 +26,9 @@ def reference_improved_class(zeta, tol: float = DEFAULT_TOL) -> EqualityClass:
     evaluation = evaluate(zeta.components)
     n = zeta.n
     bound = bound_coefficient(BoundMode.IMPROVED, n) * float(evaluation.trace_norm_sq)
-    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol:
+    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol * float(
+        evaluation.norm_sq
+    ):
         return EqualityClass(EqualityTag.NO_EQUALITY)
     if zeta.max_abs() <= tol:
         return EqualityClass(EqualityTag.ZERO_FORM)

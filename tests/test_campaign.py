@@ -36,8 +36,10 @@ from curvlike.sampling import draw_general, draw_symmetric
 from curvlike.tensor_core import (
     DEFAULT_TOL,
     checked_components,
+    norm_sqs,
     trace_norms_sq,
     validate_curvature_symmetries,
+    zeta_norm_sq,
 )
 from random_forms import sample_general, sample_symmetric
 
@@ -45,7 +47,9 @@ from random_forms import sample_general, sample_symmetric
 def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
     """The campaign's results block, one instance at a time: every S_T is
     probed against its form, and T is built and audited only for the first
-    instance of least general gap and for every instance with a verdict hit."""
+    instance of least general gap and for every instance with a verdict hit.
+    Curvature and Gauss residuals and both gaps are gated at tol * ||zeta||^2,
+    certification and the ambient margin at tol."""
     rng = np.random.default_rng(seed)
     sample = sample_general if family == "general" else sample_symmetric
     forms = [sample(rng, n, bundle_dim) for _ in range(count)]
@@ -56,12 +60,14 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
     max_gauss = max_symmetry = 0.0
     min_general = min_improved = min_margin = float("inf")
     for index, (zeta, general) in enumerate(zip(forms, generals)):
+        gate = tol * zeta_norm_sq(zeta)
         ricci = ricci_forms(zeta.components)
-        max_gauss = max(max_gauss, float(ricci_probe_residuals(zeta.components, ricci)))
+        probed = float(ricci_probe_residuals(zeta.components, ricci))
+        max_gauss = max(max_gauss, probed)
         found = []
         symmetric_count += is_totally_symmetric(zeta, tol)[0]
         min_general = min(min_general, general.gap)
-        if general.gap < -tol:
+        if general.gap < -gate:
             found.append({"index": index, "kind": "general-bound", "detail": general.gap})
         improved = None
         if family == "symmetric":
@@ -69,7 +75,7 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
             min_improved = min(min_improved, improved.gap)
             if not improved.symmetry_certified:
                 found.append({"index": index, "kind": "certification", "detail": None})
-            elif improved.gap < -tol:
+            elif improved.gap < -gate:
                 found.append(
                     {"index": index, "kind": "improved-bound", "detail": improved.gap}
                 )
@@ -82,17 +88,20 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
             min_margin = min(min_margin, margin)
             if margin < -tol:
                 found.append({"index": index, "kind": "ambient-bound", "detail": margin})
-        if found or index == tightest:
+        if found or probed > gate or index == tightest:
             audited += 1
             tensor = build_T_from_zeta(zeta)
-            sym = validate_curvature_symmetries(tensor, tol)
+            sym = validate_curvature_symmetries(tensor, gate)
             max_symmetry = max(max_symmetry, sym.max_residual)
             gauss = gauss_probe_residuals(tensor.components, zeta.components, ricci)
-            max_gauss = max(max_gauss, float(gauss))
+            gauss = max(probed, float(gauss))
+            max_gauss = max(max_gauss, gauss)
             if not sym.passed:
                 violations.append(
                     {"index": index, "kind": "symmetry", "detail": sym.max_residual}
                 )
+            if gauss > gate:
+                violations.append({"index": index, "kind": "gauss", "detail": gauss})
         violations.extend(found)
     return {
         "instances": count,
@@ -148,7 +157,7 @@ class TestMatchesReferenceLoop:
         assert dump_json(doc["results"]) == dump_json(expected)
         assert code == (0 if expected["all_pass"] else 1)
 
-    # A tolerance below roundoff flags symmetry and certification residuals,
+    # A tolerance below roundoff flags symmetry, Gauss and certification residuals,
     # and a negative one flags gaps and margins, interleaved by index.  No
     # tolerance shows an improved-bound violation: it needs a certified form
     # beyond the bound, which the theorem rules out for exact draws.
@@ -168,7 +177,9 @@ class TestMatchesReferenceLoop:
             for tol in (1e-300, -2.0):
                 doc, _ = run_sample(n, bundle_dim, count, 11, family, ambient, tol)
                 kinds |= {v["kind"] for v in doc["results"]["violations"]}
-        assert kinds == {"symmetry", "general-bound", "certification", "ambient-bound"}
+        assert kinds == {
+            "symmetry", "gauss", "general-bound", "certification", "ambient-bound"
+        }
 
 
 MUTATION_CASES = [(16, 32, 8, "general", REAL), (3, 3, 40, "symmetric", LAGRANGIAN)]
@@ -177,9 +188,7 @@ MUTATION_CASES = [(16, 32, 8, "general", REAL), (3, 3, 40, "symmetric", LAGRANGI
 class TestPerInstanceCheck:
     """A campaign checks every S_T against its form, and the curvature
     identities of T only on the audited set: a corruption of either is
-    caught where it happens."""
-
-    DELTA = 1e-6
+    caught where it happens, and reported as a violation."""
 
     @staticmethod
     def forms(n, bundle_dim, count, seed, family):
@@ -187,6 +196,11 @@ class TestPerInstanceCheck:
         draw = draw_general if family == "general" else draw_symmetric
         comps = checked_components(draw(np.random.default_rng(seed), n, bundle_dim, count))
         return comps, int(_gaps(evaluate(comps), BoundMode.GENERAL).argmin())
+
+    @staticmethod
+    def delta(form) -> float:
+        """A corruption ten times the gate tol * ||zeta||^2 of ``form``."""
+        return 10 * DEFAULT_TOL * float(norm_sqs(form))
 
     @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", MUTATION_CASES)
     def test_corrupted_ricci_form_off_the_audit_is_caught(
@@ -196,13 +210,14 @@ class TestPerInstanceCheck:
         clean, _ = run_sample(*args)
         comps, tightest = self.forms(*args[:5])
         target = comps[(tightest + 1) % count]
+        delta = self.delta(target)
         ricci, build, built = gauss_bounds.ricci_forms, reporting.gauss_components, []
 
         def corrupted(components):
             forms = ricci(components)
             for k in np.flatnonzero((components == target).all(axis=(-3, -2, -1))):
-                forms[k, 0, 1] += self.DELTA
-                forms[k, 1, 0] += self.DELTA
+                forms[k, 0, 1] += delta
+                forms[k, 1, 0] += delta
             return forms
 
         def recording(form):
@@ -211,37 +226,50 @@ class TestPerInstanceCheck:
 
         monkeypatch.setattr(gauss_bounds, "ricci_forms", corrupted)
         monkeypatch.setattr(reporting, "gauss_components", recording)
-        doc, _ = run_sample(*args)
+        doc, code = run_sample(*args)
+        results = doc["results"]
         assert clean["results"]["max_gauss_residual"] < 1e-10
-        assert doc["results"]["max_gauss_residual"] >= 1e-8
-        # No T of the corrupted instance was built: its S_T check caught it.
-        assert doc["results"]["audited"] == len(built) == 1
-        assert np.array_equal(built[0], comps[tightest])
+        assert results["max_gauss_residual"] >= 1e-8
+        # The S_T check made the corrupted instance a hit, so it was audited
+        # too: the contraction of its T misses the corrupted S_T by delta.
+        index = (tightest + 1) % count
+        assert results["violations"] == [
+            {"index": index, "kind": "gauss", "detail": results["max_gauss_residual"]}
+        ]
+        assert results["max_gauss_residual"] == pytest.approx(delta, rel=1e-6)
+        assert results["audited"] == len(built) == 2
+        assert sorted(map(bytes, built)) == sorted(map(bytes, comps[[tightest, index]]))
+        assert code == 1
 
     @pytest.mark.parametrize("n, bundle_dim, count, family, ambient", MUTATION_CASES)
     def test_corrupted_bianchi_entry_of_the_audited_tensor_is_caught(
         self, monkeypatch, n, bundle_dim, count, family, ambient
     ):
         args = (n, bundle_dim, count, 13, family, ambient, DEFAULT_TOL)
-        _, tightest = self.forms(*args[:5])
+        comps, tightest = self.forms(*args[:5])
+        delta = self.delta(comps[tightest])
         build = reporting.gauss_components
 
         def corrupted(form):
             tensor = build(form)
             # Both antisymmetries still hold exactly; the Bianchi sum
-            # T[0,1,2,0] + T[0,2,0,1] + T[0,0,1,2] is off by DELTA.
+            # T[0,1,2,0] + T[0,2,0,1] + T[0,0,1,2] is off by delta.
             for index, sign in (
                 ((0, 1, 2, 0), 1), ((1, 0, 0, 2), 1), ((1, 0, 2, 0), -1), ((0, 1, 0, 2), -1)
             ):
-                tensor[index] += sign * self.DELTA
+                tensor[index] += sign * delta
             return tensor
 
         monkeypatch.setattr(reporting, "gauss_components", corrupted)
         doc, code = run_sample(*args)
         results = doc["results"]
-        assert results["max_symmetry_residual"] == pytest.approx(self.DELTA, rel=1e-6)
+        assert results["max_symmetry_residual"] == pytest.approx(delta, rel=1e-6)
+        # T[0, 1, 2, 0] lies on the Ricci diagonal, so the contraction shows
+        # all of delta to the Gauss probe too.
+        assert results["max_gauss_residual"] == pytest.approx(delta, rel=1e-6)
         assert results["violations"] == [
-            {"index": tightest, "kind": "symmetry", "detail": results["max_symmetry_residual"]}
+            {"index": tightest, "kind": "symmetry", "detail": results["max_symmetry_residual"]},
+            {"index": tightest, "kind": "gauss", "detail": results["max_gauss_residual"]},
         ]
         assert code == 1
 

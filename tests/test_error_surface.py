@@ -11,15 +11,16 @@ function, so the comparisons that implement a rule are looked up by shape and
 must all sit in that function (the overflow headroom of a form sits with its
 other checks); the same holds for each verdict rule, and the
 verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
-pass.  The same-kernel Gauss rebuild, 0.0 by construction, is called only
-where ``check`` and ``report`` still print it, and no kernel takes a caller's
-work buffer.  S_T's top eigenvalue comes from one owner, and its
+pass.  The Gauss tensor is built once where it is checked against zeta
+and never rebuilt to be compared with itself, and no kernel takes a
+caller's work buffer.  S_T's top eigenvalue comes from one owner, and its
 eigenvectors only where a direction is printed or certified.  Every
 module-level definition is read somewhere in the package or exported.  The
 CLI parses and dispatches; every report is built in ``reporting``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import curvlike
@@ -39,7 +40,7 @@ PUBLIC_NAMES = {
     "zeta_norm_sq", "traces", "trace_norms_sq", "rotate_frame", "null_space",
     # gauss_bounds
     "BoundMode", "EqualityTag", "EqualityClass", "BoundReport", "CorollaryTriple",
-    "build_T_from_zeta", "verify_gauss", "bound_coefficient", "is_totally_symmetric",
+    "build_T_from_zeta", "bound_coefficient", "is_totally_symmetric",
     "check_bound", "equality_directions", "corollary_triple",
     # optim_lemmas
     "Objective", "ConstrainedQuadratic", "f_value", "f1_max_closed", "f2_max_closed",
@@ -58,7 +59,8 @@ PUBLIC_NAMES = {
 }
 
 # Wrappers over bound_coefficient, check_bound, traces, trace_norms_sq,
-# application_bounds and is_totally_symmetric, removed in favour of them.
+# application_bounds and is_totally_symmetric, removed in favour of them,
+# and verify_gauss, a same-kernel rebuild of T that read 0.0 by construction.
 REMOVED_NAMES = {
     "chen_ricci_bound",
     "improved_bound",
@@ -68,6 +70,7 @@ REMOVED_NAMES = {
     "application_bound",
     "mean_curvature_sq",
     "lagrangian_symmetry_check",
+    "verify_gauss",
 }
 
 
@@ -184,22 +187,27 @@ def test_every_module_level_definition_is_used():
     assert unused == set()
 
 
-def _owners(predicate) -> set[str]:
-    """``module.function`` of the innermost function around each node that
-    satisfies ``predicate`` (``module.<module>`` outside any function)."""
-    found = set()
+def _owner_counts(predicate) -> Counter:
+    """How many nodes that satisfy ``predicate`` each owner holds: the
+    ``module.function`` of the innermost function around the node
+    (``module.<module>`` outside any function)."""
+    found = Counter()
 
     def visit(node, owner):
         if isinstance(node, ast.FunctionDef):
             owner = f"{owner.split('.')[0]}.{node.name}"
         if predicate(node):
-            found.add(owner)
+            found[owner] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     for module, tree in MODULES.items():
         visit(tree, f"{module}.<module>")
     return found
+
+
+def _owners(predicate) -> set[str]:
+    return set(_owner_counts(predicate))
 
 
 def _names(node) -> set[str]:
@@ -311,10 +319,10 @@ def test_instance_field_checks_have_one_owner_each():
 
 
 # What a verdict compares with tol, by the words that name it, and the one
-# function that may make each comparison.  The Gauss-residual gate of
-# ``check`` is listed so that it cannot pass for one of the others.
+# function that may make each comparison.  The Gauss-residual gate is
+# listed so that it cannot pass for one of the others.
 VERDICT_RULES = {
-    "Gauss residual": ({"gauss_residual"}, "reporting.build_check_report"),
+    "Gauss residual": ({"gauss", "gauss_residual"}, "reporting._verdicts"),
     "ambient margin": ({"margin", "app", "intrinsic_max"}, "reporting._verdicts"),
     "bound violation": ({"gap", "gap_general", "gap_improved"}, "reporting._verdicts"),
     "certification": ({"residual", "symmetry_residual"}, "gauss_bounds._certified"),
@@ -378,15 +386,22 @@ def test_cli_builds_no_report():
     assert commands == {"_cmd_construct", "_cmd_file", "_cmd_lemma", "_cmd_sample"}
 
 
-def test_gauss_rebuild_is_called_only_by_check_and_report():
-    """``verify_gauss`` rebuilds T with the kernel that built it, so its
-    residual is 0.0 by construction; only the symmetry block of ``check`` and
-    ``report`` may read it.  A campaign calls the independent
-    ``gauss_probe_residuals``."""
-    callers = _owners(
-        lambda node: isinstance(node, ast.Call) and _name(node.func) == "verify_gauss"
+def test_no_code_rebuilds_the_gauss_tensor_to_compare_it():
+    """A second build of T by the kernel that built it equals T by
+    construction, so a residual against it reads 0.0 and tests nothing.  T
+    is built by one call, only in its constructor and where it is checked
+    against zeta and S_T by the independent ``gauss_probe_residuals``: the
+    symmetry block of ``check`` and ``report`` and a campaign's audit."""
+    builds = _owner_counts(
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) in {"gauss_components", "build_T_from_zeta"}
     )
-    assert callers == {"reporting._symmetry_block"}
+    assert builds == {
+        "gauss_bounds.build_T_from_zeta": 1,
+        "reporting._symmetry_block": 1,
+        "reporting.audit": 1,
+    }
+    assert _callers("gauss_probe_residuals") == {"reporting._symmetry_block", "reporting.audit"}
 
 
 def test_kernels_take_no_work_buffers():

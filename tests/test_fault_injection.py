@@ -1,0 +1,124 @@
+"""Every gate must be able to fail: faults of known size injected into the
+kernel that makes a gated quantity, through ``check``, ``report`` and a
+``sample`` campaign.
+
+A fault well above the gate tol * ||zeta||^2 flips the verdict and the exit
+code at every scale; a fault of roundoff size flips nothing.  Faults are
+injected with monkeypatch only, into every curvlike module that binds the
+kernel, and every form is seeded.
+"""
+
+import json
+import re
+import sys
+
+import numpy as np
+import pytest
+
+from curvlike import gauss_bounds
+from curvlike.cli import main
+from curvlike.instance_io import Instance, save_instance
+from curvlike.tensor_core import BundleValuedForm, norm_sqs
+from random_forms import sample_general
+
+
+def metric_square(n: int) -> np.ndarray:
+    """g ∧ g, the Kulkarni-Nomizu square of the Euclidean metric, in the
+    index order of the Gauss tensor: 2 (delta_il delta_jk - delta_ik delta_jl).
+    It has every curvature symmetry, so only the Gauss residual can see it."""
+    eye = np.eye(n)
+    return 2.0 * (
+        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    )
+
+
+@pytest.fixture
+def gauss_fault(monkeypatch):
+    """Returns a setter: ``gauss_fault(size)`` makes every Gauss tensor built
+    from then on T + size * ||zeta||^2 * (g ∧ g), per form of a stack."""
+    build = gauss_bounds.gauss_components
+
+    def set_size(size: float) -> None:
+        def faulty(components):
+            comps = np.asarray(components)
+            norm_sq = norm_sqs(comps)
+            fault = metric_square(comps.shape[-1])
+            return build(comps) + size * norm_sq[..., None, None, None, None] * fault
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "gauss_components", None)
+            if name.split(".")[0] == "curvlike" and bound is build:
+                monkeypatch.setattr(module, "gauss_components", faulty)
+
+    return set_size
+
+
+def run(capsys, *argv):
+    """Exit code and report of one CLI call.  ``report`` and ``sample`` print
+    JSON; of ``check``'s text the fields this file reads are parsed (its
+    failures print as one unquoted list, and no message holds a comma)."""
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    if argv[0] != "check":
+        return code, json.loads(out)
+    pattern = r"^\s*(tolerance|gauss_residual|passed|failures): (.*)$"
+    field = dict(re.findall(pattern, out, re.M))
+    failures = [f for f in field.pop("failures")[1:-1].split(", ") if f]
+    symmetry = {key: json.loads(field.pop(key)) for key in ("gauss_residual", "passed")}
+    return code, {"tolerance": float(field["tolerance"]), "symmetry": symmetry, "failures": failures}
+
+
+def write_form(tmp_path, scale: float) -> str:
+    zeta = sample_general(np.random.default_rng(31), 4, 6)
+    path = str(tmp_path / "form.json")
+    save_instance(Instance(zeta=BundleValuedForm(zeta.components * scale)), path)
+    return path
+
+
+SAMPLE = ("sample", "--n", "4", "--bundle", "6", "--count", "4", "--seed", "5",
+          "--family", "general")
+SCALES = [1e-3, 1.0, 1e4]
+
+
+class TestGaussTensorFault:
+    """T + delta (g ∧ g) keeps every curvature symmetry, so only the
+    independent Gauss residual catches it."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_check_and_report_fail(self, tmp_path, capsys, gauss_fault, scale):
+        path = write_form(tmp_path, scale)
+        gauss_fault(1e-3)
+        for command in ("check", "report"):
+            code, doc = run(capsys, command, path)
+            symmetry = doc["symmetry"]
+            assert code == 1
+            assert symmetry["passed"] is True
+            assert symmetry["gauss_residual"] > doc["tolerance"]
+            assert [f for f in doc["failures"] if f.startswith("Gauss residual")] == [
+                f"Gauss residual {symmetry['gauss_residual']!r} exceeds the tolerance"
+            ]
+
+    def test_sample_fails_on_its_audited_instance(self, capsys, gauss_fault):
+        gauss_fault(1e-3)
+        code, doc = run(capsys, *SAMPLE)
+        results = doc["results"]
+        assert code == 1
+        assert results["all_pass"] is False
+        assert results["audited"] == 1
+        [violation] = results["violations"]
+        assert violation["kind"] == "gauss"
+        assert violation["detail"] == results["max_gauss_residual"]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_roundoff_sized_fault_flips_nothing(self, tmp_path, capsys, gauss_fault, scale):
+        path = write_form(tmp_path, scale)
+        clean = [run(capsys, command, path) for command in ("check", "report")]
+        clean_sample = run(capsys, *SAMPLE)
+        gauss_fault(1e-20)
+        for command, (code, doc) in zip(("check", "report"), clean):
+            faulty_code, faulty = run(capsys, command, path)
+            assert (faulty_code, faulty["failures"]) == (code, doc["failures"]) == (0, [])
+            assert faulty["symmetry"]["passed"] is True
+        code, doc = run(capsys, *SAMPLE)
+        assert code == clean_sample[0] == 0
+        assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True

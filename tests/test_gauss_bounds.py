@@ -24,7 +24,6 @@ from curvlike.gauss_bounds import (
     ricci_forms,
     ricci_probe_residuals,
     total_symmetry_residuals,
-    verify_gauss,
 )
 from curvlike.optim_lemmas import max_ricci, positive_lead
 from curvlike.sampling import draw_general, draw_symmetric
@@ -63,28 +62,33 @@ class TestBuildAndVerify:
                 if i != j:
                     assert tensor.components[i, j, j, i] == 1.0
 
-    def test_round_trip_residual_zero(self):
+    @staticmethod
+    def gauss_residual(tensor, zeta):
+        """The residual ``check`` and ``report`` print for ``tensor``."""
+        comps = zeta.components
+        return float(gauss_probe_residuals(tensor.components, comps, ricci_forms(comps)))
+
+    def test_round_trip_residual_is_roundoff(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
             zeta = sample_general(rng, int(rng.integers(2, 6)), int(rng.integers(1, 5)))
-            assert verify_gauss(build_T_from_zeta(zeta), zeta) == 0.0
+            residual = self.gauss_residual(build_T_from_zeta(zeta), zeta)
+            assert residual <= PROBE_ROUNDOFF * zeta_norm_sq(zeta)
 
     def test_zero_tensor_against_reference(self, h_umbilical_ref):
-        residual = verify_gauss(CurvatureLikeTensor.zeros(2), h_umbilical_ref)
-        assert residual == pytest.approx(2.0, abs=1e-15)
+        """The contraction of the zero tensor misses all of S_T = 2 I, and
+        no probe value reaches 2."""
+        residual = self.gauss_residual(CurvatureLikeTensor.zeros(2), h_umbilical_ref)
+        assert residual == 2.0
 
     def test_perturbation_is_linear(self, h_umbilical_ref):
         tensor = build_T_from_zeta(h_umbilical_ref)
         comps = np.array(tensor.components)
         eps = 3e-7
         comps[0, 1, 1, 0] += eps
-        assert verify_gauss(CurvatureLikeTensor(comps), h_umbilical_ref) == (
+        assert self.gauss_residual(CurvatureLikeTensor(comps), h_umbilical_ref) == (
             pytest.approx(eps, abs=1e-15)
         )
-
-    def test_dimension_mismatch(self, h_umbilical_ref):
-        with pytest.raises(ValidationError, match=r"^tensor dimension 3 != form dimension 2$"):
-            verify_gauss(CurvatureLikeTensor.zeros(3), h_umbilical_ref)
 
 
 class TestGramKernel:
@@ -218,8 +222,9 @@ def probe_weights(n):
 
 
 class TestGaussProbes:
-    """The campaign's Gauss residual: T against S_T and against zeta at fixed
-    probe vectors, with no rebuild of T."""
+    """The Gauss residual of ``check``, ``report`` and campaign audits: T
+    against S_T and against zeta at fixed probe vectors, with no rebuild of
+    T."""
 
     DELTA = 1e-6
 
