@@ -18,12 +18,15 @@ The array kernels (:func:`gauss_components`, :func:`gauss_probe_residuals`,
 :func:`total_symmetry_residuals`, :func:`evaluate`) take leading axes that
 stack independent forms; the functions on single forms are their one-form
 case, so a sampling campaign and a single report agree bitwise.  Every kernel
-allocates its own result.
+allocates its own result, except that :func:`gauss_components` may write
+into a caller's :func:`gauss_buffer`.
 
 ``check`` and ``report`` build T once and check it against zeta and S_T
 with :func:`gauss_probe_residuals`.  A sampling campaign checks each form's
 S_T against zeta with :func:`ricci_probe_residuals`, with no n^4 tensor; it
-builds and checks T only for its audited instances.
+builds and checks T only for its audited instances.  Either way a form's
+n^4 stage (``reporting._gauss_stage``) holds one n^4 allocation: G, T and
+the scratch of the residual kernels share one :func:`gauss_buffer`.
 """
 
 from __future__ import annotations
@@ -91,7 +94,23 @@ class BoundReport:
     equality_class: EqualityClass
 
 
-def gauss_components(components: np.ndarray) -> np.ndarray:
+# Up to this size of T (n <= 9) a form's n^4 stage runs as one block: on a
+# small form the Python cost of each extra block outweighs the memory saved.
+_WHOLE_TENSOR_BYTES = 64 * 1024
+
+
+def gauss_buffer(n: int) -> np.ndarray:
+    """An empty buffer [n + b, n, n, n] for one form's n^4 stage, with b = n
+    where T fits in 64 KiB and n // 2 above (768 KiB at n = 16):
+    :func:`gauss_components` writes G and T into it, and the b slabs it
+    leaves spent are scratch for
+    :func:`~curvlike.tensor_core.curvature_residuals` and
+    :func:`~curvlike.tensor_core.pair_exchange_residuals`."""
+    b = n if 8 * n**4 <= _WHOLE_TENSOR_BYTES else n // 2
+    return np.empty((n + b, n, n, n))
+
+
+def gauss_components(components: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gauss tensors T[..., i, j, k, l] of a stack of forms zeta[..., r, i, j].
 
     With Z the form reshaped to (m', n^2), the Gram matrix G = Z^T Z holds
@@ -101,13 +120,33 @@ def gauss_components(components: np.ndarray) -> np.ndarray:
     bitwise symmetric and both antisymmetries of T are exact.  Pair exchange
     holds to roundoff only: G[il, jk] and G[kj, li] are the same dot product
     taken in different BLAS tiles.
+
+    G and T share one buffer ``out`` [..., n + b, n, n, n] (see
+    :func:`gauss_buffer`): G fills its last n slabs, and T its first n, b
+    slabs at a time.  Slab i of T reads only slab i of G, so each block
+    overwrites only slabs of G already read, and the last b slabs are left
+    spent.  Without ``out`` the buffer is fresh, with b = n.  Each entry of T
+    is the same one subtraction whatever b is.  Returns the view of T.
     """
     comps = np.asarray(components)
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
+    out = np.empty(lead + (2 * n, n, n, n)) if out is None else out
+    b = out.shape[-4] - n
     z = comps.reshape(lead + (m, n * n))
-    g = (np.swapaxes(z, -1, -2) @ z).reshape(lead + (n, n, n, n))
-    # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
-    return np.moveaxis(g, -3, -1) - np.swapaxes(g, -3, -2)
+    gram = np.matmul(
+        np.swapaxes(z, -1, -2), z, out=out[..., b:, :, :, :].reshape(lead + (n * n, n * n))
+    )
+    g = gram.reshape(lead + (n, n, n, n))
+    for start in range(0, n, b):
+        block = slice(start, min(start + b, n))
+        # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
+        slab = g[..., block, :, :, :]
+        np.subtract(
+            slab.swapaxes(-3, -2).swapaxes(-2, -1),
+            slab.swapaxes(-3, -2),
+            out=out[..., block, :, :, :],
+        )
+    return out[..., :n, :, :, :]
 
 
 def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
@@ -474,8 +513,10 @@ def corollary_triple(
     one array pass; the fields are then bool arrays over the stack.
     """
     xv = as_unit_vector(x, zeta.n, stacked=True)
-    # zeta(X, .) as an (m', n) matrix per direction: column j is zeta(X, e_j).
-    zeta_x = np.einsum("rij,...i->...rj", zeta.components, xv)
+    # zeta(X, .) as an (m', n) matrix per direction: column j is zeta(X, e_j),
+    # one product for the stack; zeta is bitwise symmetric, so contracting
+    # its last index is contracting i.
+    zeta_x = np.tensordot(xv, zeta.components, axes=(-1, -1))
     perp = zeta_x @ np.swapaxes(orthonormal_complement(xv), -1, -2)
     perp_ok = (np.linalg.norm(perp, axis=-2) <= tol).all(axis=-1)
     half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * traces(zeta.components)

@@ -21,10 +21,10 @@ from .gauss_bounds import (
     FormEvaluation,
     _certified,
     _gaps,
-    build_T_from_zeta,
     check_evaluated,
     corollary_triple,
     evaluate,
+    gauss_buffer,
     gauss_components,
     gauss_probe_residuals,
     ricci_probe_residuals,
@@ -54,7 +54,7 @@ from .tensor_core import (
     _symmetries_hold,
     curvature_residuals,
     null_space,
-    pair_exchange_residual,
+    pair_exchange_residuals,
 )
 
 TOOL_NAME = "curvlike"
@@ -156,19 +156,33 @@ def _tolerances(evaluation: FormEvaluation, tol: float) -> dict:
     return {"tolerance": tol * float(evaluation.norm_sq), "relative_tolerance": tol}
 
 
+def _gauss_stage(form: np.ndarray, ricci_form: np.ndarray, pair_exchange: bool):
+    """The n^4 stage of one form, in one :func:`gauss_buffer`: T from
+    :func:`gauss_components`; its curvature residuals and, with
+    ``pair_exchange``, its pair-exchange residual, each reduced in the slabs
+    of G that T leaves spent; its Gauss residual
+    (:func:`gauss_probe_residuals`) against zeta and S_T.  Returns
+    (curvature residuals, Gauss residual, pair exchange or None)."""
+    n = form.shape[-1]
+    buffer = gauss_buffer(n)
+    tensor, scratch = gauss_components(form, out=buffer), buffer[n:]
+    residuals = curvature_residuals(tensor, scratch)
+    pair = pair_exchange_residuals(tensor, scratch) if pair_exchange else None
+    return residuals, gauss_probe_residuals(tensor, form, ricci_form), pair
+
+
 def _symmetry_block(
     zeta: BundleValuedForm, evaluation: FormEvaluation, tol: float, ambient=None
 ) -> tuple[dict, dict, list[str]]:
-    """:func:`_verdicts` of one form; from one build of T, its curvature and
-    Gauss (:func:`gauss_probe_residuals`) residuals and verdict; the failures."""
-    tensor = build_T_from_zeta(zeta)
-    residuals = curvature_residuals(tensor.components)
-    gauss = gauss_probe_residuals(tensor.components, zeta.components, evaluation.ricci_form)
+    """:func:`_verdicts` of one form; from its :func:`_gauss_stage`, the
+    curvature, pair-exchange and Gauss residuals and verdict; the failures."""
+    ricci_form = evaluation.ricci_form
+    residuals, gauss, pair = _gauss_stage(zeta.components, ricci_form, pair_exchange=True)
     kinds = _verdicts(tol, residuals, gauss, evaluation, ambient)
     names = ("skew_first_pair", "skew_second_pair", "first_bianchi")
     block = {
         **{name: float(r) for name, r in zip(names, residuals)},
-        "pair_exchange": pair_exchange_residual(tensor),
+        "pair_exchange": float(pair),
         "gauss_residual": float(gauss),
         "passed": not kinds["symmetry"][0],
     }
@@ -370,9 +384,11 @@ def run_sample(
     certifies it) and an ambient margin app - (max Ric_T + offset) below
     -tol; the offset is checked before the first draw.  A chunk holds at most
     :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat in
-    ``count``.  Each stage allocates only its result, and the last chunk is
-    held until the tightest instance's audit has run, so a call reuses the
-    heap pages it faulted in rather than returning and refaulting them.
+    ``count``.  Each stage allocates only its result, and an audit's n^4
+    stage one buffer (:func:`_gauss_stage`), 768 KiB at (16, 32): glibc then
+    keeps enough freed heap from call to call that repeated calls take no
+    minor page faults (``ru_minflt``), whether the last chunk is freed before
+    the final audit or not.
 
     Every instance's S_T, which every verdict reads, is checked straight from
     zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4
@@ -414,9 +430,8 @@ def run_sample(
     def audit(index: int, form, ricci_form, norm_sq, probed) -> None:
         nonlocal audited
         audited += 1
-        tensor = gauss_components(form)
-        gauss = np.maximum(gauss_probe_residuals(tensor, form, ricci_form), probed)
-        kinds = _verdicts(tol, curvature_residuals(tensor), gauss, norm_sq=norm_sq)
+        residuals, gauss, _ = _gauss_stage(form, ricci_form, pair_exchange=False)
+        kinds = _verdicts(tol, residuals, np.maximum(gauss, probed), norm_sq=norm_sq)
         for kind, (hit, detail) in kinds.items():
             extremes[kind] = max(extremes[kind], float(detail))
             if hit:
@@ -451,8 +466,6 @@ def run_sample(
                     value = None if detail is None else float(detail[k])
                     violations.append({"index": index, "kind": kind, "detail": value})
     if tightest is not None:
-        # The last chunk stays alive through this audit: freeing it first
-        # would let malloc trim the heap top that the n^4 build then reuses.
         audit(*tightest)
         # Its violations, symmetry or gauss, go to their place by index.
         violations.sort(key=lambda violation: violation["index"])

@@ -5,9 +5,11 @@ Everything here is pointwise linear algebra over dense numpy arrays at desk
 scale (tangent dimension <= 16, bundle dimension <= 32).  All values are
 immutable after construction and every operation is pure, so instances can be
 shared across threads freely.  The array kernels (:func:`checked_components`,
-:func:`curvature_residuals`, :func:`traces`, :func:`trace_norms_sq`) take
-leading axes that stack independent forms or tensors; the functions on single
-objects are their one-form case.
+:func:`curvature_residuals`, :func:`pair_exchange_residuals`, :func:`traces`,
+:func:`trace_norms_sq`) take leading axes that stack independent forms or
+tensors; the functions on single objects are their one-form case.  The two
+residual kernels of a 4-index tensor may be given a scratch array, which they
+fill and reduce a block of slabs at a time.
 """
 
 from __future__ import annotations
@@ -203,28 +205,54 @@ class SymmetryReport:
         return max(self.skew_first_pair, self.skew_second_pair, self.first_bianchi)
 
 
+def _slab_blocks(n: int, scratch: np.ndarray):
+    """(start, stop, index, scratch block) of each block of b slabs
+    ``[..., i, :, :, :]`` of an n^4 tensor, for a scratch ``[..., b, n, n, n]``;
+    the last block may be short."""
+    b = scratch.shape[-4]
+    for start in range(0, n, b):
+        stop = min(start + b, n)
+        out = scratch if stop - start == b else scratch[..., : stop - start, :, :, :]
+        yield start, stop, np.s_[..., start:stop, :, :, :], out
+
+
 def curvature_residuals(
-    components: np.ndarray,
+    components: np.ndarray, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max absolute violation of T(X,Y,Z,W) = -T(Y,X,Z,W), of
     T(X,Y,Z,W) = -T(X,Y,W,Z) and of the first Bianchi sum
     T(X,Y,Z,W) + T(X,Z,W,Y) + T(X,W,Y,Z) = 0, over all index quadruples of
     each tensor in a stack ``[..., i, j, k, l]``.  The three residuals are
-    formed in turn in one scratch array shaped like the stack.
+    formed in turn in ``scratch`` ``[..., b, n, n, n]``, b slabs
+    ``[..., i, :, :, :]`` at a time; without one, in one scratch array shaped
+    like the stack.  A max of |.| is exact and every sum keeps its operand
+    order, so the residuals do not depend on b.
     """
     a = np.asarray(components)
-    scratch = np.empty_like(a)
+    scratch = np.empty_like(a) if scratch is None else scratch
+    # At (i, j, k, l) these read a[..., j, i, k, l], a[..., i, j, l, k],
+    # a[..., i, k, l, j] and a[..., i, l, j, k].  Chained ndarray.swapaxes
+    # takes a tenth of the time of np.moveaxis.
+    views = (
+        a.swapaxes(-4, -3),
+        a.swapaxes(-2, -1),
+        a.swapaxes(-1, -2).swapaxes(-2, -3),
+        a.swapaxes(-3, -2).swapaxes(-2, -1),
+    )
 
     def worst(residual: np.ndarray) -> np.ndarray:
         return np.abs(residual, out=residual).max(axis=(-4, -3, -2, -1))
 
-    skew_xy = worst(np.add(a, np.swapaxes(a, -4, -3), out=scratch))
-    skew_zw = worst(np.add(a, np.swapaxes(a, -2, -1), out=scratch))
-    # At (i, j, k, l) these read a[..., i, k, l, j] and a[..., i, l, j, k].
-    cyclic = np.add(a, np.moveaxis(a, -1, -3), out=scratch)
-    cyclic += np.moveaxis(a, -3, -1)
-    bianchi = worst(cyclic)
-    return skew_xy, skew_zw, bianchi
+    residuals = None
+    for _, _, index, out in _slab_blocks(a.shape[-4], scratch):
+        here, xy, zw, kl, lj = (v[index] for v in (a, *views))
+        skew_xy = worst(np.add(here, xy, out=out))
+        skew_zw = worst(np.add(here, zw, out=out))
+        cyclic = np.add(here, kl, out=out)
+        cyclic += lj
+        block = (skew_xy, skew_zw, worst(cyclic))
+        residuals = block if residuals is None else tuple(map(np.maximum, residuals, block))
+    return residuals
 
 
 def _symmetries_hold(worst, tol: float):
@@ -242,12 +270,32 @@ def validate_curvature_symmetries(
     return SymmetryReport(*(float(r) for r in residuals), tol, passed)
 
 
-def pair_exchange_residual(tensor: CurvatureLikeTensor) -> float:
+def pair_exchange_residuals(
+    components: np.ndarray, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """Max violation of T(X,Y,Z,W) = T(Z,W,X,Y), a consequence of the three
-    curvature identities."""
-    a = tensor.components
-    diff = a - np.einsum("klij->ijkl", a)
-    return float(np.abs(diff, out=diff).max())
+    curvature identities, of each tensor in a stack ``[..., i, j, k, l]``:
+    T read as an (n^2, n^2) matrix minus its transpose, formed in
+    ``scratch`` b slabs of rows at a time as in :func:`curvature_residuals`."""
+    a = np.asarray(components)
+    lead, n = a.shape[:-4], a.shape[-1]
+    scratch = np.empty_like(a) if scratch is None else scratch
+    rows = a.reshape(lead + (n * n, n * n))
+    columns = rows.swapaxes(-1, -2)
+    residual = None
+    for start, stop, _, out in _slab_blocks(n, scratch):
+        block = slice(start * n, stop * n)
+        diff = np.subtract(
+            rows[..., block, :], columns[..., block, :], out=out.reshape(lead + (-1, n * n))
+        )
+        worst = np.abs(diff, out=diff).max(axis=(-2, -1))
+        residual = worst if residual is None else np.maximum(residual, worst)
+    return residual
+
+
+def pair_exchange_residual(tensor: CurvatureLikeTensor) -> float:
+    """:func:`pair_exchange_residuals` of one tensor."""
+    return float(pair_exchange_residuals(tensor.components))
 
 
 def as_unit_vector(x, n: int, stacked: bool = False) -> np.ndarray:

@@ -220,9 +220,9 @@ class TestPerInstanceCheck:
                 forms[k, 1, 0] += delta
             return forms
 
-        def recording(form):
+        def recording(form, out=None):
             built.append(np.array(form))
-            return build(form)
+            return build(form, out)
 
         monkeypatch.setattr(gauss_bounds, "ricci_forms", corrupted)
         monkeypatch.setattr(reporting, "gauss_components", recording)
@@ -250,8 +250,8 @@ class TestPerInstanceCheck:
         delta = self.delta(comps[tightest])
         build = reporting.gauss_components
 
-        def corrupted(form):
-            tensor = build(form)
+        def corrupted(form, out=None):
+            tensor = build(form, out)
             # Both antisymmetries still hold exactly; the Bianchi sum
             # T[0,1,2,0] + T[0,2,0,1] + T[0,0,1,2] is off by delta.
             for index, sign in (

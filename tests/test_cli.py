@@ -963,8 +963,8 @@ def t_builds(monkeypatch):
     probes = gauss_bounds.gauss_probe_residuals
     record = {"built": [], "gauss_probe_residuals": 0}
 
-    def counting(components):
-        tensors = build(components)
+    def counting(components, out=None):
+        tensors = build(components, out)
         n = tensors.shape[-1]
         record["built"].extend([n] * (tensors.size // n**4))
         return tensors
@@ -1032,9 +1032,9 @@ class TestGaussTensorBuilds:
         residuals see exactly those tensors."""
         residuals, seen = reporting.curvature_residuals, []
 
-        def recording(tensor):
+        def recording(tensor, scratch=None):
             seen.append(np.array(tensor))
-            return residuals(tensor)
+            return residuals(tensor, scratch)
 
         monkeypatch.setattr(reporting, "curvature_residuals", recording)
         calls = [

@@ -389,25 +389,25 @@ def test_cli_builds_no_report():
 def test_no_code_rebuilds_the_gauss_tensor_to_compare_it():
     """A second build of T by the kernel that built it equals T by
     construction, so a residual against it reads 0.0 and tests nothing.  T
-    is built by one call, only in its constructor and where it is checked
-    against zeta and S_T by the independent ``gauss_probe_residuals``: the
-    symmetry block of ``check`` and ``report`` and a campaign's audit."""
+    is built by one call, only in its constructor and in the n^4 stage,
+    which checks it against zeta and S_T by the independent
+    ``gauss_probe_residuals`` and serves the symmetry block of ``check`` and
+    ``report`` and a campaign's audit."""
     builds = _owner_counts(
         lambda node: isinstance(node, ast.Call)
         and _name(node.func) in {"gauss_components", "build_T_from_zeta"}
     )
-    assert builds == {
-        "gauss_bounds.build_T_from_zeta": 1,
-        "reporting._symmetry_block": 1,
-        "reporting.audit": 1,
-    }
-    assert _callers("gauss_probe_residuals") == {"reporting._symmetry_block", "reporting.audit"}
+    assert builds == {"gauss_bounds.build_T_from_zeta": 1, "reporting._gauss_stage": 1}
+    assert _callers("gauss_probe_residuals") == {"reporting._gauss_stage"}
+    assert _callers("_gauss_stage") == {"reporting._symmetry_block", "reporting.audit"}
 
 
-def test_kernels_take_no_work_buffers():
-    """Every kernel allocates its own result: no function takes a caller's
-    ``out``, ``gram`` or ``scratch`` array, and a tensor is built only through
-    the public, copying constructor."""
+def test_work_buffers_are_taken_only_by_the_n4_stage_kernels():
+    """Every kernel allocates its own result, except the three that share a
+    form's one n^4 buffer: ``gauss_components`` writes G and T into it, and
+    the two residual kernels reduce in its spent slabs, block by block.  No
+    other function takes a caller's ``out``, ``gram`` or ``scratch`` array,
+    and a tensor is built only through the public, copying constructor."""
     buffers = {
         f"{module}.{node.name}({arg.arg})"
         for module, tree in MODULES.items()
@@ -416,7 +416,12 @@ def test_kernels_take_no_work_buffers():
         for arg in ast.walk(node.args)
         if isinstance(arg, ast.arg) and arg.arg in {"out", "gram", "scratch"}
     }
-    assert buffers == set()
+    assert buffers == {
+        "gauss_bounds.gauss_components(out)",
+        "tensor_core._slab_blocks(scratch)",
+        "tensor_core.curvature_residuals(scratch)",
+        "tensor_core.pair_exchange_residuals(scratch)",
+    }
     tensor_class = next(
         node for node in _classes(MODULES["tensor_core"]) if node.name == "CurvatureLikeTensor"
     )

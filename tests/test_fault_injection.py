@@ -33,22 +33,37 @@ def metric_square(n: int) -> np.ndarray:
 
 
 @pytest.fixture
-def gauss_fault(monkeypatch):
-    """Returns a setter: ``gauss_fault(size)`` makes every Gauss tensor built
-    from then on T + size * ||zeta||^2 * (g ∧ g), per form of a stack."""
+def tensor_fault(monkeypatch):
+    """Returns a setter: ``tensor_fault(add)`` makes every Gauss tensor built
+    from then on go through ``add(tensor, norm_sq)``, which changes the
+    tensors of a stack in place, given each form's ||zeta||^2."""
     build = gauss_bounds.gauss_components
 
-    def set_size(size: float) -> None:
-        def faulty(components):
-            comps = np.asarray(components)
-            norm_sq = norm_sqs(comps)
-            fault = metric_square(comps.shape[-1])
-            return build(comps) + size * norm_sq[..., None, None, None, None] * fault
+    def set_fault(add) -> None:
+        def faulty(components, out=None):
+            tensor = build(components, out)
+            add(tensor, norm_sqs(np.asarray(components)))
+            return tensor
 
         for name, module in list(sys.modules.items()):
             bound = getattr(module, "gauss_components", None)
             if name.split(".")[0] == "curvlike" and bound is build:
                 monkeypatch.setattr(module, "gauss_components", faulty)
+
+    return set_fault
+
+
+@pytest.fixture
+def gauss_fault(tensor_fault):
+    """Returns a setter: ``gauss_fault(size)`` makes every Gauss tensor built
+    from then on T + size * ||zeta||^2 * (g ∧ g), per form of a stack."""
+
+    def set_size(size: float) -> None:
+        def add(tensor, norm_sq):
+            fault = metric_square(tensor.shape[-1])
+            tensor += size * norm_sq[..., None, None, None, None] * fault
+
+        tensor_fault(add)
 
     return set_size
 
@@ -61,22 +76,28 @@ def run(capsys, *argv):
     out = capsys.readouterr().out
     if argv[0] != "check":
         return code, json.loads(out)
-    pattern = r"^\s*(tolerance|gauss_residual|passed|failures): (.*)$"
+    pattern = r"^\s*(tolerance|skew_second_pair|gauss_residual|passed|failures): (.*)$"
     field = dict(re.findall(pattern, out, re.M))
     failures = [f for f in field.pop("failures")[1:-1].split(", ") if f]
-    symmetry = {key: json.loads(field.pop(key)) for key in ("gauss_residual", "passed")}
+    keys = ("skew_second_pair", "gauss_residual", "passed")
+    symmetry = {key: json.loads(field.pop(key)) for key in keys}
     return code, {"tolerance": float(field["tolerance"]), "symmetry": symmetry, "failures": failures}
 
 
-def write_form(tmp_path, scale: float) -> str:
-    zeta = sample_general(np.random.default_rng(31), 4, 6)
+def write_form(tmp_path, scale: float, n: int = 4, bundle_dim: int = 6) -> str:
+    zeta = sample_general(np.random.default_rng(31), n, bundle_dim)
     path = str(tmp_path / "form.json")
     save_instance(Instance(zeta=BundleValuedForm(zeta.components * scale)), path)
     return path
 
 
-SAMPLE = ("sample", "--n", "4", "--bundle", "6", "--count", "4", "--seed", "5",
-          "--family", "general")
+def sample_args(n: int, bundle_dim: int) -> tuple[str, ...]:
+    """A 4-instance general campaign."""
+    return ("sample", "--n", str(n), "--bundle", str(bundle_dim), "--count", "4",
+            "--seed", "5", "--family", "general")
+
+
+SAMPLE = sample_args(4, 6)
 SCALES = [1e-3, 1.0, 1e4]
 
 
@@ -121,4 +142,66 @@ class TestGaussTensorFault:
             assert faulty["symmetry"]["passed"] is True
         code, doc = run(capsys, *SAMPLE)
         assert code == clean_sample[0] == 0
+        assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True
+
+
+SYMMETRY_FAILURE = "curvature symmetries failed on the built tensor"
+
+
+def antisymmetry_fault(slab: int, size: float):
+    """T(X,Y,Z,W) = -T(X,Y,W,Z) broken by size * ||zeta||^2 at the one entry
+    T[slab, slab, 0, 1].  Every curvature residual that reads it, both skews
+    and the Bianchi sum, does so in slab ``slab`` of T only."""
+
+    def add(tensor, norm_sq):
+        tensor[..., slab, slab, 0, 1] += size * norm_sq
+
+    return add
+
+
+# The n^4 stage reduces T in blocks of n // 2 slabs from n = 10 on: two
+# blocks of 8 at n = 16, and blocks of 7, 7 and 1 at n = 15.  The fault sits
+# in the first slab or in the last, so a skipped or short last block misses it.
+BLOCKED = [(16, 32, 0), (16, 32, 15), (15, 30, 0), (15, 30, 14)]
+
+
+class TestAntisymmetryFault:
+    """One entry of T off its second-pair antisymmetry fails ``check``,
+    ``report`` and a 4-instance ``sample`` on the symmetry gate, wherever
+    the entry sits among the blocks the n^4 stage reduces."""
+
+    @pytest.mark.parametrize("n, bundle_dim, slab", BLOCKED)
+    def test_check_and_report_fail(self, tmp_path, capsys, tensor_fault, n, bundle_dim, slab):
+        path = write_form(tmp_path, 1.0, n, bundle_dim)
+        tensor_fault(antisymmetry_fault(slab, 1e-6))
+        for command in ("check", "report"):
+            code, doc = run(capsys, command, path)
+            symmetry = doc["symmetry"]
+            assert code == 1
+            assert symmetry["passed"] is False
+            assert symmetry["skew_second_pair"] > doc["tolerance"]
+            assert SYMMETRY_FAILURE in doc["failures"]
+
+    @pytest.mark.parametrize("n, bundle_dim, slab", BLOCKED)
+    def test_sample_fails_on_its_audited_instance(self, capsys, tensor_fault, n, bundle_dim, slab):
+        tensor_fault(antisymmetry_fault(slab, 1e-6))
+        code, doc = run(capsys, *sample_args(n, bundle_dim))
+        results = doc["results"]
+        assert code == 1
+        assert results["audited"] == 1
+        [symmetry] = [v for v in results["violations"] if v["kind"] == "symmetry"]
+        assert symmetry["detail"] == results["max_symmetry_residual"]
+
+    @pytest.mark.parametrize("n, bundle_dim, slab", BLOCKED)
+    def test_roundoff_sized_fault_flips_nothing(
+        self, tmp_path, capsys, tensor_fault, n, bundle_dim, slab
+    ):
+        path = write_form(tmp_path, 1.0, n, bundle_dim)
+        tensor_fault(antisymmetry_fault(slab, 1e-20))
+        for command in ("check", "report"):
+            code, doc = run(capsys, command, path)
+            assert (code, doc["failures"]) == (0, [])
+            assert doc["symmetry"]["passed"] is True
+        code, doc = run(capsys, *sample_args(n, bundle_dim))
+        assert code == 0
         assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True
