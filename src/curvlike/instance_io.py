@@ -6,8 +6,11 @@ every float is written with 17 significant digits, which round-trips binary64
 exactly.  Identical data therefore always produces identical bytes.
 
 Float arrays (ζ's components, report vectors and frames) are passed to the
-writer as ndarrays and go through one array emitter, :func:`format_floats`:
-it checks finiteness once, builds the whole nested layout as one ``%``
+writer as ndarrays and go through one array emitter, :func:`format_floats`.
+A 1-D array of at most :data:`SHORT_ROW` floats (a report's directions,
+traces and frame rows) is joined float by float, since a row that short does
+not repay the array pass.  Any other array is formatted in that pass: it
+checks finiteness once, builds the whole nested layout as one ``%``
 template with a format code per element, and fills it from
 ``arr.ravel().tolist()`` in a single ``%`` call.  The text is the same as
 formatting each float on its own with ``%.17g`` and appending ``.0`` when the
@@ -18,17 +21,19 @@ is what ``%.1f`` gives minus the ``.0`` (``-0.0`` included).  From 1e17 up,
 ``%.17g`` uses an exponent and needs no suffix.  So the emitter picks ``%.1f``
 for the integral values below 1e17 and ``%.17g`` for all others, and every
 saved instance and report stays byte-identical to the one-float-at-a-time
-writer that the tests keep as their oracle.
+writer that the tests keep as their oracle.  Scalars and dictionary keys are
+dispatched on their exact type first: a key that is an ASCII identifier is
+quoted as it is, any other through ``json.dumps``.
 
 :func:`instance_sha256` hashes the header text and ζ's binary64 bytes, not
-ζ's text: on a general (16, 32) form, formatting takes about 3 ms and
-hashing the bytes about 0.06 ms (timeit minima, 2-core x86_64).
+ζ's text: on a general (16, 32) form, formatting takes about 3.7 ms and
+hashing about 0.05 ms (timeit minima, 2-core x86_64, October 2026).
 
-Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.6 ms
-against 4.8 ms with the standard ``json`` decoder (timeit minima, 2-core
-x86_64).  orjson rounds every number, integers beyond 64 bits included, to
-the nearest binary64 as ``float()`` does, so ζ comes out bit for bit as the
-standard decoder gives it; ``tests/test_json_decoder.py`` checks this.
+Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.35 ms
+against 2.2 ms with the standard ``json`` decoder (timeit minima, 2-core
+x86_64, October 2026).  orjson rounds every number, integers beyond 64 bits
+included, to the nearest binary64 as ``float()`` does, so ζ comes out bit for
+bit as the standard decoder gives it; ``tests/test_json_decoder.py`` checks this.
 orjson refuses ``NaN``, ``Infinity``, a byte order mark and any number
 beyond binary64, all of which the standard decoder reads.  A refusal,
 orjson's or the schema's, is worded by reading the text again with the
@@ -79,6 +84,12 @@ class Instance:
 # integer digits, with no exponent; "%.1f" writes the same digits plus ".0".
 _FIXED_LIMIT = 1e17
 
+# The longest row that :func:`format_floats` joins float by float: the array
+# pass has a fixed cost that a short row does not repay.  Timeit minima on a
+# 2-core x86_64 host, array pass against float by float: 12.8 against 3.6 us
+# at 2 floats, 17.3 against 12.7 us at 16 and 23.1 against 24.0 us at 32.
+SHORT_ROW = 24
+
 
 def _non_finite(x: float) -> ValidationError:
     return ValidationError(f"non-finite number {x!r} cannot be serialized")
@@ -96,15 +107,19 @@ def format_float(x: float) -> str:
 
 def format_floats(values: np.ndarray, indent: int = 0) -> str:
     """JSON text of a float array of one or more axes, in the writer's nested
-    layout, formatted in a single pass.
+    layout.
 
-    The layout (bracket and newline, two-space pads, ``", "`` between the
-    numbers of a row) is built as one ``%`` template, with one format code
-    per element, and filled from ``values.ravel().tolist()``.  Finiteness is
+    A row of at most :data:`SHORT_ROW` floats is joined float by float with
+    :func:`format_float`.  Any other array is formatted in a single pass: the
+    layout (bracket and newline, two-space pads, ``", "`` between the numbers
+    of a row) is built as one ``%`` template, with one format code per
+    element, and filled from ``values.ravel().tolist()``.  Finiteness is
     checked once for the array; the error names the first non-finite value
-    in row-major order.
+    in row-major order, as the float-by-float join does.
     """
     flat = values.ravel().astype(float, copy=False)
+    if values.ndim == 1 and len(flat) <= SHORT_ROW:
+        return "[" + ", ".join(map(format_float, flat.tolist())) + "]"
     finite = np.isfinite(flat)
     if not finite.all():
         raise _non_finite(float(flat[finite.argmin()]))
@@ -134,7 +149,18 @@ def _layout(shape: tuple[int, ...], indent: int) -> str:
 
 
 def format_scalar(value) -> str:
-    """JSON text of a bool, integer, float, string or None."""
+    """JSON text of a bool, integer, float, string or None, numpy's included."""
+    kind = type(value)
+    if kind is float:
+        return format_float(value)
+    if kind is str:
+        return json.dumps(value)
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -143,9 +169,11 @@ def format_scalar(value) -> str:
         return format_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    if value is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+# The types the writers format with :func:`format_scalar` at a glance.
+SCALAR_TYPES = frozenset({float, str, int, bool, type(None)})
 
 
 def is_float_array(value) -> bool:
@@ -153,7 +181,15 @@ def is_float_array(value) -> bool:
     return isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim > 0
 
 
+def is_scalar(value) -> bool:
+    """Whether the writers print ``value`` on its own, not as a container."""
+    return not isinstance(value, (dict, list, tuple, np.ndarray))
+
+
 def _write(value, parts: list[str], indent: int) -> None:
+    if type(value) in SCALAR_TYPES:
+        parts.append(format_scalar(value))
+        return
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -161,7 +197,10 @@ def _write(value, parts: list[str], indent: int) -> None:
             return
         parts.append("{\n")
         for idx, (key, item) in enumerate(value.items()):
-            parts.append(f"{pad}  {json.dumps(str(key))}: ")
+            key = str(key)
+            # An ASCII identifier needs no escape.
+            key = f'"{key}"' if key.isascii() and key.isidentifier() else json.dumps(key)
+            parts.append(f"{pad}  {key}: ")
             _write(item, parts, indent + 1)
             parts.append(",\n" if idx < len(value) - 1 else "\n")
         parts.append(pad + "}")
@@ -172,11 +211,8 @@ def _write(value, parts: list[str], indent: int) -> None:
         if not items:
             parts.append("[]")
             return
-        scalars = all(
-            not isinstance(item, (dict, list, tuple, np.ndarray)) for item in items
-        )
-        if scalars:
-            parts.append("[" + ", ".join(format_scalar(item) for item in items) + "]")
+        if all(map(is_scalar, items)):
+            parts.append("[" + ", ".join(map(format_scalar, items)) + "]")
         else:
             parts.append("[\n")
             for idx, item in enumerate(items):

@@ -30,6 +30,7 @@ from .gauss_bounds import (
     ricci_probe_residuals,
 )
 from .instance_io import (
+    SCALAR_TYPES,
     Instance,
     ambient_to_dict,
     dump_json,
@@ -37,6 +38,7 @@ from .instance_io import (
     format_scalar,
     instance_sha256,
     is_float_array,
+    is_scalar,
     structure_to_dict,
 )
 from .optim_lemmas import (
@@ -504,20 +506,21 @@ def _scalar_text(value) -> str:
     return value if isinstance(value, str) else format_scalar(value)
 
 
-def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list, tuple, np.ndarray))
-
-
 def _inline(value) -> str | None:
     """One-line text of a scalar, a flat list or a float row; None for a
     value that nests.  Float rows go through the JSON writer's array emitter."""
+    kind = type(value)
+    if kind is dict:
+        return None
+    if kind in SCALAR_TYPES:
+        return value if kind is str else format_scalar(value)
     if is_float_array(value):
         return format_floats(value) if value.ndim == 1 or not len(value) else None
-    if _is_scalar(value):
+    if is_scalar(value):
         return _scalar_text(value)
-    if isinstance(value, dict) or not all(_is_scalar(x) for x in value):
+    if isinstance(value, dict) or not all(map(is_scalar, value)):
         return None
-    return "[" + ", ".join(_scalar_text(x) for x in value) + "]"
+    return "[" + ", ".join(map(_scalar_text, value)) + "]"
 
 
 def _render(value, depth: int, lines: list[str]) -> None:

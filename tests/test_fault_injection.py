@@ -1,6 +1,6 @@
 """Every gate must be able to fail: faults of known size injected into the
-kernel that makes a gated quantity, through ``check``, ``report`` and a
-``sample`` campaign.
+kernel that makes a gated quantity, through ``check``, ``report``, ``bound``
+and a ``sample`` campaign.
 
 A fault well above the gate tol * ||zeta||^2 flips the verdict and the exit
 code at every scale; a fault of roundoff size flips nothing.  Faults are
@@ -17,7 +17,7 @@ import pytest
 
 from curvlike import gauss_bounds
 from curvlike.cli import main
-from curvlike.instance_io import Instance, save_instance
+from curvlike.instance_io import Instance, load_instance, save_instance
 from curvlike.tensor_core import BundleValuedForm, norm_sqs
 from random_forms import sample_general
 
@@ -30,6 +30,16 @@ def metric_square(n: int) -> np.ndarray:
     return 2.0 * (
         np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
     )
+
+
+def patch_kernel(monkeypatch, name: str, faulty) -> None:
+    """Replace the kernel ``gauss_bounds.<name>`` by ``faulty`` in every
+    curvlike module that binds it."""
+    kernel = getattr(gauss_bounds, name)
+    for module_name, module in list(sys.modules.items()):
+        bound = getattr(module, name, None)
+        if module_name.split(".")[0] == "curvlike" and bound is kernel:
+            monkeypatch.setattr(module, name, faulty)
 
 
 @pytest.fixture
@@ -45,12 +55,26 @@ def tensor_fault(monkeypatch):
             add(tensor, norm_sqs(np.asarray(components)))
             return tensor
 
-        for name, module in list(sys.modules.items()):
-            bound = getattr(module, "gauss_components", None)
-            if name.split(".")[0] == "curvlike" and bound is build:
-                monkeypatch.setattr(module, "gauss_components", faulty)
+        patch_kernel(monkeypatch, "gauss_components", faulty)
 
     return set_fault
+
+
+@pytest.fixture
+def ricci_fault(monkeypatch):
+    """Returns a setter: ``ricci_fault(size)`` makes every Ricci form computed
+    from then on S_T + size * ||zeta||^2 * I, per form of a stack."""
+    build = gauss_bounds.ricci_forms
+
+    def set_size(size: float) -> None:
+        def faulty(components):
+            comps = np.asarray(components)
+            shift = size * norm_sqs(comps)[..., None, None]
+            return build(comps) + shift * np.eye(comps.shape[-1])
+
+        patch_kernel(monkeypatch, "ricci_forms", faulty)
+
+    return set_size
 
 
 @pytest.fixture
@@ -70,18 +94,21 @@ def gauss_fault(tensor_fault):
 
 def run(capsys, *argv):
     """Exit code and report of one CLI call.  ``report`` and ``sample`` print
-    JSON; of ``check``'s text the fields this file reads are parsed (its
-    failures print as one unquoted list, and no message holds a comma)."""
+    JSON; of the text of ``check`` and ``bound`` the fields this file reads
+    are parsed (their failures print as one unquoted list, and no message
+    holds a comma)."""
     code = main(list(argv))
     out = capsys.readouterr().out
-    if argv[0] != "check":
+    if argv[0] not in ("check", "bound"):
         return code, json.loads(out)
-    pattern = r"^\s*(tolerance|skew_second_pair|gauss_residual|passed|failures): (.*)$"
-    field = dict(re.findall(pattern, out, re.M))
+    names = "tolerance|ricci_max|skew_second_pair|gauss_residual|passed|failures"
+    field = dict(re.findall(rf"^\s*({names}): (.*)$", out, re.M))
     failures = [f for f in field.pop("failures")[1:-1].split(", ") if f]
+    doc = {"tolerance": float(field["tolerance"]), "failures": failures}
+    if argv[0] == "bound":
+        return code, {**doc, "bound": {"ricci_max": float(field["ricci_max"])}}
     keys = ("skew_second_pair", "gauss_residual", "passed")
-    symmetry = {key: json.loads(field.pop(key)) for key in keys}
-    return code, {"tolerance": float(field["tolerance"]), "symmetry": symmetry, "failures": failures}
+    return code, {**doc, "symmetry": {key: json.loads(field[key]) for key in keys}}
 
 
 def write_form(tmp_path, scale: float, n: int = 4, bundle_dim: int = 6) -> str:
@@ -205,3 +232,62 @@ class TestAntisymmetryFault:
         code, doc = run(capsys, *sample_args(n, bundle_dim))
         assert code == 0
         assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True
+
+
+class TestRicciFormFault:
+    """S_T + delta ||zeta||^2 I breaks the contraction of T that the Gauss
+    probe checks, so ``check``, ``report`` and a ``sample`` campaign fail.
+    ``bound`` prints no Gauss residual: it shows the fault only as a
+    ``ricci_max`` moved by delta ||zeta||^2."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_check_and_report_fail(self, tmp_path, capsys, ricci_fault, scale):
+        path = write_form(tmp_path, scale)
+        ricci_fault(1e-3)
+        for command in ("check", "report"):
+            code, doc = run(capsys, command, path)
+            symmetry = doc["symmetry"]
+            assert code == 1
+            assert symmetry["passed"] is True
+            assert symmetry["gauss_residual"] > doc["tolerance"]
+            assert [f for f in doc["failures"] if f.startswith("Gauss residual")] == [
+                f"Gauss residual {symmetry['gauss_residual']!r} exceeds the tolerance"
+            ]
+
+    def test_sample_reports_gauss_violations(self, capsys, ricci_fault):
+        ricci_fault(1e-3)
+        code, doc = run(capsys, *SAMPLE)
+        results = doc["results"]
+        assert code == 1
+        assert results["all_pass"] is False
+        assert results["audited"] == 4
+        assert [(v["index"], v["kind"]) for v in results["violations"]] == [
+            (index, "gauss") for index in range(4)
+        ]
+        worst = max(v["detail"] for v in results["violations"])
+        assert worst == results["max_gauss_residual"]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bound_moves_ricci_max_only(self, tmp_path, capsys, ricci_fault, scale):
+        path = write_form(tmp_path, scale)
+        norm_sq = float(norm_sqs(load_instance(path).zeta.components))
+        argv = ("bound", path, "--mode", "general")
+        code, clean = run(capsys, *argv)
+        ricci_fault(1e-3)
+        faulty_code, faulty = run(capsys, *argv)
+        assert (faulty_code, faulty["failures"]) == (code, clean["failures"]) == (0, [])
+        moved = faulty["bound"]["ricci_max"] - clean["bound"]["ricci_max"]
+        assert abs(moved - 1e-3 * norm_sq) <= 64 * np.finfo(float).eps * norm_sq
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_roundoff_sized_fault_flips_nothing(self, tmp_path, capsys, ricci_fault, scale):
+        path = write_form(tmp_path, scale)
+        commands = [(command, path) for command in ("check", "report")]
+        commands += [("bound", path, "--mode", "general"), SAMPLE]
+        clean = [run(capsys, *argv) for argv in commands]
+        ricci_fault(1e-20)
+        for argv, (code, doc) in zip(commands, clean):
+            faulty_code, faulty = run(capsys, *argv)
+            assert faulty_code == code == 0
+            assert faulty.get("failures", []) == doc.get("failures", []) == []
+        assert faulty["results"]["violations"] == [] and faulty["results"]["all_pass"] is True

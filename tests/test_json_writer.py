@@ -1,9 +1,10 @@
-"""The deterministic writers against the one-float-at-a-time reference, and
+"""The deterministic writers against the one-float-at-a-time references, and
 the instance hash against a route that shares no code with the library's.
 
 Golden bytes were recorded with the per-float writer (now
 ``tests/json_oracle.py``) before the array emitter replaced it; the property
-tests compare the two writers on random documents and on real reports.
+tests compare the JSON writer and the text renderer with their references on
+random documents and on a report of every kind.
 """
 
 import hashlib
@@ -15,13 +16,14 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import BoundMode
 from curvlike.instance_io import (
+    SHORT_ROW,
     Instance,
     StructureInfo,
     dump_json,
@@ -33,16 +35,19 @@ from curvlike.instance_io import (
     loads_instance,
     save_instance,
 )
+from curvlike.optim_lemmas import Objective
 from curvlike.reporting import (
     build_bound_report,
     build_check_report,
     build_instance_report,
+    build_lemma_report,
     build_nullspace_report,
     render_text,
+    run_sample,
 )
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm, rotate_frame
-from json_oracle import reference_dump_json, reference_format_float
+from json_oracle import reference_dump_json, reference_format_float, reference_render_text
 from random_forms import random_orthogonal, sample_general, sample_symmetric
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +61,22 @@ SPECIAL_VALUES = [
     5e-324, 1e300, -99999999999999984.0, -1e17, 0.1, -2.5,
     1.0 / 3.0, 123456789012345678.0, 2.0**53 + 2.0, -7.0, 1e-300, -5e-324,
 ]
+
+
+def boundary_row(length: int, *bad: float) -> np.ndarray:
+    """A row of ``length`` floats cycling through -0.0, 1e17 and 2^-1074,
+    with its last entries replaced by ``bad``."""
+    row = np.resize(np.array([-0.0, 1e17, 2.0**-1074]), length)
+    row[length - len(bad):] = bad
+    return row
+
+
+def written(write, doc) -> str:
+    """The text ``write`` makes of ``doc``, or the message it refuses it with."""
+    try:
+        return write(doc)
+    except ValidationError as exc:
+        return f"refused: {exc}"
 
 
 def general_instance() -> Instance:
@@ -149,6 +170,10 @@ class TestNonFinite:
             [1.0, float("inf"), float("nan")],
             [[0.5, -2.0], [float("-inf"), float("nan")]],
             [[[0.0, float("nan")]], [[float("inf"), 1.0]]],
+            *(
+                boundary_row(length, float("inf"), float("nan")).tolist()
+                for length in (SHORT_ROW - 1, SHORT_ROW, SHORT_ROW + 1)
+            ),
         ],
     )
     def test_array_names_first_non_finite_value(self, values):
@@ -175,6 +200,8 @@ finite_floats = st.one_of(
     st.integers(-(10**18), 10**18).map(float),
 )
 float_arrays = st.one_of(
+    # Rows on both sides of the writer's short-row cut.
+    hnp.arrays(np.float64, st.integers(0, 40), elements=finite_floats),
     hnp.arrays(
         np.float64,
         hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
@@ -211,15 +238,26 @@ class TestAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(documents)
+    # Keys that are not ASCII identifiers, which go through json.dumps, and one that is.
+    @example({"ü": 1.0, "1a": [2, "x"], "a-b": None, 'q"t': {"ok_1": True}, "": -0.0})
+    # Rows on both sides of the short-row cut; one of them holds an inf.
+    @example({"a": boundary_row(SHORT_ROW - 1), "b": [boundary_row(SHORT_ROW)]})
+    @example({"a": boundary_row(SHORT_ROW + 1), "b": boundary_row(SHORT_ROW, float("inf"))})
+    @example([boundary_row(SHORT_ROW - 1, float("inf")), boundary_row(SHORT_ROW + 1)])
+    @example({"a": [1.0, 2.0], "b": boundary_row(SHORT_ROW + 1, float("inf"))})
     def test_writer_matches_reference(self, doc):
-        expected = reference_dump_json(doc)
-        assert dump_json(doc) == expected
-        assert reference_dump_json(as_lists(doc)) == expected
+        expected = written(reference_dump_json, doc)
+        assert written(dump_json, doc) == expected
+        assert written(reference_dump_json, as_lists(doc)) == expected
+        if expected.startswith("refused"):  # only an example holds an inf
+            assert expected == "refused: non-finite number inf cannot be serialized"
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(min_size=1, max_size=5), documents, max_size=4))
-    def test_text_arrays_match_lists(self, doc):
-        assert render_text(doc) == render_text(as_lists(doc))
+    def test_text_matches_reference(self, doc):
+        expected = reference_render_text(as_lists(doc))
+        assert render_text(doc) == expected
+        assert render_text(as_lists(doc)) == expected
 
     @pytest.mark.parametrize(
         "zeta",
@@ -247,7 +285,21 @@ class TestAgainstReference:
         ]
         for doc in docs:
             assert dump_json(doc) == reference_dump_json(as_lists(doc))
-            assert render_text(doc) == render_text(as_lists(doc))
+            assert render_text(doc) == reference_render_text(as_lists(doc))
+
+    def test_lemma_and_sample_reports_match_reference(self):
+        lagrangian = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+        docs = [
+            build_lemma_report(Objective.F1, 3, 6.0, None, 1e-9)[0],
+            build_lemma_report(Objective.F2, 3, 4.0, np.array([1.0, 2.0, 1.0]), 1e-9)[0],
+            run_sample(3, 3, 40, 42, "symmetric", lagrangian, 1e-9)[0],
+            # At tolerance 0 every roundoff residual is a violation.
+            run_sample(4, 6, 4, 5, "general", None, 0.0)[0],
+        ]
+        assert docs[-1]["results"]["violations"]
+        for doc in docs:
+            assert dump_json(doc) == reference_dump_json(as_lists(doc))
+            assert render_text(doc) == reference_render_text(as_lists(doc))
 
 
 # Pool entries for the large arrays, binary64 and binary32: signed zeros,
