@@ -45,10 +45,9 @@ from .tensor_core import (
     CurvatureLikeTensor,
     as_unit_vector,
     norm_sqs,
-    orthonormal_complement,
     rotate_frame,
     rotation_to_first_axis,
-    trace_norms_sq,
+    squared_norms,
     traces,
 )
 
@@ -157,9 +156,9 @@ def build_T_from_zeta(zeta: BundleValuedForm) -> CurvatureLikeTensor:
     return CurvatureLikeTensor(gauss_components(zeta.components))
 
 
-def ricci_forms(components: np.ndarray) -> np.ndarray:
+def ricci_forms(components: np.ndarray, trace: np.ndarray | None = None) -> np.ndarray:
     """Ricci forms S_T of the Gauss tensors of a stack of forms, straight
-    from zeta[..., r, i, j]:
+    from zeta[..., r, i, j] and, when in hand, their :func:`traces`:
 
         S_T[i, k] = <trace zeta, zeta[:, i, k]> - sum_r (zeta_r zeta_r)[i, k],
 
@@ -174,7 +173,8 @@ def ricci_forms(components: np.ndarray) -> np.ndarray:
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
     z = comps.reshape(lead + (m, n * n))
     a = comps.reshape(lead + (m * n, n))
-    s = (traces(comps)[..., None, :] @ z).reshape(lead + (n, n))
+    trace = traces(comps) if trace is None else trace
+    s = (trace[..., None, :] @ z).reshape(lead + (n, n))
     s -= np.swapaxes(a, -1, -2) @ a
     return 0.5 * (s + np.swapaxes(s, -1, -2))
 
@@ -351,12 +351,14 @@ class FormEvaluation:
 def evaluate(components: np.ndarray) -> FormEvaluation:
     """||zeta||^2, trace zeta, ||trace zeta||^2, S_T with its top eigenvalue
     and the total-symmetry residual of a form or a stack zeta[..., r, i, j],
-    bitwise symmetric in (i, j).  The spectrum of the whole stack is one
-    ``eigvalsh``, with no eigenvectors."""
+    bitwise symmetric in (i, j).  The trace is taken once, for S_T and its
+    norm alike; the spectrum of the whole stack is one ``eigvalsh``, with no
+    eigenvectors."""
     comps = np.asarray(components)
-    s_form, norm_sq = ricci_forms(comps), norm_sqs(comps)
+    trace = traces(comps)
+    s_form, norm_sq = ricci_forms(comps, trace), norm_sqs(comps)
     top, residual = top_eigenvalues(s_form), total_symmetry_residuals(comps)
-    return FormEvaluation(norm_sq, traces(comps), trace_norms_sq(comps), s_form, top, residual)
+    return FormEvaluation(norm_sq, trace, squared_norms(trace), s_form, top, residual)
 
 
 def _gaps(evaluation: FormEvaluation, mode: BoundMode) -> np.ndarray:
@@ -409,18 +411,20 @@ def equality_directions(
     """Unit directions attaining the general bound, certified pointwise.
 
     Candidates are eigenvectors of S_T whose eigenvalue matches the bound
-    within tol; each must satisfy zeta(X, Y) = 0 for every Y orthogonal to X
-    and zeta(X, X) = trace(zeta) / 2.  For the zero form the canonical basis
-    is reported.  May be empty.
+    within tol * ||zeta||^2; each must satisfy zeta(X, Y) = 0 for every Y
+    orthogonal to X and zeta(X, X) = trace(zeta) / 2, by
+    :func:`corollary_evaluated`.  For the zero form the canonical basis is
+    reported.  May be empty.
     """
     n = zeta.n
     if zeta.max_abs() <= tol:
         return [np.eye(n)[i] for i in range(n)]
     comps = zeta.components
-    values, vectors = np.linalg.eigh(ricci_forms(comps))
-    bound = bound_coefficient(BoundMode.GENERAL, n) * float(trace_norms_sq(comps))
-    candidates = vectors[:, np.abs(values - bound) <= tol].T
-    equal = corollary_triple(zeta, candidates, tol).equality_at_x
+    evaluation = evaluate(comps)
+    values, vectors = np.linalg.eigh(evaluation.ricci_form)
+    bound = bound_coefficient(BoundMode.GENERAL, n) * float(evaluation.trace_norm_sq)
+    candidates = vectors[:, np.abs(values - bound) <= tol * evaluation.norm_sq].T
+    equal = corollary_evaluated(comps, evaluation, candidates, tol).equality_at_x
     return [positive_lead(x) for x in candidates[equal]]
 
 
@@ -510,23 +514,49 @@ def corollary_triple(
     check that no two of them hold without the third.
 
     ``x`` may also be a stack ``[..., n]`` of unit directions, evaluated in
-    one array pass; the fields are then bool arrays over the stack.
+    one array pass; the fields are then bool arrays over the stack.  This is
+    :func:`corollary_evaluated`, which gates each statement at
+    tol * ||zeta||, on the form's :func:`evaluate`.
     """
     xv = as_unit_vector(x, zeta.n, stacked=True)
-    # zeta(X, .) as an (m', n) matrix per direction: column j is zeta(X, e_j),
-    # one product for the stack; zeta is bitwise symmetric, so contracting
-    # its last index is contracting i.
-    zeta_x = np.tensordot(xv, zeta.components, axes=(-1, -1))
-    perp = zeta_x @ np.swapaxes(orthonormal_complement(xv), -1, -2)
-    perp_ok = (np.linalg.norm(perp, axis=-2) <= tol).all(axis=-1)
-    half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * traces(zeta.components)
-    equality = perp_ok & (np.linalg.norm(half, axis=-1) <= tol)
-    trace_norm = float(np.sqrt(trace_norms_sq(zeta.components)))
-    trace_zero = np.full(equality.shape, trace_norm <= tol)
-    in_null = (np.linalg.norm(zeta_x, axis=-2) <= tol).all(axis=-1)
-    verified = equality.astype(int) + trace_zero + in_null != 2
+    comps = zeta.components
+    triple = corollary_evaluated(comps, evaluate(comps), xv.reshape(-1, zeta.n), tol)
+    fields = (triple.equality_at_x, triple.trace_zero, triple.in_null_space, triple.verified)
     if xv.ndim == 1:
-        return CorollaryTriple(
-            bool(equality), bool(trace_zero), bool(in_null), bool(verified)
-        )
+        return CorollaryTriple(*(bool(field[0]) for field in fields))
+    return CorollaryTriple(*(field.reshape(xv.shape[:-1]) for field in fields))
+
+
+def corollary_evaluated(
+    components: np.ndarray, evaluation: FormEvaluation, directions: np.ndarray, tol: float
+) -> CorollaryTriple:
+    """:func:`corollary_triple` of one form zeta[r, i, j] whose
+    :func:`evaluate` is in hand, at a stack [k, n] of directions taken as
+    unit without a check; the fields are bool arrays of length k.
+
+    One product of the stack with zeta read as (m' n, n) gives zeta(X, e_j)
+    for every direction, and one product of that with the columns
+    [X | Y_1 ... Y_{n-1}], X and its Householder complement, gives zeta(X, X)
+    and every zeta(X, Y_j).  The norms of all those bundle vectors are one
+    reduction.  Each statement is a bundle vector, or a set of them, of
+    zeta's size, so each is gated at tol * ||zeta||, the certificate's scale,
+    and a gate of 0 for the zero form: (a) |zeta(X, Y_j)| and
+    |zeta(X, X) - trace / 2|, (b) |trace|, (c) every |zeta(X, e_j)|.
+    """
+    comps = np.asarray(components)
+    m, n, k = comps.shape[-3], comps.shape[-1], len(directions)
+    # values[1] holds zeta(X, .) as an (m', n) matrix per direction, column j
+    # zeta(X, e_j): zeta is bitwise symmetric, so contracting its last index
+    # is contracting i.  values[0] holds zeta(X, .) times [X | Y].
+    values = np.empty((2, k, m, n))
+    np.matmul(directions, comps.reshape(m * n, n).T, out=values[1].reshape(k, m * n))
+    frames = rotation_to_first_axis(directions)
+    frames[:, 0, :] = directions
+    np.matmul(values[1], np.swapaxes(frames, -1, -2), out=values[0])
+    values[0, :, :, 0] -= 0.5 * evaluation.trace
+    norms = np.sqrt(np.add.reduce(np.square(values, out=values), axis=-2))
+    gate = tol * np.sqrt(evaluation.norm_sq)
+    equality, in_null = (norms <= gate).all(axis=-1)
+    trace_zero = np.full(k, np.sqrt(evaluation.trace_norm_sq) <= gate)
+    verified = equality.astype(int) + trace_zero + in_null != 2
     return CorollaryTriple(equality, trace_zero, in_null, verified)

@@ -22,8 +22,9 @@ is what ``%.1f`` gives minus the ``.0`` (``-0.0`` included).  From 1e17 up,
 for the integral values below 1e17 and ``%.17g`` for all others, and every
 saved instance and report stays byte-identical to the one-float-at-a-time
 writer that the tests keep as their oracle.  Scalars and dictionary keys are
-dispatched on their exact type first: a key that is an ASCII identifier is
-quoted as it is, any other through ``json.dumps``.
+dispatched on their exact type first.  Each str key is quoted once per
+process, through a bounded cache: an ASCII identifier as it is, any other
+key through ``json.dumps``.
 
 :func:`instance_sha256` hashes the header text and ζ's binary64 bytes, not
 ζ's text: on a general (16, 32) form, formatting takes about 3.7 ms and
@@ -48,6 +49,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
@@ -186,6 +188,16 @@ def is_scalar(value) -> bool:
     return not isinstance(value, (dict, list, tuple, np.ndarray))
 
 
+@lru_cache(maxsize=1024)
+def _key_text(key: str) -> str:
+    """``"key": `` for a dictionary key, quoted once per process: an ASCII
+    identifier as it is, any other key through ``json.dumps``.  Only str keys
+    are cached, so keys that compare equal across types (1 and True) never
+    share an entry."""
+    quoted = f'"{key}"' if key.isascii() and key.isidentifier() else json.dumps(key)
+    return quoted + ": "
+
+
 def _write(value, parts: list[str], indent: int) -> None:
     if type(value) in SCALAR_TYPES:
         parts.append(format_scalar(value))
@@ -196,13 +208,11 @@ def _write(value, parts: list[str], indent: int) -> None:
             parts.append("{}")
             return
         parts.append("{\n")
+        lead, last = pad + "  ", len(value) - 1
         for idx, (key, item) in enumerate(value.items()):
-            key = str(key)
-            # An ASCII identifier needs no escape.
-            key = f'"{key}"' if key.isascii() and key.isidentifier() else json.dumps(key)
-            parts.append(f"{pad}  {key}: ")
+            parts.append(lead + _key_text(key if type(key) is str else str(key)))
             _write(item, parts, indent + 1)
-            parts.append(",\n" if idx < len(value) - 1 else "\n")
+            parts.append(",\n" if idx < last else "\n")
         parts.append(pad + "}")
     elif is_float_array(value):
         parts.append(format_floats(value, indent))

@@ -22,7 +22,7 @@ from .gauss_bounds import (
     _certified,
     _gaps,
     check_evaluated,
-    corollary_triple,
+    corollary_evaluated,
     evaluate,
     gauss_buffer,
     gauss_components,
@@ -237,9 +237,16 @@ def _ambient_block(
     return doc, [f"ambient bound violated: intrinsic max {intrinsic_max!r} exceeds {app!r}"]
 
 
-def _corollary_block(zeta: BundleValuedForm, argmax: np.ndarray, tol: float) -> dict:
+def _corollary_block(
+    zeta: BundleValuedForm, evaluation: FormEvaluation, argmax: np.ndarray, tol: float
+) -> dict:
+    """The linked statements at the printed maximizer and e_1 ... e_n, from
+    one :func:`corollary_evaluated` on the report's evaluation."""
     labels = ["argmax", *(f"e{j + 1}" for j in range(zeta.n))]
-    triples = corollary_triple(zeta, np.vstack([argmax, np.eye(zeta.n)]), tol)
+    # Row 0 the maximizer, row j the basis vector e_j.
+    directions = np.eye(zeta.n + 1, zeta.n, -1)
+    directions[0] = argmax
+    triples = corollary_evaluated(zeta.components, evaluation, directions, tol)
     fields = ("equality_at_x", "trace_zero", "in_null_space", "verified")
     columns = [getattr(triples, field).tolist() for field in fields]
     rows = [
@@ -276,7 +283,7 @@ def build_instance_report(
     if instance.structure is not None:
         body["structure"] = structure_to_dict(instance.structure)
     body["corollary"] = _corollary_block(
-        zeta, bounds[BoundMode.GENERAL].argmax_direction, tol
+        zeta, evaluation, bounds[BoundMode.GENERAL].argmax_direction, tol
     )
     if not body["corollary"]["all_verified"]:
         failures.append("corollary truth table shows exactly two statements true")

@@ -373,9 +373,14 @@ def traces(components: np.ndarray) -> np.ndarray:
 
 def trace_norms_sq(components: np.ndarray) -> np.ndarray:
     """Squared norm of the trace bundle vector of each form in a stack
-    ``[..., r, i, j]``, as a stacked (1 x m') (m' x 1) product."""
-    t = traces(components)
-    return (t[..., None, :] @ t[..., :, None])[..., 0, 0]
+    ``[..., r, i, j]``: :func:`squared_norms` of its :func:`traces`."""
+    return squared_norms(traces(components))
+
+
+def squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """|v|^2 of each vector of a stack ``[..., m]``, as a stacked
+    (1 x m) (m x 1) product."""
+    return (vectors[..., None, :] @ vectors[..., :, None])[..., 0, 0]
 
 
 def _require_orthogonal(q, size: int, name: str) -> np.ndarray:
@@ -417,12 +422,6 @@ def rotation_to_first_axis(u: np.ndarray) -> np.ndarray:
     q = np.eye(u.shape[-1]) - 2.0 * outer / (v[..., None, :] @ v[..., :, None])
     q[..., 0, :] = np.where(flip[..., None], -q[..., 0, :], q[..., 0, :])
     return q
-
-
-def orthonormal_complement(x: np.ndarray) -> np.ndarray:
-    """Rows form an orthonormal basis of the hyperplane orthogonal to unit x;
-    for a stack ``[..., n]`` of unit vectors, one (n - 1, n) basis each."""
-    return rotation_to_first_axis(x)[..., 1:, :]
 
 
 def null_space(zeta: BundleValuedForm, rank_tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -213,8 +213,8 @@ class TestPerInstanceCheck:
         delta = self.delta(target)
         ricci, build, built = gauss_bounds.ricci_forms, reporting.gauss_components, []
 
-        def corrupted(components):
-            forms = ricci(components)
+        def corrupted(components, trace=None):
+            forms = ricci(components, trace)
             for k in np.flatnonzero((components == target).all(axis=(-3, -2, -1))):
                 forms[k, 0, 1] += delta
                 forms[k, 1, 0] += delta

@@ -28,12 +28,41 @@ from curvlike.tensor_core import (
     DEFAULT_TOL,
     BundleValuedForm,
     checked_components,
+    rotate_frame,
     zeta_norm_sq,
 )
-from random_forms import sample_general, sample_symmetric
+from random_forms import random_orthogonal, sample_general, sample_symmetric
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def umbilical_2x3() -> Instance:
+    """zeta_r = h_r I on a surface in a 3-dimensional bundle."""
+    h0 = np.random.default_rng(302).standard_normal(3)
+    return Instance(zeta=BundleValuedForm(h0[:, None, None] * np.eye(2)))
+
+
+def h_umbilical_2x2() -> Instance:
+    """The lambda = 3 mu pattern, turned by one seeded rotation of tangent
+    and bundle alike, in a complex Lagrangian ambient."""
+    mu = 0.75
+    adapted = construct_family(FamilyParams(Family.H_UMBILICAL, 2, lam=3.0 * mu, mu=mu))
+    q = random_orthogonal(np.random.default_rng(303), 2)
+    ambient = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, -1.5)
+    return Instance(zeta=rotate_frame(adapted, q, q), ambient=ambient)
+
+
+def general_4x6() -> Instance:
+    return Instance(zeta=sample_general(np.random.default_rng(304), 4, 6))
+
+
+# The forms of the ``report`` goldens, by the golden's name.
+REPORT_GOLDENS = {
+    "umbilical_2x3": umbilical_2x3,
+    "h_umbilical_2x2": h_umbilical_2x2,
+    "general_4x6": general_4x6,
+}
 
 
 def run_cli(capsys, *argv):
@@ -502,6 +531,18 @@ class TestSample:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
         assert json.loads(out)["results"]["max_gauss_residual"] > 0.0
+
+    @pytest.mark.parametrize("name", sorted(REPORT_GOLDENS))
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    def test_report_golden_bytes(self, tmp_path, capsys, monkeypatch, name, fmt, suffix):
+        """Every byte of ``report`` on three seeded forms, one of each
+        equality tag a surface can carry, in both formats: the corollary
+        rows, the equality frames and the ambient block included."""
+        monkeypatch.chdir(tmp_path)
+        save_instance(REPORT_GOLDENS[name](), f"{name}.json")
+        code, out, _ = run_cli(capsys, "report", f"{name}.json", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"report_{name}.{suffix}").read_text()
 
     @pytest.mark.parametrize(
         "shape, family", [(("3", "3"), "symmetric"), (("16", "32"), "general")]
@@ -1069,9 +1110,9 @@ def form_kernels(monkeypatch):
     counts = {"ricci_forms": 0, "eigvalsh": 0, "eigh": 0, "total_symmetry_residuals": 0}
     forms = []
 
-    def counting_ricci(components):
+    def counting_ricci(components, trace=None):
         counts["ricci_forms"] += 1
-        forms.append(ricci(components))
+        forms.append(ricci(components, trace))
         return forms[-1]
 
     def counting_symmetry(components):

@@ -3,9 +3,10 @@ kernel that makes a gated quantity, through ``check``, ``report``, ``bound``
 and a ``sample`` campaign.
 
 A fault well above the gate tol * ||zeta||^2 flips the verdict and the exit
-code at every scale; a fault of roundoff size flips nothing.  Faults are
-injected with monkeypatch only, into every curvlike module that binds the
-kernel, and every form is seeded.
+code at every scale; a fault of roundoff size flips nothing.  The ambient
+margin is gated at tol: an offset fault above it flips the ambient verdict.
+Faults are injected with monkeypatch only, into every curvlike module that
+binds the kernel, and every form is seeded.
 """
 
 import json
@@ -15,9 +16,11 @@ import sys
 import numpy as np
 import pytest
 
-from curvlike import gauss_bounds
+from curvlike import ambient_models, gauss_bounds
+from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
 from curvlike.instance_io import Instance, load_instance, save_instance
+from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import BundleValuedForm, norm_sqs
 from random_forms import sample_general
 
@@ -32,10 +35,10 @@ def metric_square(n: int) -> np.ndarray:
     )
 
 
-def patch_kernel(monkeypatch, name: str, faulty) -> None:
-    """Replace the kernel ``gauss_bounds.<name>`` by ``faulty`` in every
+def patch_kernel(monkeypatch, name: str, faulty, owner=gauss_bounds) -> None:
+    """Replace the kernel ``<owner>.<name>`` by ``faulty`` in every
     curvlike module that binds it."""
-    kernel = getattr(gauss_bounds, name)
+    kernel = getattr(owner, name)
     for module_name, module in list(sys.modules.items()):
         bound = getattr(module, name, None)
         if module_name.split(".")[0] == "curvlike" and bound is kernel:
@@ -67,10 +70,10 @@ def ricci_fault(monkeypatch):
     build = gauss_bounds.ricci_forms
 
     def set_size(size: float) -> None:
-        def faulty(components):
+        def faulty(components, trace=None):
             comps = np.asarray(components)
             shift = size * norm_sqs(comps)[..., None, None]
-            return build(comps) + shift * np.eye(comps.shape[-1])
+            return build(comps, trace) + shift * np.eye(comps.shape[-1])
 
         patch_kernel(monkeypatch, "ricci_forms", faulty)
 
@@ -287,6 +290,82 @@ class TestRicciFormFault:
         clean = [run(capsys, *argv) for argv in commands]
         ricci_fault(1e-20)
         for argv, (code, doc) in zip(commands, clean):
+            faulty_code, faulty = run(capsys, *argv)
+            assert faulty_code == code == 0
+            assert faulty.get("failures", []) == doc.get("failures", []) == []
+        assert faulty["results"]["violations"] == [] and faulty["results"]["all_pass"] is True
+
+
+@pytest.fixture
+def offset_fault(monkeypatch):
+    """Returns a setter: ``offset_fault(delta)`` makes every ambient offset
+    computed from then on the model's offset + delta, where ``reporting``
+    adds it to max Ric_T; the application bound is its own formula, so the
+    ambient margin moves by -delta."""
+    offset = ambient_models.ricci_offset
+
+    def set_delta(delta: float) -> None:
+        def faulty(model, n):
+            return offset(model, n) + delta
+
+        patch_kernel(monkeypatch, "ricci_offset", faulty, owner=ambient_models)
+
+    return set_delta
+
+
+def write_h_umbilical(tmp_path) -> str:
+    """The lambda = 3 mu H-umbilical surface in a complex Lagrangian
+    ambient: it attains the improved bound, so its ambient margin is 0."""
+    zeta = construct_family(FamilyParams(Family.H_UMBILICAL, 2, lam=3.0, mu=1.0))
+    ambient = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
+    path = str(tmp_path / "h-umbilical.json")
+    save_instance(Instance(zeta=zeta, ambient=ambient), path)
+    return path
+
+
+AMBIENT_SAMPLE = (*SAMPLE, "--ambient", "real_space_form", "--c", "-1")
+
+
+class TestAmbientOffsetFault:
+    """An offset moved by delta moves the intrinsic Ricci maximum and not
+    the application bound, so ``report`` and a ``sample`` campaign fail on
+    the ambient gate once delta exceeds the margin plus tol."""
+
+    def test_report_fails_at_zero_margin(self, tmp_path, capsys, offset_fault):
+        path = write_h_umbilical(tmp_path)
+        code, clean = run(capsys, "report", path)
+        ambient = clean["ambient"]
+        assert (code, clean["failures"]) == (0, [])
+        assert ambient["application_bound"] - ambient["intrinsic_ricci_max"] == 0.0
+        offset_fault(1e-3)
+        code, doc = run(capsys, "report", path)
+        ambient = doc["ambient"]
+        assert code == 1
+        assert ambient["holds"] is False
+        assert doc["failures"] == [
+            f"ambient bound violated: intrinsic max {ambient['intrinsic_ricci_max']!r} "
+            f"exceeds {ambient['application_bound']!r}"
+        ]
+
+    def test_sample_reports_ambient_violations(self, capsys, offset_fault):
+        code, clean = run(capsys, *AMBIENT_SAMPLE)
+        margin = clean["results"]["min_ambient_margin"]
+        assert code == 0 and margin > 0.0
+        offset_fault(2.0 * margin)
+        code, doc = run(capsys, *AMBIENT_SAMPLE)
+        results = doc["results"]
+        assert code == 1
+        assert results["all_pass"] is False
+        kinds = {violation["kind"] for violation in results["violations"]}
+        assert kinds == {"ambient-bound"}
+        worst = min(violation["detail"] for violation in results["violations"])
+        assert worst == results["min_ambient_margin"] < 0.0
+
+    def test_roundoff_sized_fault_flips_nothing(self, tmp_path, capsys, offset_fault):
+        path = write_h_umbilical(tmp_path)
+        clean = [run(capsys, "report", path), run(capsys, *AMBIENT_SAMPLE)]
+        offset_fault(1e-20)
+        for argv, (code, doc) in zip((("report", path), AMBIENT_SAMPLE), clean):
             faulty_code, faulty = run(capsys, *argv)
             assert faulty_code == code == 0
             assert faulty.get("failures", []) == doc.get("failures", []) == []

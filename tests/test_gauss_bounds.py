@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -29,13 +30,14 @@ from curvlike.optim_lemmas import max_ricci, positive_lead
 from curvlike.sampling import draw_general, draw_symmetric
 from curvlike.structures import Family, FamilyParams, construct_family
 from curvlike.tensor_core import (
+    DEFAULT_TOL,
     BundleValuedForm,
     CurvatureLikeTensor,
     checked_components,
     curvature_residuals,
     pair_exchange_residual,
-    orthonormal_complement,
     rotate_frame,
+    rotation_to_first_axis,
     t_ricci_form,
     trace_norms_sq,
     traces,
@@ -615,15 +617,16 @@ class TestEqualityDirections:
 
 
 def reference_equality_directions(zeta, tol=1e-9):
-    """Eigenvectors of S_T at the general bound that pass the per-vector
-    equality test, sign-fixed; with the number of eigen-candidates tried and
-    whether a sign fix changed a certified vector."""
+    """Eigenvectors of S_T within tol * ||zeta||^2 of the general bound that
+    pass the per-vector equality test, sign-fixed; with the number of
+    eigen-candidates tried and whether a sign fix changed a certified vector."""
     n = zeta.n
     if zeta.max_abs() <= tol:
         return [np.eye(n)[i] for i in range(n)], n, False
     values, vectors = np.linalg.eigh(ricci_forms(zeta.components))
     bound = check_bound(zeta, BoundMode.GENERAL).bound_value
-    near = [vectors[:, k] for k in range(n) if abs(values[k] - bound) <= tol]
+    gate = tol * zeta_norm_sq(zeta)
+    near = [vectors[:, k] for k in range(n) if abs(values[k] - bound) <= gate]
     raw = [x for x in near if per_vector_triple(zeta, x, tol)[0]]
     certified = [positive_lead(x) for x in raw]
     flipped = any(not np.array_equal(x, y) for x, y in zip(raw, certified))
@@ -707,11 +710,13 @@ class TestClassification:
 
     def test_umbilical_tag_holds_at_every_direction(self):
         """A form tagged umbilical attains the general bound pointwise, by
-        corollary_triple, at the printed maximizer, both axes and 64
-        directions around the circle.  The draws are umbilical surfaces in
-        3 to 5 bundle slots, perturbed by 1e-9.7 ... 1e-7.8 and rotated,
-        where a max-abs test in one frame can pass while the corollary
-        fails."""
+        corollary_triple at the classifier's gate, at the printed maximizer,
+        both axes and 64 directions around the circle.  The draws are
+        umbilical surfaces in 3 to 5 bundle slots, perturbed by
+        1e-9.7 ... 1e-7.8 and rotated, where a max-abs test in one frame can
+        pass while the corollary fails.  The classifier compares the
+        deviation with tol, the corollary with tol * ||zeta||, so the
+        corollary runs at tol / ||zeta||: the same gate on both sides."""
         rng = np.random.default_rng(97)
         angles = np.linspace(0.0, np.pi, 64, endpoint=False)
         circle = np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -727,7 +732,8 @@ class TestClassification:
             if report.equality_class.tag is EqualityTag.UMBILICAL_SURFACE:
                 tagged += 1
                 stack = np.vstack([report.argmax_direction, np.eye(2), circle])
-                assert corollary_triple(zeta, stack).equality_at_x.all()
+                gate = DEFAULT_TOL / math.sqrt(zeta_norm_sq(zeta))
+                assert corollary_triple(zeta, stack, gate).equality_at_x.all()
         assert tagged >= 200
 
     def test_improved_pattern_is_load_bearing(self):
@@ -795,17 +801,18 @@ class TestClassification:
 
 def per_vector_triple(zeta, x, tol=1e-9):
     """(equality at X, trace zero, X in the null space) from one ``zeta.value``
-    call and one norm per test vector."""
+    call and one norm per test vector, each compared with tol * ||zeta||."""
     xv = np.asarray(x, dtype=float)
+    gate = tol * math.sqrt(zeta_norm_sq(zeta))
     perp_ok = all(
-        float(np.linalg.norm(zeta.value(xv, y))) <= tol
-        for y in orthonormal_complement(xv)
+        float(np.linalg.norm(zeta.value(xv, y))) <= gate
+        for y in rotation_to_first_axis(xv)[1:]
     )
     half_trace = 0.5 * traces(zeta.components)
-    half_ok = float(np.linalg.norm(zeta.value(xv, xv) - half_trace)) <= tol
-    trace_zero = float(np.sqrt(trace_norms_sq(zeta.components))) <= tol
+    half_ok = float(np.linalg.norm(zeta.value(xv, xv) - half_trace)) <= gate
+    trace_zero = float(np.sqrt(trace_norms_sq(zeta.components))) <= gate
     in_null = all(
-        float(np.linalg.norm(zeta.value(xv, e))) <= tol for e in np.eye(zeta.n)
+        float(np.linalg.norm(zeta.value(xv, e))) <= gate for e in np.eye(zeta.n)
     )
     return perp_ok and half_ok, trace_zero, in_null
 

@@ -2,17 +2,17 @@
 
 The curvature and Gauss residuals, both gaps and the S_T = bound * I test
 are gated at tol * ||zeta||^2 with no floor, and the total-symmetry residual
-that certifies the improved bound at tol * ||zeta||.  Scaling zeta by 2^k
-scales every such quantity and its gate by exactly the same power of two, so
-the verdicts are bitwise invariant, and large and tiny forms are judged as
-unit-scale ones are.
+that certifies the improved bound, and the corollary's four tests on zeta,
+at tol * ||zeta||.  Scaling zeta by 2^k scales every such quantity and its
+gate by exactly the same power of two, so the verdicts are bitwise
+invariant, and large and tiny forms are judged as unit-scale ones are.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvlike.cli import main
@@ -32,19 +32,22 @@ def gap_verdicts(doc: dict) -> list[bool]:
 
 def verdicts(comps: np.ndarray, tol: float) -> dict:
     """``check``'s exit code and ``symmetry.passed``; the general and the
-    improved gap verdicts of ``report`` and of ``bound``; and the improved
-    bound's certificate.  ``report`` takes only a positive tol, which is also
-    its null-space rank tolerance."""
+    improved gap verdicts of ``report`` and of ``bound``; the improved
+    bound's certificate; and the rows of ``report``'s corollary block.
+    ``report`` takes only a positive tol, which is also its null-space rank
+    tolerance."""
     instance = Instance(zeta=BundleValuedForm(comps))
     check, check_code = build_check_report(instance, tol)
     bounds = {mode: build_bound_report(instance, mode, tol)[0] for mode in BoundMode}
-    report = gap_verdicts(build_instance_report(instance, tol)[0]) if tol > 0 else [None] * 2
+    doc = build_instance_report(instance, tol)[0] if tol > 0 else None
+    report = gap_verdicts(doc) if doc else [None] * 2
     bound = [gap_verdicts(bounds[mode])[index] for index, mode in enumerate(BoundMode)]
     return {
         "check": (check_code, check["symmetry"]["passed"]),
         "general": (report[0], bound[0]),
         "improved": (report[1], bound[1]),
         "certified": bounds[BoundMode.IMPROVED]["bound"]["symmetry_certified"],
+        "corollary": doc["corollary"]["rows"] if doc else None,
     }
 
 
@@ -65,6 +68,8 @@ def umbilical(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     # tol makes the gap verdicts fire on gaps below |tol| * ||zeta||^2.
     tol=st.sampled_from([DEFAULT_TOL, 1e-15, 2e-16, 5e-17, -0.01, -0.1]),
 )
+# Times 2^-30 every |zeta(X, e_j)| of this surface is below an absolute 1e-9.
+@example(n=2, m=2, kind="umbilical", seed=199, k=-30, tol=DEFAULT_TOL)
 def test_verdicts_are_invariant_under_power_of_two_scaling(n, m, kind, seed, k, tol):
     rng = np.random.default_rng(seed)
     if kind == "umbilical":
@@ -94,6 +99,27 @@ def test_tiny_umbilical_surface_is_not_certified():
     report, _ = build_instance_report(instance, DEFAULT_TOL)
     assert report["bounds"]["improved"]["symmetry_certified"] is False
     assert gap_verdicts(report) == [False, False]
+
+
+def test_tiny_umbilical_surface_keeps_its_corollary():
+    """The same umbilical surface times 2^-30 prints the corollary rows of
+    the unscaled form and exits 0: equality holds at every direction and
+    neither the trace nor any zeta(X, e_j) vanishes against tol * ||zeta||.
+    An absolute tol = 1e-9 read every |zeta(X, e_j)| as 0, so each row
+    showed exactly two statements true and the report exited 1.  Its tag
+    stays zero-form: that verdict is the classifier's own test on zeta."""
+    comps = umbilical(np.random.default_rng(199), 2, 2)
+    unscaled, unscaled_code = build_instance_report(
+        Instance(zeta=BundleValuedForm(comps)), DEFAULT_TOL
+    )
+    tiny = Instance(zeta=BundleValuedForm(comps * 2.0**-30))
+    report, code = build_instance_report(tiny, DEFAULT_TOL)
+    assert (code, report["failures"]) == (unscaled_code, unscaled["failures"]) == (0, [])
+    assert report["corollary"] == unscaled["corollary"]
+    fields = ("equality_at_x", "trace_zero", "in_null_space", "verified")
+    rows = [[row[field] for field in fields] for row in report["corollary"]["rows"]]
+    assert rows == [[True, False, False, True]] * 3
+    assert report["bounds"]["general"]["equality_class"]["tag"] == "zero-form"
 
 
 def test_large_general_forms_pass_check(tmp_path, capsys):

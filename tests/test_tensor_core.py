@@ -17,7 +17,6 @@ from curvlike.tensor_core import (
     Dimensions,
     checked_components,
     null_space,
-    orthonormal_complement,
     pair_exchange_residual,
     rotate_frame,
     rotation_to_first_axis,
@@ -463,10 +462,12 @@ class TestFrameHelpers:
                 assert_allclose(q @ q.T, np.eye(m), atol=1e-12)
                 assert_allclose(q @ u, np.eye(m)[0], atol=1e-12)
 
-    def test_orthonormal_complement(self):
+    def test_rows_after_the_first_complement_the_vector(self):
+        """Rows 1 ... n-1 of the rotation are an orthonormal basis of the
+        hyperplane orthogonal to u, the complement the corollary reads."""
         rng = np.random.default_rng(4)
         x = random_unit(rng, 5)
-        comp = orthonormal_complement(x)
+        comp = rotation_to_first_axis(x)[1:]
         assert comp.shape == (4, 5)
         assert_allclose(comp @ x, np.zeros(4), atol=1e-12)
         assert_allclose(comp @ comp.T, np.eye(4), atol=1e-12)
