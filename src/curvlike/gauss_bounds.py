@@ -45,7 +45,6 @@ from .tensor_core import (
     CurvatureLikeTensor,
     as_unit_vector,
     norm_sqs,
-    rotate_frame,
     rotation_to_first_axis,
     squared_norms,
     traces,
@@ -71,7 +70,7 @@ class EqualityClass:
     ``tangent_frame`` / ``bundle_frame`` rows express the adapted frame in the
     input coordinates; ``mu`` is the H-umbilical parameter (canonicalized to
     mu >= 0).  An umbilical surface reports the input frame, since every
-    frame of it is adapted; :func:`_classify` states both rules.
+    frame of it is adapted; :func:`_classify` states the three rules.
     """
 
     tag: EqualityTag
@@ -399,7 +398,7 @@ def check_evaluated(
                 argmax_direction=direction,
                 gap=float(_gaps(evaluation, mode)),
                 symmetry_certified=mode is BoundMode.GENERAL or symmetric,
-                equality_class=_classify(zeta, evaluation, mode, bound, tol),
+                equality_class=_classify(zeta, evaluation, mode, bound, direction, tol),
             )
         )
     return reports
@@ -408,22 +407,12 @@ def check_evaluated(
 def equality_directions(
     zeta: BundleValuedForm, tol: float = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Unit directions attaining the general bound, certified pointwise.
-
-    Candidates are eigenvectors of S_T whose eigenvalue matches the bound
-    within tol * ||zeta||^2; each must satisfy zeta(X, Y) = 0 for every Y
-    orthogonal to X and zeta(X, X) = trace(zeta) / 2, by
-    :func:`corollary_evaluated`.  For the zero form the canonical basis is
-    reported.  May be empty.
-    """
-    n = zeta.n
-    if zeta.max_abs() <= tol:
-        return [np.eye(n)[i] for i in range(n)]
+    """Unit directions attaining the general bound: the eigenvectors of S_T
+    that pass the equality test of :func:`corollary_evaluated`, so the
+    canonical basis (``eigh`` of 0) for the zero form.  May be empty."""
     comps = zeta.components
     evaluation = evaluate(comps)
-    values, vectors = np.linalg.eigh(evaluation.ricci_form)
-    bound = bound_coefficient(BoundMode.GENERAL, n) * float(evaluation.trace_norm_sq)
-    candidates = vectors[:, np.abs(values - bound) <= tol * evaluation.norm_sq].T
+    candidates = np.linalg.eigh(evaluation.ricci_form)[1].T
     equal = corollary_evaluated(comps, evaluation, candidates, tol).equality_at_x
     return [positive_lead(x) for x in candidates[equal]]
 
@@ -433,62 +422,56 @@ def _classify(
     evaluation: FormEvaluation,
     mode: BoundMode,
     bound: float,
+    direction: np.ndarray,
     tol: float,
 ) -> EqualityClass:
     """Classify equality of the bound across ALL unit directions.
 
-    Equality for every unit X is equivalent to S_T equaling the bound times
-    the identity form, which is tested first, within tol * ||zeta||^2 like
-    every quantity quadratic in zeta.  Beyond the zero form, equality
-    can only happen on surfaces.  General bound: at the unit X at angle t,
-    :func:`corollary_triple` tests cos 2t delta + sin 2t e and -sin 2t delta
-    + cos 2t e, with delta = (zeta_00 - zeta_11)/2 and e = zeta_01; the
-    spectral norm of [delta e] is their largest norm over all X, so the form
-    is umbilical iff it is within tol.  Every frame of an umbilical surface
-    is adapted: the reported frame is the input frame.  Improved bound: S_T
-    = bound * I admits forms that are not H-umbilical, so the lambda = 3 mu
-    pattern is tested after one rotation, trace(zeta) to bundle slot 0 and
-    the tangent frame to the descending eigenbasis of that slot, which also
-    pins mu >= 0.
+    Equality for every unit X is S_T = bound * I, tested first within
+    tol * ||zeta||^2; it refuses every nonzero traceless form, whose S_T has
+    trace -||zeta||^2.  The zero form is ||zeta||^2 = 0.  Beyond it only
+    surfaces attain equality, and each test on zeta is a bundle vector norm
+    within tol * ||zeta||.  General bound: a surface's sum of squares in
+    :func:`corollary_evaluated` is |delta|^2 + |e|^2 at every X, delta =
+    (zeta_00 - zeta_11)/2 and e = zeta_01, so its test at ``direction``
+    decides every X; the reported frame is the input frame.  Improved bound:
+    in the descending eigenbasis v_a of sum_r u_r zeta_r, u = trace/|trace|,
+    mu = |trace|/4, the form is H-umbilical iff zeta(v_0, v_0) = 3 mu u,
+    zeta(v_1, v_1) = mu u and |zeta(v_0, v_1)| = mu (the eigenbasis makes it
+    orthogonal to u); the bundle frame takes u to slot 0.
     """
     n = zeta.n
     if np.abs(evaluation.ricci_form - bound * np.eye(n)).max() > tol * evaluation.norm_sq:
         return EqualityClass(EqualityTag.NO_EQUALITY)
-    if zeta.max_abs() <= tol:
+    if evaluation.norm_sq == 0.0:
         return EqualityClass(EqualityTag.ZERO_FORM)
     if n != 2:
         return EqualityClass(EqualityTag.NO_EQUALITY)
-    trace = evaluation.trace
-    trace_norm = float(np.linalg.norm(trace))
-    if trace_norm <= tol:
-        return EqualityClass(EqualityTag.NO_EQUALITY)
     comps = zeta.components
     if mode is BoundMode.GENERAL:
-        delta = 0.5 * (comps[:, 0, 0] - comps[:, 1, 1])
-        deviation = np.stack([delta, comps[:, 0, 1]], axis=1)
-        if float(np.linalg.norm(deviation, 2)) <= tol:
+        if corollary_evaluated(comps, evaluation, direction[None], tol).equality_at_x[0]:
             return EqualityClass(EqualityTag.UMBILICAL_SURFACE, tangent_frame=np.eye(2))
         return EqualityClass(EqualityTag.NO_EQUALITY)
-
-    u = trace / trace_norm
-    q_bundle = rotation_to_first_axis(u)
+    trace_norm = float(np.linalg.norm(evaluation.trace))
+    if trace_norm == 0.0:  # past the S_T test only at tol >= 1/2
+        return EqualityClass(EqualityTag.NO_EQUALITY)
+    u = evaluation.trace / trace_norm
     # eigh sorts ascending; reversing the columns puts them in descending order.
     _, q_vectors = np.linalg.eigh(np.einsum("rij,r->ij", comps, u))
     q_tangent = q_vectors[:, ::-1].T
-    comp = rotate_frame(zeta, q_tangent, q_bundle).components
     mu = trace_norm / 4.0
-    tail = comp[1:]
+    # at[r, a, b] = zeta_r(v_a, v_b).
+    at = q_tangent @ comps @ q_tangent.T
+    gate = tol * np.sqrt(evaluation.norm_sq)
     pattern = (
-        abs(comp[0, 0, 0] - 3.0 * mu) <= tol
-        and abs(comp[0, 1, 1] - mu) <= tol
-        and abs(comp[0, 0, 1]) <= tol
-        and float(np.abs(tail[:, 0, 0]).max(initial=0.0)) <= tol
-        and float(np.abs(tail[:, 1, 1]).max(initial=0.0)) <= tol
-        and abs(float(np.linalg.norm(tail[:, 0, 1])) - mu) <= tol
+        np.linalg.norm(at[:, 0, 0] - 3.0 * mu * u) <= gate
+        and np.linalg.norm(at[:, 1, 1] - mu * u) <= gate
+        and abs(np.linalg.norm(at[:, 0, 1]) - mu) <= gate
     )
-    if pattern:
-        return EqualityClass(EqualityTag.H_UMBILICAL_SURFACE, mu, q_tangent, q_bundle)
-    return EqualityClass(EqualityTag.NO_EQUALITY)
+    if not pattern:
+        return EqualityClass(EqualityTag.NO_EQUALITY)
+    q_bundle = rotation_to_first_axis(u)
+    return EqualityClass(EqualityTag.H_UMBILICAL_SURFACE, mu, q_tangent, q_bundle)
 
 
 @dataclass(frozen=True)
@@ -537,11 +520,11 @@ def corollary_evaluated(
     One product of the stack with zeta read as (m' n, n) gives zeta(X, e_j)
     for every direction, and one product of that with the columns
     [X | Y_1 ... Y_{n-1}], X and its Householder complement, gives zeta(X, X)
-    and every zeta(X, Y_j).  The norms of all those bundle vectors are one
-    reduction.  Each statement is a bundle vector, or a set of them, of
-    zeta's size, so each is gated at tol * ||zeta||, the certificate's scale,
-    and a gate of 0 for the zero form: (a) |zeta(X, Y_j)| and
-    |zeta(X, X) - trace / 2|, (b) |trace|, (c) every |zeta(X, e_j)|.
+    and every zeta(X, Y_j); their squared norms are one reduction.  Each
+    statement is gated at tol * ||zeta||, a gate of 0 for the zero form.
+    (a), the package's one equality rule, is the root of the general gap at
+    X, ||trace||^2/4 - Ric_T(X) = |zeta(X, X) - trace/2|^2 + sum_j
+    |zeta(X, Y_j)|^2; (b) is |trace| and (c) every |zeta(X, e_j)|.
     """
     comps = np.asarray(components)
     m, n, k = comps.shape[-3], comps.shape[-1], len(directions)
@@ -554,9 +537,10 @@ def corollary_evaluated(
     frames[:, 0, :] = directions
     np.matmul(values[1], np.swapaxes(frames, -1, -2), out=values[0])
     values[0, :, :, 0] -= 0.5 * evaluation.trace
-    norms = np.sqrt(np.add.reduce(np.square(values, out=values), axis=-2))
+    squares = np.add.reduce(np.square(values, out=values), axis=-2)
     gate = tol * np.sqrt(evaluation.norm_sq)
-    equality, in_null = (norms <= gate).all(axis=-1)
+    equality = np.sqrt(squares[0].sum(axis=-1)) <= gate
+    in_null = (np.sqrt(squares[1]) <= gate).all(axis=-1)
     trace_zero = np.full(k, np.sqrt(evaluation.trace_norm_sq) <= gate)
     verified = equality.astype(int) + trace_zero + in_null != 2
     return CorollaryTriple(equality, trace_zero, in_null, verified)

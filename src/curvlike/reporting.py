@@ -127,9 +127,10 @@ def _verdicts(
     kinds the ``evaluation``; an improved-bound hit needs the certificate.
     These residuals and both gaps fail beyond tol * ||zeta||^2 (the
     ``evaluation``'s or an audited form's ``norm_sq``), with no floor, and
-    the certificate is tol * ||zeta||: only the ambient verdict may change
-    under zeta -> 2^k zeta.  Its margin app - (max Ric_T + offset) is exact
-    near the bound (Sterbenz), so no rounding of app + tol hides a violation."""
+    the certificate is tol * ||zeta||; the ambient margin app - (max Ric_T
+    + offset), exact near the bound (Sterbenz), fails below -tol *
+    (||zeta||^2 + |offset|), as the offset does not scale with zeta.  Every
+    verdict is invariant under zeta -> 2^k zeta, the ambient one at offset 0."""
     kinds: dict[str, tuple] = {}
     scale = evaluation.norm_sq if norm_sq is None else norm_sq
     if curvature is not None:
@@ -147,9 +148,10 @@ def _verdicts(
     kinds["improved-bound"] = (certified & (gap_improved < -tol * scale), gap_improved)
     if ambient is not None:
         n = evaluation.ricci_form.shape[-1]
-        intrinsic = evaluation.ricci_max + ricci_offset(ambient, n)
+        offset = ricci_offset(ambient, n)
+        intrinsic = evaluation.ricci_max + offset
         margin = application_bounds(ambient, n, evaluation.trace_norm_sq) - intrinsic
-        kinds["ambient-bound"] = (margin < -tol, margin)
+        kinds["ambient-bound"] = (margin < -tol * (scale + abs(offset)), margin)
     return kinds
 
 
@@ -391,13 +393,14 @@ def run_sample(
     copy and its checks.  The campaign flags a gap below -tol * ||zeta||^2
     (the improved one only where a total-symmetry residual <= tol * ||zeta||
     certifies it) and an ambient margin app - (max Ric_T + offset) below
-    -tol; the offset is checked before the first draw.  A chunk holds at most
-    :data:`_CHUNK_ZETA_BYTES` of form components, so memory stays flat in
-    ``count``.  Each stage allocates only its result, and an audit's n^4
-    stage one buffer (:func:`_gauss_stage`), 768 KiB at (16, 32): glibc then
-    keeps enough freed heap from call to call that repeated calls take no
-    minor page faults (``ru_minflt``), whether the last chunk is freed before
-    the final audit or not.
+    -tol * (||zeta||^2 + |offset|), the offset checked before the first
+    draw.  A chunk holds at most :data:`_CHUNK_ZETA_BYTES` of form
+    components, so memory stays flat in ``count``.  Each stage allocates
+    only its result, and an audit's n^4 stage one buffer
+    (:func:`_gauss_stage`), 768 KiB at (16, 32): glibc then keeps enough
+    freed heap from call to call that repeated calls take no minor page
+    faults (``ru_minflt``), whether the last chunk is freed before the final
+    audit or not.
 
     Every instance's S_T, which every verdict reads, is checked straight from
     zeta by :func:`ricci_probe_residuals`, at O(k m' n^2) cost.  The n^4

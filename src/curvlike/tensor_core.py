@@ -68,8 +68,9 @@ def checked_components(components) -> np.ndarray:
     """Validated copy of form components ``[..., r, i, j]``, read-only and
     bitwise symmetric in (i, j); leading axes stack independent forms.
 
-    Checks the desk-scale dimensions, finiteness and the 1e-12 pair symmetry
-    |zeta - zeta^T| of every form (the message names the first worst entry),
+    Checks the desk-scale dimensions, finiteness and the pair symmetry
+    |zeta - zeta^T| <= 1e-12 max |zeta| of every form (the message names the
+    first worst entry of the first form that fails),
     then checks headroom: |T| <= 2 ||zeta||^2, so a curvature residual (a sum
     of at most three entries of T) stays below 6 ||zeta||^2;
     ||trace zeta||^2 <= n ||zeta||^2, and an entry of S_T + S_T^T stays below
@@ -100,16 +101,18 @@ def checked_components(components) -> np.ndarray:
     sym, swapped = np.empty(arr.shape), np.swapaxes(arr, -1, -2)
     np.copyto(sym, swapped)
     asym = np.abs(np.subtract(arr, sym, out=sym), out=sym)
-    if not asym.max(initial=0.0) <= INPUT_SYMMETRY_TOL:
-        *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-        worst = arr[tuple(form)]
+    fails = ~(asym.max(axis=within, initial=0.0) <= INPUT_SYMMETRY_TOL * scale)
+    if fails.any():
+        form = np.unravel_index(int(fails.argmax()), fails.shape)
+        r, i, j = np.unravel_index(int(asym[form].argmax()), asym.shape[-3:])
+        worst = arr[form]
         raise ValidationError(
             f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
             f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
         )
     np.copyto(sym, arr)
     np.copyto(sym, swapped, where=np.tri(dims.n, k=-1, dtype=bool))
-    # scale is max |sym| here: mirroring within 1e-12 keeps entries above 1e4.
+    # scale is max |sym| to 1e-12 relative, far inside the slack of 8 n.
     top = np.finfo(float).max
     forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)
     for k in np.flatnonzero(scales > math.sqrt(top / (8 * dims.n**3 * dims.m_prime))):
@@ -130,7 +133,7 @@ class BundleValuedForm:
     Components are stored as a read-only array ``components[r, i, j]`` with
     ``components[r, i, j] == components[r, j, i]`` bitwise: each unordered pair
     is taken from the upper triangle and mirrored at construction.  Input that
-    is asymmetric beyond 1e-12 is rejected.
+    is asymmetric beyond 1e-12 times its largest |component| is rejected.
     """
 
     __slots__ = ("n", "m_prime", "components")

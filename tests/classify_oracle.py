@@ -2,13 +2,17 @@
 differential reference for the improved branch of
 :func:`curvlike.gauss_bounds._classify`.
 
-- The shared opening is the same: S_T = bound * I, the zero form, n = 2 and a
-  nonzero trace.
+- The shared opening is the same: S_T = bound * I, the zero form
+  (||zeta||^2 = 0), n = 2 and a nonzero trace.
 - The bundle frame is rotated first, so that slot 0 carries trace(zeta).
 - The tangent frame is then the descending eigenbasis of the rotated slot 0,
   applied by a second rotation.
-- A one-slot bundle is tested on its own branch: mu must vanish.
+- The lambda = 3 mu pattern is read off the rotated form: the bundle vectors
+  zeta(e_0, e_0) - 3 mu e_0, zeta(e_1, e_1) - mu e_0 and |zeta(e_0, e_1)| - mu,
+  each within tol * ||zeta||.
 """
+
+import math
 
 import numpy as np
 
@@ -24,19 +28,17 @@ from curvlike.tensor_core import DEFAULT_TOL, rotate_frame, rotation_to_first_ax
 
 def reference_improved_class(zeta, tol: float = DEFAULT_TOL) -> EqualityClass:
     evaluation = evaluate(zeta.components)
-    n = zeta.n
+    n, norm_sq = zeta.n, float(evaluation.norm_sq)
     bound = bound_coefficient(BoundMode.IMPROVED, n) * float(evaluation.trace_norm_sq)
-    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol * float(
-        evaluation.norm_sq
-    ):
+    if float(np.abs(evaluation.ricci_form - bound * np.eye(n)).max()) > tol * norm_sq:
         return EqualityClass(EqualityTag.NO_EQUALITY)
-    if zeta.max_abs() <= tol:
+    if norm_sq == 0.0:
         return EqualityClass(EqualityTag.ZERO_FORM)
     if n != 2:
         return EqualityClass(EqualityTag.NO_EQUALITY)
     trace = evaluation.trace
     trace_norm = float(np.linalg.norm(trace))
-    if trace_norm <= tol:
+    if trace_norm == 0.0:
         return EqualityClass(EqualityTag.NO_EQUALITY)
 
     q_bundle = rotation_to_first_axis(trace / trace_norm)
@@ -45,21 +47,13 @@ def reference_improved_class(zeta, tol: float = DEFAULT_TOL) -> EqualityClass:
     q_tangent = q_vectors[:, ::-1].T
     comp = rotate_frame(slot_first, q_tangent, np.eye(zeta.m_prime)).components
     mu = trace_norm / 4.0
+    e_0 = np.eye(zeta.m_prime)[0]
+    gate = tol * math.sqrt(norm_sq)
     pattern = (
-        abs(comp[0, 0, 0] - 3.0 * mu) <= tol
-        and abs(comp[0, 1, 1] - mu) <= tol
-        and abs(comp[0, 0, 1]) <= tol
+        float(np.linalg.norm(comp[:, 0, 0] - 3.0 * mu * e_0)) <= gate
+        and float(np.linalg.norm(comp[:, 1, 1] - mu * e_0)) <= gate
+        and abs(float(np.linalg.norm(comp[:, 0, 1])) - mu) <= gate
     )
-    if zeta.m_prime > 1:
-        tail = comp[1:]
-        pattern = (
-            pattern
-            and float(np.abs(tail[:, 0, 0]).max()) <= tol
-            and float(np.abs(tail[:, 1, 1]).max()) <= tol
-            and abs(float(np.linalg.norm(tail[:, 0, 1])) - mu) <= tol
-        )
-    else:
-        pattern = pattern and mu <= tol
     if pattern:
         return EqualityClass(
             EqualityTag.H_UMBILICAL_SURFACE,

@@ -3,6 +3,8 @@ was written before the stacked kernel :func:`~curvlike.gauss_bounds.corollary_ev
 replaced it.  zeta(X, .) comes from one ``np.tensordot``, zeta(X, Y) for the
 Householder complement and zeta(X, X) from two separate products, the trace
 is taken again from zeta, and each test takes its own ``np.linalg.norm``.
+Equality at X is one Frobenius norm over zeta(X, X) - trace / 2 and every
+zeta(X, Y), the root of the general gap's sum of squares at X.
 
 It compares with an absolute ``gate``, as the library once compared with
 tol; the tests call it at the kernel's gate tol * ||zeta||.
@@ -27,9 +29,10 @@ def reference_corollary(zeta, x, gate: float) -> tuple[np.ndarray, ...]:
     zeta_x = np.tensordot(xv, zeta.components, axes=(-1, -1))
     complement = rotation_to_first_axis(xv)[..., 1:, :]
     perp = zeta_x @ np.swapaxes(complement, -1, -2)
-    perp_ok = (np.linalg.norm(perp, axis=-2) <= gate).all(axis=-1)
     half = (zeta_x @ xv[..., None])[..., 0] - 0.5 * traces(zeta.components)
-    equality = perp_ok & (np.linalg.norm(half, axis=-1) <= gate)
+    # Equality: the Frobenius norm of the (m', n) block [half | perp].
+    deviation = np.concatenate([half[..., None], perp], axis=-1)
+    equality = np.linalg.norm(deviation, axis=(-2, -1)) <= gate
     trace_norm = float(np.sqrt(trace_norms_sq(zeta.components)))
     trace_zero = np.full(equality.shape, trace_norm <= gate)
     in_null = (np.linalg.norm(zeta_x, axis=-2) <= gate).all(axis=-1)

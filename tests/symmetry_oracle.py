@@ -4,7 +4,8 @@ references for :func:`curvlike.tensor_core.checked_components` and
 
 - The mirror copies the forms and scatters the strict upper triangle onto
   the lower one.
-- The pair-symmetry gate scans |zeta - zeta^T| in full before mirroring.
+- The pair-symmetry gate scans |zeta - zeta^T| in full before mirroring,
+  form by form against 1e-12 times the form's largest |component|.
 - The total-symmetry residual compares the cubic block with each of the five
   other permutations of its three indices.
 """
@@ -35,13 +36,14 @@ def reference_checked_components(components) -> np.ndarray:
     if not np.isfinite(scale).all():
         raise ValidationError("zeta components must be finite")
     asym = np.abs(arr - np.swapaxes(arr, -1, -2))
-    if asym.max(initial=0.0) > INPUT_SYMMETRY_TOL:
-        *form, r, i, j = np.unravel_index(int(asym.argmax()), asym.shape)
-        worst = arr[tuple(form)]
-        raise ValidationError(
-            f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
-            f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
-        )
+    for form in np.ndindex(scale.shape):
+        if (asym[form] > INPUT_SYMMETRY_TOL * scale[form]).any():
+            r, i, j = np.unravel_index(int(asym[form].argmax()), asym.shape[-3:])
+            worst = arr[form]
+            raise ValidationError(
+                f"zeta[{r}][{i}][{j}] = {float(worst[r, i, j])!r} differs from "
+                f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
+            )
     sym = scatter_mirror(arr)
     top = np.finfo(float).max
     forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)

@@ -49,7 +49,8 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
     probed against its form, and T is built and audited only for the first
     instance of least general gap and for every instance with a verdict hit.
     Curvature and Gauss residuals and both gaps are gated at tol * ||zeta||^2,
-    certification and the ambient margin at tol."""
+    certification at tol * ||zeta|| and the ambient margin at
+    tol * (||zeta||^2 + |offset|)."""
     rng = np.random.default_rng(seed)
     sample = sample_general if family == "general" else sample_symmetric
     forms = [sample(rng, n, bundle_dim) for _ in range(count)]
@@ -82,11 +83,12 @@ def reference_results(n, bundle_dim, count, seed, family, ambient, tol):
         if ambient is not None:
             base = general if base_mode(ambient) is BoundMode.GENERAL else improved
             trace_sq = trace_norms_sq(zeta.components)
+            offset = ricci_offset(ambient, n)
             margin = float(application_bounds(ambient, zeta.n, trace_sq)) - (
-                base.ricci_max + ricci_offset(ambient, n)
+                base.ricci_max + offset
             )
             min_margin = min(min_margin, margin)
-            if margin < -tol:
+            if margin < -tol * (zeta_norm_sq(zeta) + abs(offset)):
                 found.append({"index": index, "kind": "ambient-bound", "detail": margin})
         if found or probed > gate or index == tightest:
             audited += 1

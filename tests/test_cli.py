@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from curvlike import gauss_bounds, reporting
-from curvlike.ambient_models import AmbientKind, AmbientModel
+from curvlike.ambient_models import AmbientKind, AmbientModel, ricci_offset
 from curvlike.cli import main
 from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import (
@@ -867,12 +867,15 @@ class TestReport:
         assert code == 1
         assert "symmetry_certified: false" in out
 
-    def test_ambient_verdict_is_the_campaign_margin(self, tmp_path, capsys):
-        """Max Ric_T + offset lies 1.86e-9 above this complex-slant bound, of
-        size 1e7, where app + tol rounds up by a whole ulp: the old test
-        intrinsic <= app + tol passed it.  The margin app - (max Ric_T +
-        offset) is exact there and below -tol, so ``report`` and the
-        campaign pass both call it a violation."""
+    def test_ambient_verdict_is_the_campaign_margin(self, tmp_path, capsys, monkeypatch):
+        """Max Ric_T + offset lies 1.86e-9, one ulp, above this complex-slant
+        bound of size 1e7.  The margin app - (max Ric_T + offset) is exact
+        there, and its gate is tol * (||zeta||^2 + |offset|), tol times the
+        size of the terms it subtracts.  At the default tol that ulp is
+        roundoff and the bound holds; at tol = 1e-16 the gate is 1.08e-9
+        and it is a violation, which the old test intrinsic <= app + gate
+        missed, since app + gate rounds up by a whole ulp.  ``report`` and
+        the campaign pass give the same verdict at both."""
         mu = 1.1216980453677514
         zeta = construct_family(
             FamilyParams(Family.H_UMBILICAL, n=2, lam=3 * mu, mu=mu)
@@ -882,19 +885,29 @@ class TestReport:
         )
         path = str(tmp_path / "edge.json")
         save_instance(Instance(zeta=zeta, ambient=ambient), path)
-        code, out, _ = run_cli(capsys, "report", path, "--format", "json")
-        doc, tol = json.loads(out), DEFAULT_TOL
-        block = doc["ambient"]
-        app, intrinsic = block["application_bound"], block["intrinsic_ricci_max"]
-        assert -2 * tol < app - intrinsic < -tol
-        assert (code, block["claim_certified"], block["holds"]) == (1, True, False)
-        assert doc["failures"] == [
-            f"ambient bound violated: intrinsic max {intrinsic!r} exceeds {app!r}"
-        ]
         stack = gauss_bounds.evaluate(np.stack([zeta.components] * 3))
-        kinds = reporting._verdicts(tol, evaluation=stack, ambient=ambient)
-        assert kinds["ambient-bound"][0].tolist() == [True] * 3
-        assert kinds["ambient-bound"][1][0] == app - intrinsic
+        offset = ricci_offset(ambient, 2)
+        for tol, violated in ((DEFAULT_TOL, False), (1e-16, True)):
+            monkeypatch.setenv("CURVLIKE_TOL", repr(tol))
+            code, out, _ = run_cli(capsys, "report", path, "--format", "json")
+            doc = json.loads(out)
+            block = doc["ambient"]
+            app, intrinsic = block["application_bound"], block["intrinsic_ricci_max"]
+            gate = tol * (doc["zeta"]["norm_sq"] + abs(offset))
+            assert app - intrinsic == -(2.0**-29)
+            assert (app - intrinsic < -gate) is violated
+            assert intrinsic <= app + gate  # the old test passed both
+            assert (code, block["claim_certified"], block["holds"]) == (
+                int(violated), True, not violated
+            )
+            assert doc["failures"] == (
+                [f"ambient bound violated: intrinsic max {intrinsic!r} exceeds {app!r}"]
+                if violated
+                else []
+            )
+            kinds = reporting._verdicts(tol, evaluation=stack, ambient=ambient)
+            assert kinds["ambient-bound"][0].tolist() == [violated] * 3
+            assert kinds["ambient-bound"][1][0] == app - intrinsic
 
     def test_json_report_round_trips_and_passes(self, tmp_path, capsys):
         zeta = construct_family(FamilyParams(Family.H_UMBILICAL, n=2, lam=3.0, mu=1.0))

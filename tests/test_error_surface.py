@@ -11,7 +11,8 @@ function, so the comparisons that implement a rule are looked up by shape and
 must all sit in that function (the overflow headroom of a form sits with its
 other checks); the same holds for each verdict rule, and the
 verdicts of ``report``, ``bound``, ``check`` and ``sample`` come from one
-pass.  The Gauss tensor is built once where it is checked against zeta
+pass; every rule on zeta scales its tolerance with zeta, and the pointwise
+equality rule has one owner.  The Gauss tensor is built once where it is checked against zeta
 and never rebuilt to be compared with itself, and no kernel takes a
 caller's work buffer.  S_T's top eigenvalue comes from one owner, and its
 eigenvectors only where a direction is printed or certified.  Every
@@ -462,3 +463,47 @@ def test_each_eigen_route_has_one_owner():
         if isinstance(node, ast.Call) and _name(node.func) == "eigh"
     }
     assert frame_forms == {"np.einsum('rij,r->ij', comps, u)"}
+
+
+def _bare_tolerance(node) -> bool:
+    """A comparison one of whose sides is ``tol``, ``-tol`` or a ``*_TOL``
+    constant, with no size of the data it judges."""
+    if not isinstance(node, ast.Compare):
+        return False
+    for side in (node.left, *node.comparators):
+        side = side.operand if isinstance(side, ast.UnaryOp) else side
+        name = _name(side) or ""
+        if name == "tol" or name.endswith("_TOL"):
+            return True
+    return False
+
+
+def test_rules_on_zeta_scale_their_tolerance():
+    """Every rule on zeta compares with its tolerance times a size of zeta
+    (||zeta||, ||zeta||^2, max |zeta|, or ||zeta||^2 + |offset| for the
+    ambient margin), so no verdict changes under zeta -> 2^k zeta."""
+    scoped = {"reporting._verdicts", "tensor_core.checked_components"}
+    owners = _owners(_bare_tolerance)
+    assert {o for o in owners if o.startswith("gauss_bounds.") or o in scoped} == set()
+
+
+def test_equality_rule_has_one_owner():
+    """``corollary_evaluated`` owns the pointwise equality rule, the root of
+    the general gap's sum of squares at X within tol * ||zeta||: the
+    umbilical tag and ``equality_directions`` read it, and neither builds a
+    rotated form, reads max |zeta| or takes a spectral norm."""
+    assert _callers("corollary_evaluated") == {
+        "gauss_bounds.corollary_triple",
+        "gauss_bounds.equality_directions",
+        "gauss_bounds._classify",
+        "reporting._corollary_block",
+    }
+    readers = {"gauss_bounds._classify", "gauss_bounds.equality_directions"}
+    for name in ("rotate_frame", "BundleValuedForm", "max_abs", "svd"):
+        assert _callers(name) & readers == set()
+    spectral = _owners(
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) == "norm"
+        and (len(node.args) > 1 or any(keyword.arg == "ord" for keyword in node.keywords))
+    )
+    assert spectral & readers == set()

@@ -4,7 +4,8 @@ and a ``sample`` campaign.
 
 A fault well above the gate tol * ||zeta||^2 flips the verdict and the exit
 code at every scale; a fault of roundoff size flips nothing.  The ambient
-margin is gated at tol: an offset fault above it flips the ambient verdict.
+margin is gated at tol * (||zeta||^2 + |offset|): an offset fault above it
+flips the ambient verdict.
 Faults are injected with monkeypatch only, into every curvlike module that
 binds the kernel, and every form is seeded.
 """
@@ -329,7 +330,7 @@ AMBIENT_SAMPLE = (*SAMPLE, "--ambient", "real_space_form", "--c", "-1")
 class TestAmbientOffsetFault:
     """An offset moved by delta moves the intrinsic Ricci maximum and not
     the application bound, so ``report`` and a ``sample`` campaign fail on
-    the ambient gate once delta exceeds the margin plus tol."""
+    the ambient gate once delta exceeds the margin plus its gate."""
 
     def test_report_fails_at_zero_margin(self, tmp_path, capsys, offset_fault):
         path = write_h_umbilical(tmp_path)

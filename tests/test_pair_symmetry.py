@@ -41,7 +41,7 @@ def residuals_match(checked):
 
 def stacks(rng, n, m):
     """Stacks of three forms at (n, m'): exactly symmetric, symmetric to
-    roundoff, asymmetric below 1e-12 and far above it."""
+    roundoff, asymmetric below 1e-12 max |zeta| and far above it."""
     general = draw_general(rng, n, m, 3)
     found = [general, general + 4e-13 * rng.uniform(-1.0, 1.0, general.shape)]
     found.append(general + 1e-9 * rng.uniform(-1.0, 1.0, general.shape))
@@ -85,14 +85,20 @@ def test_non_finite_below_the_diagonal_is_refused(value):
 
 
 @pytest.mark.parametrize("lower", [True, False])
-def test_asymmetry_of_exactly_the_tolerance_passes_and_one_ulp_more_fails(lower):
+@pytest.mark.parametrize("scale", [1.0, 2.0**40, 2.0**-40])
+def test_asymmetry_of_exactly_the_tolerance_passes_and_one_ulp_more_fails(lower, scale):
+    """The gate is 1e-12 times the form's largest |component|, here a
+    diagonal entry ``scale``; a power of two keeps the gate exact.  The
+    zero forms beside it in the stack have a gate of 0 and pass."""
+    gate = 1e-12 * scale
     for base, difference, verdict in (
-        (0.0, 1e-12, "ok"),
-        (0.0, np.nextafter(1e-12, 1.0), "refused"),
-        (0.5, 1e-12, None),  # 0.5 + 1e-12 rounds; the reference decides
-        (-3.0, -1e-12, None),
+        (0.0, gate, "ok"),
+        (0.0, np.nextafter(gate, np.inf), "refused"),
+        (0.5 * scale, gate, None),  # 0.5 + 1e-12 rounds; the reference decides
+        (-0.75 * scale, -gate, None),
     ):
         components = np.zeros((3, 2, 4, 4))
+        components[1, 0, 3, 3] = scale
         components[1, 1, 2, 0] = components[1, 1, 0, 2] = base
         components[(1, 1, 2, 0) if lower else (1, 1, 0, 2)] = base + difference
         got = check_both(components)
