@@ -199,10 +199,23 @@ def build_parser() -> argparse.ArgumentParser:
 # as long as a whole 150-instance n = 3 campaign (1.5 ms), and each discarded
 # parser is cyclic garbage that raises peak memory until a full collection.
 _PARSER = build_parser()
+_COMMANDS = next(a for a in _PARSER._actions if a.dest == "command").choices
+
+
+def parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, by handing ``argv[1:]`` straight to the
+    subparser ``argv[0]`` names; leftovers and an ``argv[0]`` that names no
+    command go through the full parser, so usage errors read as there."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else list(argv))
     try:
         tol = _tolerance()
         return args.func(args, tol)

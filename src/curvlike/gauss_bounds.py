@@ -45,6 +45,7 @@ from .tensor_core import (
     CurvatureLikeTensor,
     as_unit_vector,
     norm_sqs,
+    page_aligned_empty,
     rotation_to_first_axis,
     squared_norms,
     traces,
@@ -99,13 +100,14 @@ _WHOLE_TENSOR_BYTES = 64 * 1024
 
 def gauss_buffer(n: int) -> np.ndarray:
     """An empty buffer [n + b, n, n, n] for one form's n^4 stage, with b = n
-    where T fits in 64 KiB and n // 2 above (768 KiB at n = 16):
+    where T fits in 64 KiB and n // 2 above (768 KiB at n = 16), page-aligned
+    by :func:`~curvlike.tensor_core.page_aligned_empty`:
     :func:`gauss_components` writes G and T into it, and the b slabs it
     leaves spent are scratch for
     :func:`~curvlike.tensor_core.curvature_residuals` and
     :func:`~curvlike.tensor_core.pair_exchange_residuals`."""
     b = n if 8 * n**4 <= _WHOLE_TENSOR_BYTES else n // 2
-    return np.empty((n + b, n, n, n))
+    return page_aligned_empty((n + b, n, n, n))
 
 
 def gauss_components(components: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -30,16 +30,18 @@ key through ``json.dumps``.
 ζ's text: on a general (16, 32) form, formatting takes about 3.7 ms and
 hashing about 0.05 ms (timeit minima, 2-core x86_64, October 2026).
 
-Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.35 ms
-against 2.2 ms with the standard ``json`` decoder (timeit minima, 2-core
-x86_64, October 2026).  orjson rounds every number, integers beyond 64 bits
-included, to the nearest binary64 as ``float()`` does, so ζ comes out bit for
-bit as the standard decoder gives it; ``tests/test_json_decoder.py`` checks this.
-orjson refuses ``NaN``, ``Infinity``, a byte order mark and any number
-beyond binary64, all of which the standard decoder reads.  A refusal,
-orjson's or the schema's, is worded by reading the text again with the
-standard decoder and validating that document, so every message reads as it
-did with the standard decoder alone; a text orjson refuses is never loaded.
+Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.40 ms
+against 2.25 ms with the standard ``json`` decoder, of about 1.0 ms for the
+whole :func:`load_instance` (timeit minima, 2-core x86_64, October 2026).
+orjson rounds every number, integers beyond 64 bits included, to the nearest
+binary64 as ``float()`` does, so ζ comes out bit for bit as the standard
+decoder gives it; ``tests/test_json_decoder.py`` checks this.  The file is
+read as bytes and decoded once, as ``Path.read_text`` decodes it, universal
+newlines included.  orjson refuses ``NaN``, ``Infinity``, a byte order mark
+and any number beyond binary64, all of which the standard decoder reads.
+A refusal, orjson's or the schema's, is worded by reading the text again with
+the standard decoder and validating that document, so every message reads as
+it did with the standard decoder alone; a text orjson refuses is never loaded.
 """
 
 from __future__ import annotations
@@ -311,22 +313,46 @@ def _number(value, field: str) -> float:
         raise ValidationError(f"field '{field}' is an integer too large for binary64") from exc
 
 
-def _require_numbers(zeta, scan: bool = True) -> None:
-    """Refuse the first component of ``zeta`` that :func:`_number` refuses,
-    when ``zeta`` nests three lists deep; with ``scan``, one type scan passes
-    a form of JSON numbers.  A ``zeta`` of another nesting is left to the
-    shape check."""
-    if type(zeta) is not list or not set(map(type, zeta)) <= {list}:
-        return
-    rows = list(chain.from_iterable(zeta))
-    if not set(map(type, rows)) <= {list}:
-        return
-    if scan and set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        return
+def _require_numbers(zeta: list) -> None:
+    """Refuse the first component of ``zeta``, nested three lists deep, that
+    :func:`_number` refuses."""
     for r, slot in enumerate(zeta):
         for i, row in enumerate(slot):
             for j, value in enumerate(row):
                 _number(value, f"zeta[{r}][{i}][{j}]")
+
+
+def _zeta_array(zeta, m_prime: int, n: int) -> np.ndarray:
+    """``zeta`` as a float array (m', n, n).  Exactly m' lists of n lists of
+    n JSON numbers are converted from one flat list after one type check, bit
+    for bit as numpy converts the nested list.  Any other ``zeta`` meets, in
+    order, the number rule (if it nests three lists deep), numpy's conversion
+    (an integer beyond binary64 named) and the shape check, and the first of
+    them to refuse words the error."""
+    flat = exact = None
+    if type(zeta) is list and set(map(type, zeta)) == {list}:
+        rows = list(chain.from_iterable(zeta))
+        if set(map(type, rows)) == {list}:
+            flat = list(chain.from_iterable(rows))
+            exact = len(zeta) == m_prime and set(map(len, zeta)) == set(map(len, rows)) == {n}
+    if flat is not None and not {int, float}.issuperset(map(type, flat)):
+        _require_numbers(zeta)
+    elif exact:
+        try:
+            return np.array(flat, dtype=float).reshape(m_prime, n, n)
+        except OverflowError:
+            _require_numbers(zeta)  # names the integer
+    try:
+        zeta_arr = np.asarray(zeta, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, OverflowError) and flat is not None:
+            _require_numbers(zeta)  # names the integer
+        raise ValidationError(f"field 'zeta' is not a numeric array: {exc}") from exc
+    if zeta_arr.shape != (m_prime, n, n):
+        raise ValidationError(
+            f"field 'zeta' must have shape ({m_prime}, {n}, {n}), got {zeta_arr.shape}"
+        )
+    return zeta_arr
 
 
 def _parse_ambient(raw, n: int) -> AmbientModel:
@@ -382,18 +408,7 @@ def instance_from_dict(doc) -> Instance:
     bundle_dim = _require_int(doc, "bundle_dim", check_bundle_dim)
     if "zeta" not in doc:
         raise ValidationError("field 'zeta' is required")
-    _require_numbers(doc["zeta"])
-    try:
-        zeta_arr = np.asarray(doc["zeta"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, OverflowError):
-            _require_numbers(doc["zeta"], scan=False)  # names the integer
-        raise ValidationError(f"field 'zeta' is not a numeric array: {exc}") from exc
-    if zeta_arr.shape != (bundle_dim, n, n):
-        raise ValidationError(
-            f"field 'zeta' must have shape ({bundle_dim}, {n}, {n}), "
-            f"got {zeta_arr.shape}"
-        )
+    zeta_arr = _zeta_array(doc["zeta"], bundle_dim, n)
     try:
         zeta = BundleValuedForm(zeta_arr)
     except CurvlikeError as exc:
@@ -445,13 +460,15 @@ def loads_instance(text: str, source: str = "<string>") -> Instance:
 def load_instance(path) -> Instance:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_bytes().decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"{p}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{p}: not valid UTF-8: {exc.reason} at byte {exc.start}"
         ) from exc
+    if "\r" in text:  # universal newlines, as ``read_text`` reads the file
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return loads_instance(text, source=str(p))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_core import Dimensions
+from .tensor_core import _STRICT_LOWER, Dimensions, page_aligned_empty
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -31,11 +31,11 @@ def draw_general(
 ) -> np.ndarray:
     """Components (count, m', n, n) of ``count`` unrestricted forms: i.i.d.
     standard normals symmetrized in the tangent pair, (z + z^T) / 2, which is
-    bitwise symmetric because addition commutes.  The draw is symmetrized in
-    place, a block of n x n matrices at a time, so the result is the one
-    stack-sized allocation."""
+    bitwise symmetric because addition commutes.  The draw fills one
+    page-aligned array and is symmetrized in place, a block of n x n matrices
+    at a time, so the result is the one stack-sized allocation."""
     Dimensions(n=n, m_prime=m_prime)
-    raw = rng.standard_normal((count, m_prime, n, n))
+    raw = rng.standard_normal(out=page_aligned_empty((count, m_prime, n, n)))
     matrices = raw.reshape(-1, n, n)
     step = max(1, _BLOCK_FLOATS // (n * n))
     scratch = np.empty((min(step, len(matrices)), n, n))
@@ -68,5 +68,5 @@ def draw_symmetric(
     components = np.zeros((count, m_prime, n, n))
     placed = components[:, :n]
     np.copyto(placed, cubic)
-    np.copyto(placed, np.swapaxes(cubic, -1, -2), where=np.tri(n, k=-1, dtype=bool))
+    np.copyto(placed, np.swapaxes(cubic, -1, -2), where=_STRICT_LOWER[n])
     return components

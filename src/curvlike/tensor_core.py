@@ -64,6 +64,26 @@ class Dimensions:
         check_bundle_dim(self.m_prime)
 
 
+# Read-only masks of the entries below the diagonal of an n x n matrix, by n
+# (a broadcast view cannot be written to): the entries a form mirrors.
+_STRICT_LOWER = [
+    np.broadcast_to(np.tri(n, k=-1, dtype=bool), (n, n)) for n in range(MAX_TANGENT_DIM + 1)
+]
+
+
+def page_aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An empty float array of ``shape``, from 64 KiB (8192 floats) up a view
+    whose data starts on a 4 KiB page.  The heap would put it at a page offset
+    that moves with every allocation before it, and the time of the kernels
+    that stream through it moves with the offset, by a few percent."""
+    count = math.prod(shape)
+    if count < 8192:
+        return np.empty(shape)
+    raw = np.empty(count + 512)
+    start = -raw.ctypes.data % 4096 // 8
+    return raw[start : start + count].reshape(shape)
+
+
 def checked_components(components) -> np.ndarray:
     """Validated copy of form components ``[..., r, i, j]``, read-only and
     bitwise symmetric in (i, j); leading axes stack independent forms.
@@ -111,17 +131,19 @@ def checked_components(components) -> np.ndarray:
             f"zeta[{r}][{j}][{i}] = {float(worst[r, j, i])!r}"
         )
     np.copyto(sym, arr)
-    np.copyto(sym, swapped, where=np.tri(dims.n, k=-1, dtype=bool))
+    np.copyto(sym, swapped, where=_STRICT_LOWER[dims.n])
     # scale is max |sym| to 1e-12 relative, far inside the slack of 8 n.
     top = np.finfo(float).max
-    forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)
-    for k in np.flatnonzero(scales > math.sqrt(top / (8 * dims.n**3 * dims.m_prime))):
-        unit_norm_sq = float(np.square(forms[k] / scales[k]).sum())
-        if scales[k] > math.sqrt(top / (8 * dims.n * unit_norm_sq)):
-            raise ValidationError(
-                f"zeta is too large: 8 n ||zeta||^2 overflows binary64 "
-                f"(largest |component| {float(scales[k])!r})"
-            )
+    limit = math.sqrt(top / (8 * dims.n**3 * dims.m_prime))
+    if (scale > limit).any():
+        forms, scales = sym.reshape(-1, *sym.shape[-3:]), scale.reshape(-1)
+        for k in np.flatnonzero(scales > limit):
+            unit_norm_sq = float(np.square(forms[k] / scales[k]).sum())
+            if scales[k] > math.sqrt(top / (8 * dims.n * unit_norm_sq)):
+                raise ValidationError(
+                    f"zeta is too large: 8 n ||zeta||^2 overflows binary64 "
+                    f"(largest |component| {float(scales[k])!r})"
+                )
     sym.setflags(write=False)
     return sym
 

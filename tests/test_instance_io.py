@@ -5,11 +5,13 @@ import math
 import re
 
 import numpy as np
+import orjson
 import pytest
 
 from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.errors import ValidationError
 from curvlike.instance_io import (
+    _zeta_array,
     Instance,
     StructureInfo,
     dump_json,
@@ -267,6 +269,105 @@ class TestLoad:
         with pytest.raises(ValidationError) as caught:
             loads_instance(json.dumps(doc))
         assert str(caught.value) == f"<string>: field 'structure.theta': {message}"
+
+
+# JSON numbers whose conversion to binary64 is easy to get wrong: zeros of
+# both signs, integers on both sides of 2^53 and of the 64-bit limits (the
+# ones beyond read by the standard decoder as Python ints), subnormals and
+# the edge of the range.
+EDGE_NUMBERS = [
+    0, 7, -3, -0.0, 0.1, 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63 - 1), 2**64 - 1,
+    2**70 + 1, -(2**64 + 1), 5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+]
+
+# Byte-exact refusals of the loader, one per rule the ζ conversion keeps;
+# "oversized, ragged" is refused by the shape before the integer is named.
+BIG = "1" + "0" * 400
+ZETA_REFUSALS = {
+    "bool": ("[[[0.5, true], [true, 2]]]", "field 'zeta[0][0][1]' must be a number, got True"),
+    "str": ('[[[0.5, "1"], ["1", 2]]]', "field 'zeta[0][0][1]' must be a number, got '1'"),
+    "null": ("[[[0.5, null], [null, 2]]]", "field 'zeta[0][0][1]' must be a number, got None"),
+    "nested list": ("[[[0.5, [1]], [[1], 2]]]", "field 'zeta[0][0][1]' must be a number, got [1]"),
+    "ragged": (
+        "[[[0.5, 1], [1]]]",
+        "field 'zeta' is not a numeric array: setting an array element with a sequence. "
+        "The requested array has an inhomogeneous shape after 2 dimensions. "
+        "The detected shape was (1, 2) + inhomogeneous part.",
+    ),
+    "wrong shape": (
+        "[[[0.5, 1], [1, 2]], [[0.5, 1], [1, 2]]]",
+        "field 'zeta' must have shape (1, 2, 2), got (2, 2, 2)",
+    ),
+    "oversized integer": (
+        f"[[[0.5, {BIG}], [{BIG}, 2]]]",
+        "field 'zeta[0][0][1]' is an integer too large for binary64",
+    ),
+    "oversized, wrong shape": (
+        f"[[[0.5, {BIG}], [{BIG}, 2]], [[0.5, 1], [1, 2]]]",
+        "field 'zeta[0][0][1]' is an integer too large for binary64",
+    ),
+    "oversized, ragged": (
+        f"[[[0.5, {BIG}], [1]]]",
+        "field 'zeta' is not a numeric array: setting an array element with a sequence. "
+        "The requested array has an inhomogeneous shape after 2 dimensions. "
+        "The detected shape was (1, 2) + inhomogeneous part.",
+    ),
+    "oversized before a bool": (
+        f"[[[0.5, {BIG}], [true, 2]]]",
+        "field 'zeta[0][0][1]' is an integer too large for binary64",
+    ),
+}
+
+# A (1, 2) instance split at its fields, with a trailing comma in zeta.
+TRAILING_COMMA = [
+    "{", '"version": 1, "n": 2, "bundle_dim": 1,', '"zeta": [[[1.0, 0.5], [0.5, 2.0]],]', "}"
+]
+
+
+class TestZetaConversion:
+    """A ζ of exactly m' lists of n lists of n JSON numbers is converted from
+    one flat list; every other ζ keeps the path and the words it had."""
+
+    @pytest.mark.parametrize("decode", [orjson.loads, json.loads], ids=["orjson", "json"])
+    def test_flat_conversion_is_numpys_bit_for_bit(self, decode, monkeypatch):
+        values = EDGE_NUMBERS + [0.5] * (32 - len(EDGE_NUMBERS))
+        zeta = decode(json.dumps(np.reshape(np.array(values, dtype=object), (2, 4, 4)).tolist()))
+        expected = np.asarray(zeta, dtype=float)
+        with monkeypatch.context() as patched:
+            patched.setattr(np, "asarray", None)  # the flat path never takes it
+            assert _zeta_array(zeta, 2, 4).tobytes() == expected.tobytes()
+
+    def test_loaded_form_is_numpys_conversion(self):
+        """The loader's copy of a form with the edge numbers (1e308 left out:
+        8 n ||zeta||^2 would overflow) holds the standard decoder's values."""
+        values = iter([x for x in EDGE_NUMBERS if abs(x) != 1e308] * 4)
+        zeta = [[[0] * 5 for _ in range(5)] for _ in range(3)]
+        for slot in zeta:
+            for i in range(5):
+                for j in range(i, 5):
+                    slot[i][j] = slot[j][i] = next(values)
+        text = json.dumps({"version": 1, "n": 5, "bundle_dim": 3, "zeta": zeta})
+        loaded = loads_instance(text).zeta.components
+        assert loaded.tobytes() == np.asarray(json.loads(text)["zeta"], dtype=float).tobytes()
+
+    @pytest.mark.parametrize("zeta, message", ZETA_REFUSALS.values(), ids=ZETA_REFUSALS.keys())
+    def test_refusals_keep_their_words(self, zeta, message):
+        text = '{"version": 1, "n": 2, "bundle_dim": 1, "zeta": %s}' % zeta
+        with pytest.raises(ValidationError) as caught:
+            loads_instance(text)
+        assert str(caught.value) == f"<string>: {message}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_breaks_are_read_as_universal_newlines(self, tmp_path, newline):
+        """The file is decoded as ``read_text`` decodes it: a bare CR and a
+        CRLF are each one line break, for the refusal's line:col too."""
+        path = tmp_path / "two.json"
+        path.write_bytes(newline.join(TRAILING_COMMA).encode())
+        with pytest.raises(ValidationError) as caught:
+            load_instance(path)
+        assert str(caught.value) == f"{path}:3:35: Expecting value"
+        path.write_bytes(newline.join(TRAILING_COMMA).replace(",]", "]").encode())
+        assert load_instance(path).zeta.components.tolist() == [[[1.0, 0.5], [0.5, 2.0]]]
 
 
 class TestRoundTrip:
