@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .gauss_bounds import BoundMode, ricci_forms
-from .tensor_core import BundleValuedForm, as_unit_vector, check_tangent_dim
+from .tensor_core import BundleValuedForm, _finite_float, as_unit_vector, check_tangent_dim
 
 
 class AmbientKind(Enum):
@@ -39,9 +39,8 @@ class AmbientModel:
 
     def __post_init__(self) -> None:
         for name in ("c", "theta"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_float(getattr(self, name), name))
         if self.kind is AmbientKind.COMPLEX_SLANT:
             if self.theta is None:
                 raise ValidationError("complex_slant requires theta")

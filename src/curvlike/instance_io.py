@@ -1,30 +1,26 @@
-"""Instance file schema, validated load/save, and a deterministic JSON writer.
+"""Instance file schema, validated load/save, and the two deterministic
+writers: every output byte is written here.
 
-The standard json encoder cannot pin float formatting, so serialization is
-done by a small recursive writer: dictionary keys keep insertion order and
-every float is written with 17 significant digits, which round-trips binary64
-exactly.  Identical data therefore always produces identical bytes.
+Both writers walk one type set, by exact type: dicts with str keys, lists,
+float ndarrays of one or more axes, and float, str, int, bool and None.  Any
+other node (a numpy scalar, a tuple, an integer or 0-d array, a key that is
+not a str) is a TypeError that names its type; no report holds one.
+:func:`dump_json` keeps key order, quotes each str key once per process
+(:func:`_key_text`) and writes every float with 17 significant digits, which
+round-trip binary64.  :func:`render_text` prints a line per key or list
+entry, strings raw and any other scalar or float row as JSON.  The walkers
+share no layout rule, so one walker would branch on the format at every node.
 
-Float arrays (ζ's components, report vectors and frames) are passed to the
-writer as ndarrays and go through one array emitter, :func:`format_floats`.
-A 1-D array of at most :data:`SHORT_ROW` floats (a report's directions,
-traces and frame rows) is joined float by float, since a row that short does
-not repay the array pass.  Any other array is formatted in that pass: it
-checks finiteness once, builds the whole nested layout as one ``%``
-template with a format code per element, and fills it from
-``arr.ravel().tolist()`` in a single ``%`` call.  The text is the same as
-formatting each float on its own with ``%.17g`` and appending ``.0`` when the
-result reads as an integer.  A non-integral float never needs the ``.0``,
-because 17 digits round-trip, so its ``%.17g`` text cannot read as an integer.
-An integral float below 1e17 is written by ``%.17g`` as its exact digits, which
-is what ``%.1f`` gives minus the ``.0`` (``-0.0`` included).  From 1e17 up,
-``%.17g`` uses an exponent and needs no suffix.  So the emitter picks ``%.1f``
-for the integral values below 1e17 and ``%.17g`` for all others, and every
-saved instance and report stays byte-identical to the one-float-at-a-time
-writer that the tests keep as their oracle.  Scalars and dictionary keys are
-dispatched on their exact type first.  Each str key is quoted once per
-process, through a bounded cache: an ASCII identifier as it is, any other
-key through ``json.dumps``.
+Float arrays (ζ's components, report vectors and frames) go through one
+emitter, :func:`format_floats`: a 1-D array of at most :data:`SHORT_ROW`
+floats float by float, any other as one ``%`` template fill, with ``%.1f``
+for the integral values below 1e17 and ``%.17g`` for all others.  That is
+each float's ``%.17g`` text plus ``.0`` where it reads as an integer: 17
+digits round-trip, so a non-integral float never reads as one, and ``%.17g``
+writes an integral float below 1e17 as the digits ``%.1f`` gives before its
+``.0`` (``-0.0`` included) and one from 1e17 up with an exponent.  So every
+saved instance and report is byte-identical to the one-float-at-a-time writer
+that the tests keep as their oracle.
 
 :func:`instance_sha256` hashes the header text and ζ's binary64 bytes, not
 ζ's text: on a general (16, 32) form, formatting takes about 3.7 ms and
@@ -52,7 +48,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +56,7 @@ import orjson
 
 from .ambient_models import AmbientKind, AmbientModel, build_slant_structure, ricci_offset
 from .errors import CurvlikeError, ValidationError
-from .tensor_core import BundleValuedForm, check_bundle_dim, check_tangent_dim
+from .tensor_core import BundleValuedForm, _finite_float, check_bundle_dim, check_tangent_dim
 
 SCHEMA_VERSION = 1
 
@@ -73,6 +69,10 @@ class StructureInfo:
 
     kind: str
     theta: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.theta is not None:
+            object.__setattr__(self, "theta", _finite_float(self.theta, "theta"))
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def format_float(x: float) -> str:
 
 def format_floats(values: np.ndarray, indent: int = 0) -> str:
     """JSON text of a float array of one or more axes, in the writer's nested
-    layout.
+    layout; any other array (of integers, or 0-d) is a TypeError.
 
     A row of at most :data:`SHORT_ROW` floats is joined float by float with
     :func:`format_float`.  Any other array is formatted in a single pass: the
@@ -121,6 +121,8 @@ def format_floats(values: np.ndarray, indent: int = 0) -> str:
     checked once for the array; the error names the first non-finite value
     in row-major order, as the float-by-float join does.
     """
+    if values.dtype.kind != "f" or not values.ndim:
+        raise TypeError(f"cannot serialize a {values.ndim}-d {values.dtype} ndarray")
     flat = values.ravel().astype(float, copy=False)
     if values.ndim == 1 and len(flat) <= SHORT_ROW:
         return "[" + ", ".join(map(format_float, flat.tolist())) + "]"
@@ -153,7 +155,7 @@ def _layout(shape: tuple[int, ...], indent: int) -> str:
 
 
 def format_scalar(value) -> str:
-    """JSON text of a bool, integer, float, string or None, numpy's included."""
+    """JSON text of a float, str, int, bool or None, by exact type; else TypeError."""
     kind = type(value)
     if kind is float:
         return format_float(value)
@@ -165,83 +167,92 @@ def format_scalar(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    raise TypeError(f"cannot serialize {kind!r}")
 
 
-# The types the writers format with :func:`format_scalar` at a glance.
-SCALAR_TYPES = frozenset({float, str, int, bool, type(None)})
+# The node types that nest; any other node is a scalar.
+_NESTED = frozenset({dict, list, np.ndarray})
 
 
-def is_float_array(value) -> bool:
-    """Whether the writers emit ``value`` through :func:`format_floats`."""
-    return isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim > 0
-
-
-def is_scalar(value) -> bool:
-    """Whether the writers print ``value`` on its own, not as a container."""
-    return not isinstance(value, (dict, list, tuple, np.ndarray))
+def _str_key(key) -> str:
+    """``key``, if it is a str; else TypeError, naming its type."""
+    if type(key) is not str:
+        raise TypeError(f"cannot serialize a key of {type(key)!r}")
+    return key
 
 
 @lru_cache(maxsize=1024)
 def _key_text(key: str) -> str:
-    """``"key": `` for a dictionary key, quoted once per process: an ASCII
-    identifier as it is, any other key through ``json.dumps``.  Only str keys
-    are cached, so keys that compare equal across types (1 and True) never
-    share an entry."""
+    """``"key": `` for a str dictionary key, quoted once per process: an ASCII
+    identifier as it is, any other through ``json.dumps``.  Any other key is a
+    TypeError, so 1 and True, which compare equal, never share an entry."""
+    _str_key(key)
     quoted = f'"{key}"' if key.isascii() and key.isidentifier() else json.dumps(key)
     return quoted + ": "
 
 
 def _write(value, parts: list[str], indent: int) -> None:
-    if type(value) in SCALAR_TYPES:
+    kind = type(value)
+    if kind not in _NESTED:
         parts.append(format_scalar(value))
-        return
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        lead, last = pad + "  ", len(value) - 1
-        for idx, (key, item) in enumerate(value.items()):
-            parts.append(lead + _key_text(key if type(key) is str else str(key)))
-            _write(item, parts, indent + 1)
-            parts.append(",\n" if idx < last else "\n")
-        parts.append(pad + "}")
-    elif is_float_array(value):
+    elif kind is np.ndarray:
         parts.append(format_floats(value, indent))
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            parts.append("[]")
-            return
-        if all(map(is_scalar, items)):
-            parts.append("[" + ", ".join(map(format_scalar, items)) + "]")
-        else:
-            parts.append("[\n")
-            for idx, item in enumerate(items):
-                parts.append(pad + "  ")
-                _write(item, parts, indent + 1)
-                parts.append(",\n" if idx < len(items) - 1 else "\n")
-            parts.append(pad + "]")
-    else:
-        parts.append(format_scalar(value))
+    elif kind is list and _NESTED.isdisjoint(map(type, value)):  # flat or empty
+        parts.append("[" + ", ".join(map(format_scalar, value)) + "]")
+    elif not value:
+        parts.append("{}")
+    else:  # a dict or a list that nests; every entry on its own line
+        pad, lead = "  " * indent, "  " * (indent + 1)
+        heads = map(_key_text, value) if kind is dict else repeat("")
+        parts.append("{\n" if kind is dict else "[\n")
+        for head, item in zip(heads, value.values() if kind is dict else value):
+            parts.append(lead + head)
+            _write(item, parts, indent + 1)
+            parts.append(",\n")
+        parts[-1] = "\n"
+        parts.append(pad + ("}" if kind is dict else "]"))
 
 
 def dump_json(value) -> str:
-    """Deterministic JSON text for a nested dict/list/scalar structure."""
+    """Deterministic JSON text for a nested dict/list/array/scalar structure."""
     parts: list[str] = []
     _write(value, parts, 0)
-    parts.append("\n")
-    return "".join(parts)
+    return "".join(parts) + "\n"
+
+
+def _inline(value) -> str | None:
+    """One-line text of a scalar, a flat list or a float row; None for a value
+    that nests.  Strings print raw."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind not in _NESTED:
+        return format_scalar(value)
+    if kind is np.ndarray:
+        return format_floats(value) if value.ndim < 2 or not len(value) else None
+    if kind is list and _NESTED.isdisjoint(map(type, value)):
+        return "[" + ", ".join(map(_inline, value)) + "]"
+    return None
+
+
+def _render(value, depth: int, lines: list[str]) -> None:
+    pad = "  " * depth
+    if type(value) is dict:
+        entries = [(f"{pad}{_str_key(key)}:", item) for key, item in value.items()]
+    else:
+        entries = [(f"{pad}-", item) for item in value]
+    for head, item in entries:
+        text = _inline(item)
+        lines.append(head if text is None else f"{head} {text}")
+        if text is None:
+            _render(item, depth + 1, lines)
+
+
+def render_text(doc: dict) -> str:
+    """Line-oriented rendering that mirrors the JSON text field for field."""
+    lines: list[str] = []
+    _render(doc, 0, lines)
+    return "\n".join(lines) + "\n"
 
 
 def ambient_to_dict(model: AmbientModel) -> dict:

@@ -1,9 +1,10 @@
-"""Report assembly and rendering: every report the CLI prints, and its gates.
+"""Report assembly: every report the CLI prints, and its gates.
 
-Reports are plain nested dicts with a fixed field order, serialized through
-the deterministic writer in :mod:`curvlike.instance_io`; the text rendering
-mirrors the JSON field for field.  For a fixed input (and seed, for sampling
-campaigns) the emitted bytes are identical across runs.
+Reports are plain nested dicts with a fixed field order, built only of the
+node types the two writers in :mod:`curvlike.instance_io` take (str keys,
+lists, float arrays, Python scalars); :func:`render_report` picks the writer.
+For a fixed input (and seed, for sampling campaigns) the emitted bytes are
+identical across runs.
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ from .gauss_bounds import (
     ricci_probe_residuals,
 )
 from .instance_io import (
-    SCALAR_TYPES,
     Instance,
     ambient_to_dict,
     dump_json,
-    format_floats,
-    format_scalar,
     instance_sha256,
-    is_float_array,
-    is_scalar,
+    render_text,
     structure_to_dict,
 )
 from .optim_lemmas import (
@@ -510,49 +507,6 @@ def run_sample(
         "results": results,
     }
     return doc, (0 if not violations else 1)
-
-
-def _scalar_text(value) -> str:
-    return value if isinstance(value, str) else format_scalar(value)
-
-
-def _inline(value) -> str | None:
-    """One-line text of a scalar, a flat list or a float row; None for a
-    value that nests.  Float rows go through the JSON writer's array emitter."""
-    kind = type(value)
-    if kind is dict:
-        return None
-    if kind in SCALAR_TYPES:
-        return value if kind is str else format_scalar(value)
-    if is_float_array(value):
-        return format_floats(value) if value.ndim == 1 or not len(value) else None
-    if is_scalar(value):
-        return _scalar_text(value)
-    if isinstance(value, dict) or not all(map(is_scalar, value)):
-        return None
-    return "[" + ", ".join(map(_scalar_text, value)) + "]"
-
-
-def _render(value, depth: int, lines: list[str]) -> None:
-    pad = "  " * depth
-    if isinstance(value, dict):
-        entries = [(f"{pad}{key}:", item) for key, item in value.items()]
-    else:
-        entries = [(f"{pad}-", item) for item in value]
-    for head, item in entries:
-        text = _inline(item)
-        if text is None:
-            lines.append(head)
-            _render(item, depth + 1, lines)
-        else:
-            lines.append(f"{head} {text}")
-
-
-def render_text(doc: dict) -> str:
-    """Line-oriented rendering that mirrors the JSON report field for field."""
-    lines: list[str] = []
-    _render(doc, 0, lines)
-    return "\n".join(lines) + "\n"
 
 
 def render_report(doc: dict, fmt: str) -> str:

@@ -52,6 +52,17 @@ def check_bundle_dim(m_prime: int) -> int:
     return m_prime
 
 
+def _finite_float(value, name: str) -> float:
+    """An ambient or structure number as a float, so it hashes as it loads; a
+    ValidationError names ``name`` if it is not finite or beyond binary64."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is an integer too large for binary64") from None
+    raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Tangent dimension n and bundle dimension m_prime, with desk-scale guards."""

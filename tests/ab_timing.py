@@ -142,10 +142,12 @@ def main(argv=None) -> int:
         "--workload", default="files-grid",
         choices=["files-grid", "campaign-small", "campaign-large"],
     )
-    parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--rounds", type=int, default=30, help="timed rounds, at least 2")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
+    if args.rounds < 2:  # the quartiles of the round medians need two
+        parser.error(f"--rounds must be at least 2, got {args.rounds}")
     mains = (load_main(args.a, "curvlike_a"), load_main(args.b, "curvlike_b"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads

@@ -57,6 +57,28 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="theta must be finite"):
             AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=bad)
 
+    @pytest.mark.parametrize("kind", list(AmbientKind))
+    def test_integer_beyond_binary64_names_the_field(self, kind):
+        theta = 0.7 if kind is AmbientKind.COMPLEX_SLANT else None
+        with pytest.raises(ValidationError, match=r"^c is an integer too large for binary64$"):
+            AmbientModel(kind, 10**400, theta)
+        with pytest.raises(ValidationError, match=r"^c is an integer too large for binary64$"):
+            AmbientModel(kind, -(10**400), theta)
+        if theta is not None:
+            with pytest.raises(
+                ValidationError, match=r"^theta is an integer too large for binary64$"
+            ):
+                AmbientModel(kind, 1.0, 10**400)
+
+    @pytest.mark.parametrize(
+        "c", [1, np.int64(1), np.float64(1.0), np.float32(1.0)],
+        ids=["int", "int64", "float64", "float32"],
+    )
+    def test_numbers_are_stored_as_floats(self, c):
+        model = AmbientModel(AmbientKind.COMPLEX_SLANT, c, theta=np.int64(1))
+        assert (type(model.c), type(model.theta)) == (float, float)
+        assert (model.c, model.theta) == (1.0, 1.0)
+
 
 class TestRicciOffset:
     def test_sasakian_flat_case(self):

@@ -10,6 +10,7 @@ Faults are injected with monkeypatch only, into every curvlike module that
 binds the kernel, and every form is seeded.
 """
 
+import itertools
 import json
 import re
 import sys
@@ -22,7 +23,7 @@ from curvlike.ambient_models import AmbientKind, AmbientModel
 from curvlike.cli import main
 from curvlike.instance_io import Instance, load_instance, save_instance
 from curvlike.structures import Family, FamilyParams, construct_family
-from curvlike.tensor_core import BundleValuedForm, norm_sqs
+from curvlike.tensor_core import DEFAULT_TOL, BundleValuedForm, norm_sqs
 from random_forms import sample_general
 
 
@@ -234,6 +235,66 @@ class TestAntisymmetryFault:
             assert (code, doc["failures"]) == (0, [])
             assert doc["symmetry"]["passed"] is True
         code, doc = run(capsys, *sample_args(n, bundle_dim))
+        assert code == 0
+        assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True
+
+
+def bianchi_fault(size: float):
+    """T + size * ||zeta||^2 * eps, with eps the totally antisymmetric
+    4-tensor on the indices 0..3.  eps is skew in both pairs, pair-symmetric
+    and Ricci-free; its cyclic sum over the first three indices is 3 eps, so
+    of the curvature identities it breaks only the first Bianchi one."""
+
+    def add(tensor, norm_sq):
+        eps = np.zeros(tensor.shape[-4:])
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            eps[perm] = (-1.0) ** inversions
+        tensor += size * norm_sq[..., None, None, None, None] * eps
+
+    return add
+
+
+class TestBianchiFault:
+    """A fault that breaks only the first Bianchi identity, at ten times the
+    gate, fails ``check``, ``report`` and a 4-instance ``sample`` on the
+    symmetry gate; at a thousandth of the gate it flips nothing."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_check_and_report_fail(self, tmp_path, capsys, tensor_fault, scale):
+        path = write_form(tmp_path, scale)
+        norm_sq = float(norm_sqs(load_instance(path).zeta.components))
+        roundoff = 64 * np.finfo(float).eps * norm_sq
+        tensor_fault(bianchi_fault(10 * DEFAULT_TOL))
+        code, doc = run(capsys, "check", path)
+        assert code == 1 and SYMMETRY_FAILURE in doc["failures"]
+        code, doc = run(capsys, "report", path)
+        symmetry = doc["symmetry"]
+        assert code == 1 and SYMMETRY_FAILURE in doc["failures"]
+        assert symmetry["passed"] is False
+        assert abs(symmetry["first_bianchi"] - 30 * DEFAULT_TOL * norm_sq) <= roundoff
+        for name in ("skew_first_pair", "skew_second_pair", "pair_exchange"):
+            assert symmetry[name] <= roundoff
+
+    def test_sample_fails_on_its_audited_instance(self, capsys, tensor_fault):
+        tensor_fault(bianchi_fault(10 * DEFAULT_TOL))
+        code, doc = run(capsys, *SAMPLE)
+        results = doc["results"]
+        assert code == 1
+        assert results["all_pass"] is False
+        assert results["audited"] == 1
+        [symmetry] = [v for v in results["violations"] if v["kind"] == "symmetry"]
+        assert symmetry["detail"] == results["max_symmetry_residual"]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_roundoff_sized_fault_flips_nothing(self, tmp_path, capsys, tensor_fault, scale):
+        path = write_form(tmp_path, scale)
+        tensor_fault(bianchi_fault(1e-3 * DEFAULT_TOL))
+        for command in ("check", "report"):
+            code, doc = run(capsys, command, path)
+            assert (code, doc["failures"]) == (0, [])
+            assert doc["symmetry"]["passed"] is True
+        code, doc = run(capsys, *SAMPLE)
         assert code == 0
         assert doc["results"]["violations"] == [] and doc["results"]["all_pass"] is True
 

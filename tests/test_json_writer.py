@@ -4,12 +4,16 @@ the instance hash against a route that shares no code with the library's.
 Golden bytes were recorded with the per-float writer (now
 ``tests/json_oracle.py``) before the array emitter replaced it; the property
 tests compare the JSON writer and the text renderer with their references on
-random documents and on a report of every kind.
+random documents, on a report of every kind and on the reports of the
+benchmark's own file and campaign operations.  Both writers refuse every
+value outside their type set with a TypeError that names its type.
 """
 
 import hashlib
 import math
+import re
 import struct
+import sys
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -46,11 +50,16 @@ from curvlike.reporting import (
     run_sample,
 )
 from curvlike.structures import Family, FamilyParams, construct_family
-from curvlike.tensor_core import BundleValuedForm, rotate_frame
+from curvlike.tensor_core import DEFAULT_TOL, BundleValuedForm, rotate_frame
 from json_oracle import reference_dump_json, reference_format_float, reference_render_text
 from random_forms import random_orthogonal, sample_general, sample_symmetric
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# The benchmark's workload definitions, read only: their instance files and
+# campaign calls are the documents the writers meet in a benchmark run.
+sys.path.append(str(Path(__file__).parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 SLANT = math.pi / 3
 
@@ -213,14 +222,11 @@ float_arrays = st.one_of(
         elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
     ),
 )
-int_arrays = hnp.arrays(
-    np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)
-)
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), finite_floats, st.text(max_size=6)
 )
 documents = st.recursive(
-    st.one_of(scalars, float_arrays, int_arrays),
+    st.one_of(scalars, float_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.dictionaries(st.text(max_size=5), children, max_size=4),
@@ -277,15 +283,29 @@ class TestAgainstReference:
         instance = Instance(
             zeta=zeta, ambient=AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 2.0)
         )
-        docs = [
-            build_instance_report(instance, 1e-9)[0],
-            build_check_report(instance, 1e-9)[0],
-            build_bound_report(instance, BoundMode.GENERAL, 1e-9)[0],
-            build_nullspace_report(instance, 1e-9)[0],
-        ]
-        for doc in docs:
-            assert dump_json(doc) == reference_dump_json(as_lists(doc))
-            assert render_text(doc) == reference_render_text(as_lists(doc))
+        assert_match_reference(file_reports(instance, 1e-9))
+
+    @pytest.mark.parametrize("spec", workloads.file_specs(1), ids=lambda spec: spec.name)
+    def test_benchmark_file_reports_match_reference(self, spec, tmp_path):
+        instance = load_instance(workloads.write_instance(spec, tmp_path))
+        assert_match_reference(file_reports(instance, DEFAULT_TOL))
+
+    @pytest.mark.parametrize("workload", sorted(workloads.CAMPAIGNS))
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_benchmark_campaign_reports_match_reference(self, workload, index):
+        argv = workloads.campaign_op(workload, 1, index).argv
+        opts = dict(zip(argv[1::2], argv[2::2]))  # "sample" then flag, value pairs
+        doc, code = run_sample(
+            int(opts["--n"]),
+            int(opts["--bundle"]),
+            int(opts["--count"]),
+            int(opts["--seed"]),
+            opts["--family"],
+            AmbientModel(AmbientKind(opts["--ambient"]), float(opts["--c"])),
+            DEFAULT_TOL,
+        )
+        assert code == 0
+        assert_match_reference([doc])
 
     def test_lemma_and_sample_reports_match_reference(self):
         lagrangian = AmbientModel(AmbientKind.COMPLEX_LAGRANGIAN, 1.0)
@@ -297,9 +317,58 @@ class TestAgainstReference:
             run_sample(4, 6, 4, 5, "general", None, 0.0)[0],
         ]
         assert docs[-1]["results"]["violations"]
-        for doc in docs:
-            assert dump_json(doc) == reference_dump_json(as_lists(doc))
-            assert render_text(doc) == reference_render_text(as_lists(doc))
+        assert_match_reference(docs)
+
+
+def file_reports(instance: Instance, tol: float) -> list[dict]:
+    """The report of every file command on ``instance``: ``report``,
+    ``check``, ``bound`` in both modes and ``nullspace``."""
+    return [
+        build_instance_report(instance, tol)[0],
+        build_check_report(instance, tol)[0],
+        build_bound_report(instance, BoundMode.GENERAL, tol)[0],
+        build_bound_report(instance, BoundMode.IMPROVED, tol)[0],
+        build_nullspace_report(instance, tol)[0],
+    ]
+
+
+def assert_match_reference(docs: list[dict]) -> None:
+    for doc in docs:
+        assert dump_json(doc) == reference_dump_json(as_lists(doc))
+        assert render_text(doc) == reference_render_text(as_lists(doc))
+
+
+# Values outside the writers' type set, each with the type its refusal names.
+UNWRITABLE = [
+    pytest.param(np.float64(1.0), "numpy.float64", id="float64"),
+    pytest.param(np.int64(1), "numpy.int64", id="int64"),
+    pytest.param(np.bool_(True), "numpy.bool", id="bool_"),
+    pytest.param((1.0,), "tuple", id="tuple"),
+    pytest.param(np.arange(3), "1-d int64 ndarray", id="int-array"),
+    pytest.param(np.array(1.0), "0-d float64 ndarray", id="0-d-array"),
+    pytest.param({1: 0.0}, "key of <class 'int'>", id="int-key"),
+]
+
+
+class TestTypeSet:
+    """Both writers take dicts with str keys, lists, float arrays of one or
+    more axes and Python's float, str, int, bool and None, by exact type;
+    anything else is a TypeError that names its type, wherever it sits."""
+
+    @pytest.mark.parametrize("value, name", UNWRITABLE)
+    def test_writers_refuse_and_name_the_type(self, value, name):
+        refusal = "^cannot serialize .*" + re.escape(name)
+        # As a field, in a flat list and in a list that nests.
+        docs = [{"a": value}, {"a": [value]}, {"a": [value, [1.0]]}]
+        for write in (dump_json, render_text):
+            for doc in docs:
+                with pytest.raises(TypeError, match=refusal):
+                    write(doc)
+        with pytest.raises(TypeError, match=refusal):
+            dump_json(value)
+        if type(value) is dict:
+            with pytest.raises(TypeError, match=refusal):
+                render_text(value)
 
 
 # Pool entries for the large arrays, binary64 and binary32: signed zeros,
@@ -456,6 +525,32 @@ class TestInstanceHash:
         digests = [instance_sha256(v) for v in variants]
         assert digests == [reference_sha256(v) for v in variants]
         assert len(set(digests)) == 3
+
+    @pytest.mark.parametrize(
+        "ambient, structure",
+        [
+            (AmbientModel(AmbientKind.REAL_SPACE_FORM, 1), None),
+            (AmbientModel(AmbientKind.REAL_SPACE_FORM, np.int64(1)), None),
+            (AmbientModel(AmbientKind.COMPLEX_SLANT, -2, 1), None),
+            (None, StructureInfo("slant", 1)),
+        ],
+        ids=["int-c", "int64-c", "int-theta", "int-structure-theta"],
+    )
+    def test_integer_numbers_survive_save_load(self, ambient, structure, tmp_path):
+        """An integer c or theta is stored as the float the loader reads."""
+        instance = Instance(general_instance().zeta, ambient, structure)
+        digest = instance_sha256(instance)
+        assert digest == reference_sha256(instance)
+        save_instance(instance, tmp_path / "i.json")
+        loaded = load_instance(tmp_path / "i.json")
+        assert (loaded.ambient, loaded.structure) == (ambient, structure)
+        assert instance_sha256(loaded) == digest
+
+    def test_structure_theta_beyond_binary64_is_refused(self):
+        with pytest.raises(ValidationError, match="^theta is an integer too large for binary64$"):
+            StructureInfo("slant", 10**400)
+        with pytest.raises(ValidationError, match="^theta must be finite, got nan$"):
+            StructureInfo("slant", math.nan)
 
     def test_list_and_array_forms_hash_alike(self):
         comps = sample_general(np.random.default_rng(8), 4, 6).components
