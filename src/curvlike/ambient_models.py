@@ -38,9 +38,9 @@ class AmbientModel:
     theta: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("c", "theta"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _finite_float(getattr(self, name), name))
+        object.__setattr__(self, "c", _finite_float(self.c, "c"))
+        if self.theta is not None:
+            object.__setattr__(self, "theta", _finite_float(self.theta, "theta"))
         if self.kind is AmbientKind.COMPLEX_SLANT:
             if self.theta is None:
                 raise ValidationError("complex_slant requires theta")

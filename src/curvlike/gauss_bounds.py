@@ -24,9 +24,11 @@ into a caller's :func:`gauss_buffer`.
 ``check`` and ``report`` build T once and check it against zeta and S_T
 with :func:`gauss_probe_residuals`.  A sampling campaign checks each form's
 S_T against zeta with :func:`ricci_probe_residuals`, with no n^4 tensor; it
-builds and checks T only for its audited instances.  Either way a form's
-n^4 stage (``reporting._gauss_stage``) holds one n^4 allocation: G, T and
-the scratch of the residual kernels share one :func:`gauss_buffer`.
+builds and checks T only for its audited instances.  Either way T comes
+from one stacked product per form, written in T's own index order, and a
+form's n^4 stage (``reporting._gauss_stage``) holds one n^4 allocation: that
+product X, T and the scratch of the residual kernels share one
+:func:`gauss_buffer`.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def gauss_buffer(n: int) -> np.ndarray:
     """An empty buffer [n + b, n, n, n] for one form's n^4 stage, with b = n
     where T fits in 64 KiB and n // 2 above (768 KiB at n = 16), page-aligned
     by :func:`~curvlike.tensor_core.page_aligned_empty`:
-    :func:`gauss_components` writes G and T into it, and the b slabs it
+    :func:`gauss_components` writes X and T into it, and the b slabs it
     leaves spent are scratch for
     :func:`~curvlike.tensor_core.curvature_residuals` and
     :func:`~curvlike.tensor_core.pair_exchange_residuals`."""
@@ -113,18 +115,19 @@ def gauss_buffer(n: int) -> np.ndarray:
 def gauss_components(components: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gauss tensors T[..., i, j, k, l] of a stack of forms zeta[..., r, i, j].
 
-    With Z the form reshaped to (m', n^2), the Gram matrix G = Z^T Z holds
-    every <zeta_ab, zeta_cd>, so T[i, j, k, l] = G[il, jk] - G[ik, jl] costs
-    one product and one subtraction per form.  numpy evaluates the stacked
-    Z^T Z through BLAS syrk, which fills one triangle and mirrors it, so G is
-    bitwise symmetric and both antisymmetries of T are exact.  Pair exchange
-    holds to roundoff only: G[il, jk] and G[kj, li] are the same dot product
-    taken in different BLAS tiles.
+    With the first pair fixed at (e_i, e_j), slab T[i, j] is M - M^T for
+    M = A_j^T A_i, A_i = zeta[:, i, :].  So with Z the form reshaped to
+    (m', n^2), one stacked product of Z^T with the n matrices A_i writes
+    X[i, j, k, l] = <zeta_jk, zeta_il> in T's own index order, and
+    T = X - X.swapaxes(-2, -1) costs one subtraction per entry.  The
+    subtraction makes the second skew exact whatever the BLAS does; the first
+    skew and pair exchange pair one dot product with the same dot product
+    taken elsewhere in the product, so they hold to roundoff at worst.
 
-    G and T share one buffer ``out`` [..., n + b, n, n, n] (see
-    :func:`gauss_buffer`): G fills its last n slabs, and T its first n, b
-    slabs at a time.  Slab i of T reads only slab i of G, so each block
-    overwrites only slabs of G already read, and the last b slabs are left
+    X and T share one buffer ``out`` [..., n + b, n, n, n] (see
+    :func:`gauss_buffer`): X fills its last n slabs, and T its first n, b
+    slabs at a time.  Slab i of T reads only slab i of X, so each block
+    overwrites only slabs of X already read, and the last b slabs are left
     spent.  Without ``out`` the buffer is fresh, with b = n.  Each entry of T
     is the same one subtraction whatever b is.  Returns the view of T.
     """
@@ -132,20 +135,16 @@ def gauss_components(components: np.ndarray, out: np.ndarray | None = None) -> n
     lead, m, n = comps.shape[:-3], comps.shape[-3], comps.shape[-1]
     out = np.empty(lead + (2 * n, n, n, n)) if out is None else out
     b = out.shape[-4] - n
-    z = comps.reshape(lead + (m, n * n))
-    gram = np.matmul(
-        np.swapaxes(z, -1, -2), z, out=out[..., b:, :, :, :].reshape(lead + (n * n, n * n))
-    )
-    g = gram.reshape(lead + (n, n, n, n))
+    z = comps.reshape(lead + (1, m, n * n))
+    x = np.matmul(
+        np.swapaxes(z, -1, -2),
+        np.swapaxes(comps, -3, -2),
+        out=out[..., b:, :, :, :].reshape(lead + (n, n * n, n)),
+    ).reshape(lead + (n, n, n, n))
     for start in range(0, n, b):
         block = slice(start, min(start + b, n))
-        # At (i, j, k, l) these read g[..., i, l, j, k] and g[..., i, k, j, l].
-        slab = g[..., block, :, :, :]
-        np.subtract(
-            slab.swapaxes(-3, -2).swapaxes(-2, -1),
-            slab.swapaxes(-3, -2),
-            out=out[..., block, :, :, :],
-        )
+        slab = x[..., block, :, :, :]
+        np.subtract(slab, slab.swapaxes(-2, -1), out=out[..., block, :, :, :])
     return out[..., :n, :, :, :]
 
 

@@ -26,9 +26,10 @@ that the tests keep as their oracle.
 ζ's text: on a general (16, 32) form, formatting takes about 3.7 ms and
 hashing about 0.05 ms (timeit minima, 2-core x86_64, October 2026).
 
-Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.40 ms
-against 2.25 ms with the standard ``json`` decoder, of about 1.0 ms for the
-whole :func:`load_instance` (timeit minima, 2-core x86_64, October 2026).
+Instance text is parsed by ``orjson``: a general (16, 32) file takes 0.36 ms
+against 2.25 ms with the standard ``json`` decoder, of about 0.6 ms for the
+whole :func:`load_instance`, in which packing ζ takes about 0.2 ms (timeit
+minima, 2-core x86_64, October 2026).
 orjson rounds every number, integers beyond 64 bits included, to the nearest
 binary64 as ``float()`` does, so ζ comes out bit for bit as the standard
 decoder gives it; ``tests/test_json_decoder.py`` checks this.  The file is
@@ -46,6 +47,7 @@ import hashlib
 import json
 import math
 import reprlib
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -249,7 +251,10 @@ def _render(value, depth: int, lines: list[str]) -> None:
 
 
 def render_text(doc: dict) -> str:
-    """Line-oriented rendering that mirrors the JSON text field for field."""
+    """Line-oriented rendering that mirrors the JSON text field for field; a
+    root that is not a dict is a TypeError, naming its type."""
+    if type(doc) is not dict:
+        raise TypeError(f"cannot render a root of {type(doc)!r}")
     lines: list[str] = []
     _render(doc, 0, lines)
     return "\n".join(lines) + "\n"
@@ -334,25 +339,32 @@ def _require_numbers(zeta: list) -> None:
 
 
 def _zeta_array(zeta, m_prime: int, n: int) -> np.ndarray:
-    """``zeta`` as a float array (m', n, n).  Exactly m' lists of n lists of
-    n JSON numbers are converted from one flat list after one type check, bit
-    for bit as numpy converts the nested list.  Any other ``zeta`` meets, in
-    order, the number rule (if it nests three lists deep), numpy's conversion
-    (an integer beyond binary64 named) and the shape check, and the first of
-    them to refuse words the error."""
+    """``zeta`` as a float array (m', n, n), read-only.  Exactly m' lists of n
+    lists of n JSON numbers are packed from one flat list by one
+    ``struct.pack``, bit for bit as numpy converts the nested list.  Of the
+    JSON types ``struct`` packs only int and float, and bool as 0.0 or 1.0, so
+    the type check runs only where some entry packed to 0.0 or 1.0.  Any
+    other ``zeta``, or one ``struct`` refuses, meets in order the number rule
+    (if it nests three lists deep), numpy's conversion (an integer beyond
+    binary64 named) and the shape check, and the first of them to refuse
+    words the error."""
     flat = exact = None
     if type(zeta) is list and set(map(type, zeta)) == {list}:
         rows = list(chain.from_iterable(zeta))
         if set(map(type, rows)) == {list}:
             flat = list(chain.from_iterable(rows))
             exact = len(zeta) == m_prime and set(map(len, zeta)) == set(map(len, rows)) == {n}
-    if flat is not None and not {int, float}.issuperset(map(type, flat)):
-        _require_numbers(zeta)
-    elif exact:
+    if exact:
         try:
-            return np.array(flat, dtype=float).reshape(m_prime, n, n)
-        except OverflowError:
-            _require_numbers(zeta)  # names the integer
+            packed = np.frombuffer(struct.pack(f"{len(flat)}d", *flat)).reshape(m_prime, n, n)
+        except (struct.error, OverflowError):
+            pass  # a non-number or an integer beyond binary64, named below
+        else:
+            maybe_bool = ((packed == 0.0) | (packed == 1.0)).any()
+            if not maybe_bool or {int, float}.issuperset(map(type, flat)):
+                return packed
+    if exact or (flat is not None and not {int, float}.issuperset(map(type, flat))):
+        _require_numbers(zeta)
     try:
         zeta_arr = np.asarray(zeta, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

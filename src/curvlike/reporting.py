@@ -159,9 +159,10 @@ def _tolerances(evaluation: FormEvaluation, tol: float) -> dict:
 
 def _gauss_stage(form: np.ndarray, ricci_form: np.ndarray, pair_exchange: bool):
     """The n^4 stage of one form, in one :func:`gauss_buffer`: T from
-    :func:`gauss_components`; its curvature residuals and, with
+    :func:`gauss_components`, which fills the last n slabs with the product X
+    and writes T over the first n; its curvature residuals and, with
     ``pair_exchange``, its pair-exchange residual, each reduced in the slabs
-    of G that T leaves spent; its Gauss residual
+    of X that T leaves spent; its Gauss residual
     (:func:`gauss_probe_residuals`) against zeta and S_T.  Returns
     (curvature residuals, Gauss residual, pair exchange or None)."""
     n = form.shape[-1]

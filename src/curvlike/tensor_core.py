@@ -15,6 +15,7 @@ fill and reduce a block of slabs at a time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,10 @@ def check_bundle_dim(m_prime: int) -> int:
 
 def _finite_float(value, name: str) -> float:
     """An ambient or structure number as a float, so it hashes as it loads; a
-    ValidationError names ``name`` if it is not finite or beyond binary64."""
+    ValidationError names ``name`` if it is a bool or not a real number, not
+    finite or beyond binary64."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         if math.isfinite(value):
             return float(value)

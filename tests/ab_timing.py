@@ -46,9 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 CAMPAIGN_CALLS_PER_ROUND = 10
 
 
-def load_main(src: Path, name: str):
-    """``cli.main`` of the ``curvlike`` package under ``src``, imported as the
-    package ``name``."""
+def load_package(src: Path, name: str):
+    """The ``curvlike`` package under ``src``, imported as the package ``name``."""
     package = src.resolve() / "curvlike"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -56,6 +55,13 @@ def load_main(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    return module
+
+
+def load_main(src: Path, name: str):
+    """``cli.main`` of the ``curvlike`` package under ``src``, imported as the
+    package ``name``."""
+    load_package(src, name)
     return importlib.import_module(f"{name}.cli").main
 
 

@@ -15,6 +15,7 @@ from curvlike.ambient_models import (
 )
 from curvlike.errors import ValidationError
 from curvlike.gauss_bounds import BoundMode, build_T_from_zeta, check_bound
+from curvlike.instance_io import StructureInfo
 from curvlike.optim_lemmas import max_ricci
 from curvlike.structures import build_slant_structure
 from curvlike.tensor_core import BundleValuedForm, t_ricci_form, trace_norms_sq
@@ -69,6 +70,24 @@ class TestModelValidation:
                 ValidationError, match=r"^theta is an integer too large for binary64$"
             ):
                 AmbientModel(kind, 1.0, 10**400)
+
+    @pytest.mark.parametrize(
+        "value, shown", [(True, "True"), (False, "False"), ("1", "'1'"), (None, "None")],
+        ids=["true", "false", "str", "none"],
+    )
+    def test_a_bool_or_a_non_number_is_refused_by_name(self, value, shown):
+        """As the loader refuses a JSON true for ambient.c and structure.theta,
+        the library constructors refuse a bool, and a non-number is a
+        ValidationError, not a bare TypeError."""
+        for kind in AmbientKind:
+            theta = 0.7 if kind is AmbientKind.COMPLEX_SLANT else None
+            with pytest.raises(ValidationError, match=rf"^c must be a number, got {shown}$"):
+                AmbientModel(kind, value, theta)
+        if value is not None:  # a None theta means no theta
+            with pytest.raises(ValidationError, match=rf"^theta must be a number, got {shown}$"):
+                AmbientModel(AmbientKind.COMPLEX_SLANT, 1.0, theta=value)
+            with pytest.raises(ValidationError, match=rf"^theta must be a number, got {shown}$"):
+                StructureInfo("slant", value)
 
     @pytest.mark.parametrize(
         "c", [1, np.int64(1), np.float64(1.0), np.float32(1.0)],

@@ -405,7 +405,7 @@ def test_no_code_rebuilds_the_gauss_tensor_to_compare_it():
 
 def test_work_buffers_are_taken_only_by_the_n4_stage_kernels():
     """Every kernel allocates its own result, except the three that share a
-    form's one n^4 buffer: ``gauss_components`` writes G and T into it, and
+    form's one n^4 buffer: ``gauss_components`` writes X and T into it, and
     the two residual kernels reduce in its spent slabs, block by block.  No
     other function takes a caller's ``out``, ``gram`` or ``scratch`` array,
     and a tensor is built only through the public, copying constructor."""

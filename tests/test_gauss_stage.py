@@ -1,8 +1,8 @@
-"""The n^4 stage of one form: G, T and the residual scratch in one buffer.
+"""The n^4 stage of one form: X, T and the residual scratch in one buffer.
 
 ``reporting._gauss_stage`` builds T with ``gauss_components`` into the first
-n slabs of a ``gauss_buffer``, over the Gram matrix in its last n, and reduces
-the curvature and pair-exchange residuals in the slabs of G it leaves spent,
+n slabs of a ``gauss_buffer``, over the product X in its last n, and reduces
+the curvature and pair-exchange residuals in the slabs of X it leaves spent,
 n // 2 slabs at a time from n = 10 on.  Every residual must equal, bit for
 bit, the whole-array route that allocates its own arrays.
 """
@@ -44,7 +44,7 @@ def form(n, bundle_dim, draw, seed, k):
 
 def whole_array(comps, ricci_form):
     """The five residuals by the route that allocates its own arrays: one
-    fresh buffer for T and G, one block, a scratch shaped like T."""
+    fresh buffer for T and X, one block, a scratch shaped like T."""
     tensor = gauss_components(comps)
     return (
         *curvature_residuals(tensor),
@@ -110,9 +110,10 @@ def traced_peak_kib(call) -> float:
 
 
 def test_stage_peak_at_16_32_stays_below_1024_kib():
-    """One 768 KiB buffer holds T (512 KiB), G and the scratch; before the
-    stage, G, T and a residual scratch or copy were 512 KiB each and the
-    peak was 1154 KiB (measured: 898 KiB in both modes)."""
+    """One 768 KiB buffer holds T (512 KiB), X and the scratch; before the
+    stage, the Gram matrix, T and a residual scratch or copy were 512 KiB
+    each and the peak was 1154 KiB (measured: 840 KiB in both modes, 898 KiB
+    when T came from the Gram matrix)."""
     comps = draw_general(np.random.default_rng(82), 16, 32, 1)[0]
     zeta = BundleValuedForm(comps)
     evaluation = evaluate(zeta.components)

@@ -325,17 +325,44 @@ TRAILING_COMMA = [
 
 
 class TestZetaConversion:
-    """A ζ of exactly m' lists of n lists of n JSON numbers is converted from
+    """A ζ of exactly m' lists of n lists of n JSON numbers is packed from
     one flat list; every other ζ keeps the path and the words it had."""
 
     @pytest.mark.parametrize("decode", [orjson.loads, json.loads], ids=["orjson", "json"])
-    def test_flat_conversion_is_numpys_bit_for_bit(self, decode, monkeypatch):
-        values = EDGE_NUMBERS + [0.5] * (32 - len(EDGE_NUMBERS))
+    @pytest.mark.parametrize("with_0_or_1", [True, False], ids=["type-checked", "unchecked"])
+    def test_packed_conversion_is_numpys_bit_for_bit(self, decode, with_0_or_1, monkeypatch):
+        """With an entry of 0 (or -0.0) the packed path runs its type check;
+        without one it does not.  Neither takes np.array or np.asarray."""
+        values = [x for x in EDGE_NUMBERS if with_0_or_1 or x not in (0, 1)]
+        values += [0.5] * (32 - len(values))
         zeta = decode(json.dumps(np.reshape(np.array(values, dtype=object), (2, 4, 4)).tolist()))
         expected = np.asarray(zeta, dtype=float)
         with monkeypatch.context() as patched:
-            patched.setattr(np, "asarray", None)  # the flat path never takes it
+            patched.setattr(np, "array", None)
+            patched.setattr(np, "asarray", None)
             assert _zeta_array(zeta, 2, 4).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_refused_at_every_position(self, flag):
+        """struct packs a bool as 1.0 or 0.0, so its refusal rests on the
+        type check that an entry of 0.0 or 1.0 starts."""
+        for r, i, j in np.ndindex(2, 2, 2):
+            zeta = [[[0.5, 0.25], [0.25, 2.0]] for _ in range(2)]
+            zeta[r][i][j] = flag
+            text = json.dumps({"version": 1, "n": 2, "bundle_dim": 2, "zeta": zeta})
+            with pytest.raises(ValidationError) as caught:
+                loads_instance(text)
+            assert str(caught.value) == (
+                f"<string>: field 'zeta[{r}][{i}][{j}]' must be a number, got {flag}"
+            )
+
+    def test_integers_0_and_1_are_accepted(self):
+        zeta = [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+        converted = _zeta_array(zeta, 2, 2)
+        assert converted.dtype == np.float64
+        assert converted.tobytes() == np.asarray(zeta, dtype=float).tobytes()
+        text = json.dumps({"version": 1, "n": 2, "bundle_dim": 2, "zeta": zeta})
+        assert loads_instance(text).zeta.components.tolist() == zeta
 
     def test_loaded_form_is_numpys_conversion(self):
         """The loader's copy of a form with the edge numbers (1e308 left out:

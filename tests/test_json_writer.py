@@ -370,6 +370,11 @@ class TestTypeSet:
             with pytest.raises(TypeError, match=refusal):
                 render_text(value)
 
+    @pytest.mark.parametrize("root", [(1.0,), [1.0], 1.0], ids=["tuple", "list", "float"])
+    def test_text_writer_root_must_be_a_dict(self, root):
+        with pytest.raises(TypeError, match=rf"^cannot render a root of {re.escape(repr(type(root)))}$"):
+            render_text(root)
+
 
 # Pool entries for the large arrays, binary64 and binary32: signed zeros,
 # integral values just below, at and above 1e17, subnormals and the largest

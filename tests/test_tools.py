@@ -1,7 +1,8 @@
-"""Smoke test of the two comparison tools, each run as a script in a
+"""Smoke test of the three comparison tools, each run as a script in a
 subprocess from the repository root: ``tests/cli_digest.py`` prints the same
-digests on two runs, and ``tests/ab_timing.py`` pairs this tree with itself
-with no op whose output differs, and refuses fewer than two rounds."""
+digests on two runs, ``tests/ab_timing.py`` pairs this tree with itself
+with no op whose output differs, and refuses fewer than two rounds, and
+``tests/layer_timing.py`` times every layer at every shape of its grid."""
 
 import json
 import re
@@ -41,3 +42,20 @@ def test_ab_timing_needs_two_rounds():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.splitlines()[-1].endswith("error: --rounds must be at least 2, got 1")
+
+
+def test_layer_timing_covers_every_layer_and_shape():
+    done = run_tool("layer_timing.py", "src", "src", "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert (result["seed"], result["rounds"]) == (1, 1)
+    assert list(result["layers"]) == [
+        "_zeta_array", "checked_components", "ricci_forms", "top_eigenvalues",
+        "check_evaluated", "gauss_components", "_gauss_stage", "corollary_evaluated",
+        "dump_json", "render_text",
+    ]
+    for shapes in result["layers"].values():
+        assert list(shapes) == ["2x2", "3x3", "4x6", "8x8", "16x32"]
+        for row in shapes.values():
+            assert row["calls_per_sample"] >= 1
+            assert row["A_us"]["min"] > 0 and row["B_us"]["min"] > 0
